@@ -29,8 +29,8 @@ from . import hydrostatic as hydro
 from . import ldp as ldp_mod
 from . import mc
 from .thermo import RateFunction, ThermoTables, read_rate_table
-from .traffic import (ModelParams, assemble, solve_direct, solve_iterative,
-                      write_profile_csv)
+from .traffic import ModelParams, solve_lattices, write_profile_csv
+from .traffic import solve_direct  # noqa: F401  (re-export)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,6 +77,8 @@ class RunConfig:
             raise ConfigError("give both --phi-alpha and --phi-beta or neither")
         if self.phi_alpha is None and (self.alpha is None or self.beta is None):
             raise ConfigError("boundary data missing (alpha/beta)")
+        if not self.tol > 0.0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.t_sample <= 0.0:
             raise ConfigError("t-sample must be positive")
         if self.grid_points < 9:
@@ -232,6 +234,20 @@ class Report:
         path.write_text("\n".join(self.lines) + "\n")
 
 
+def _continuum(params: ModelParams, regime: hydro.Regime, solved: list,
+               thermo: ThermoTables, grid: Optional[np.ndarray] = None
+               ) -> hydro.ContinuumProfile:
+    """The regime's closed form, or the extrapolation of the run's solved
+    lattices when it has none and there are at least three of them."""
+    if regime.tag in hydro.EXTRAPOLATED_REGIMES and len(solved) >= 3:
+        Ns = [system.N for system, _ in solved]
+        family = hydro.DiscreteProfileFamily(
+            params, Ns, [profile for _, profile in solved])
+        return hydro.rho_extrapolated(params, regime, Ns, thermo, grid,
+                                      family=family)
+    return hydro.rho_closed_form(params, regime, thermo, grid)
+
+
 # -- subcommands ------------------------------------------------------------
 
 def cmd_thermo(cfg: RunConfig) -> int:
@@ -272,35 +288,26 @@ def cmd_thermo(cfg: RunConfig) -> int:
 def cmd_profile(cfg: RunConfig) -> int:
     thermo = ThermoTables.create(cfg.rate())
     report = Report(cfg)
-    kernel = cfg.model(cfg.N_list[0], thermo).kernel_params()
-    regime = hydro.classify_regime(cfg.gamma, cfg.theta, cfg.kappa, kernel)
+    params = cfg.model(cfg.N_list[-1], thermo)
+    regime = hydro.classify_regime(cfg.gamma, cfg.theta, cfg.kappa,
+                                   params.kernel_params())
     report.add("regime", regime.tag)
     report.add("kappa_hat", regime.kappa_hat)
-    profiles = {}
-    for N in cfg.N_list:
-        params = cfg.model(N, thermo)
-        system = assemble(params, thermo, kernel)
-        prof = (solve_direct(system) if N <= 4096
-                else solve_iterative(system, tol=cfg.tol))
-        profiles[N] = prof
-        write_profile_csv(prof, thermo, cfg.out / f"profile_N{N}.csv")
-        report.add(f"residual_N{N}", prof.residual_norm)
+    if regime.tag in hydro.EXTRAPOLATED_REGIMES and len(cfg.N_list) < 3:
+        raise ConfigError("extrapolated regimes need at least 3 N values")
+    solved = solve_lattices(params, cfg.N_list, thermo, cfg.tol)
+    for system, prof in solved:
+        write_profile_csv(prof, thermo, cfg.out / f"profile_N{system.N}.csv")
+        report.add(f"residual_N{system.N}", prof.residual_norm)
     grid = hydro.default_grid(cfg.grid_points)
-    base = cfg.model(cfg.N_list[-1], thermo)
-    if regime.tag in hydro.EXTRAPOLATED_REGIMES:
-        if len(cfg.N_list) < 3:
-            raise ConfigError(
-                "extrapolated regimes need at least 3 N values")
-        cont = hydro.rho_extrapolated(base, regime, cfg.N_list, thermo, grid)
-    else:
-        cont = hydro.rho_closed_form(base, regime, thermo, grid)
+    cont = _continuum(params, regime, solved, thermo, grid)
     hydro.write_continuum_csv(cont, cfg.out / "continuum_profile.csv")
     # convergence gaps of raw lattice ratio toward rho on interior points
     rows = []
     interior = grid[(grid >= 0.1) & (grid <= 0.9)]
     rho_ref = np.asarray(cont.rho_at()(interior), dtype=float)
-    for N in cfg.N_list:
-        pr = profiles[N]
+    for system, pr in solved:
+        N = system.N
         vals = np.array([pr.phi_at(min(max(int(u * N), 1), N - 1))
                          for u in interior]) / cont.phi_sum
         rows.append(f"{N},{float(np.max(np.abs(vals - rho_ref)))!r}")
@@ -326,11 +333,12 @@ def cmd_profile(cfg: RunConfig) -> int:
 def cmd_current(cfg: RunConfig) -> int:
     thermo = ThermoTables.create(cfg.rate())
     report = Report(cfg)
-    kernel = cfg.model(cfg.N_list[0], thermo).kernel_params()
-    N = cfg.N_list[-1]
-    params = cfg.model(N, thermo)
-    system = assemble(params, thermo, kernel)
-    prof = solve_direct(system) if N <= 4096 else solve_iterative(system)
+    params = cfg.model(cfg.N_list[-1], thermo)
+    kernel = params.kernel_params()
+    # the sweep and the extrapolated profile need every N; otherwise N_max
+    sweep_Ns = cfg.N_list if len(cfg.N_list) >= 3 else cfg.N_list[-1:]
+    solved = solve_lattices(params, sweep_Ns, thermo, cfg.tol)
+    system, prof = solved[-1]
     rep = current_mod.current_report(prof, system)
     rows = [f"{x + 1},{float(w)!r}" for x, w in enumerate(rep.per_x)]
     _write(cfg.out / "bond_currents.csv", cfg.header_lines(),
@@ -341,8 +349,8 @@ def cmd_current(cfg: RunConfig) -> int:
     report.check("bond_independence", rep.relative_spread() < 1e-10,
                  f"spread {rep.relative_spread():g}")
     if len(cfg.N_list) >= 3:
-        sweep = current_mod.fick_sweep(cfg.model(2, thermo), cfg.N_list,
-                                       thermo)
+        sweep = current_mod.fick_sweep(params, cfg.N_list, thermo,
+                                       lattices=solved)
         sweep.to_csv(cfg.out / "fick_sweep.csv", cfg.header_lines())
         report.add("sweep_extrapolated", sweep.extrapolated)
         if sweep.closed_form is not None:
@@ -351,11 +359,7 @@ def cmd_current(cfg: RunConfig) -> int:
             report.check("fick_closed_form", sweep.rel_err < 0.02,
                          f"rel err {sweep.rel_err:g}")
     regime = hydro.classify_regime(cfg.gamma, cfg.theta, cfg.kappa, kernel)
-    base = cfg.model(2, thermo)
-    if regime.tag in hydro.EXTRAPOLATED_REGIMES and len(cfg.N_list) >= 3:
-        cont = hydro.rho_extrapolated(base, regime, cfg.N_list, thermo)
-    else:
-        cont = hydro.rho_closed_form(base, regime, thermo)
+    cont = _continuum(params, regime, solved, thermo)
     fl = current_mod.fick_limit(cont, params, kernel)
     report.add("fick_limit_mean", fl.mean)
     report.add("fick_limit_spread", fl.spread)
@@ -370,28 +374,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
     report = Report(cfg)
     N = cfg.N_list[0]
     params = cfg.model(N, thermo)
-    system = assemble(params, thermo)
-    profile = solve_direct(system) if N <= 4096 else solve_iterative(system)
-    tables = mc.build_event_tables(params, thermo)
-    t_burn = cfg.t_burn if cfg.t_burn is not None else None
+    [(_, profile)] = solve_lattices(params, (N,), thermo, cfg.tol)
     tables_ex = None
     if cfg.negative_control:
         tables_ex = mc.build_event_tables(
             cfg.model(N, thermo, swap_boundaries=True), thermo)
         report.add("negative_control", True)
+    t_burn = cfg.t_burn if cfg.t_burn is not None else 0.05 * cfg.t_sample
     mapping = mc.mapping_check(params, profile,
                                seeds=(cfg.seed, cfg.seed + 1),
-                               t_burn=t_burn if t_burn is not None else 0.05 * cfg.t_sample,
-                               t_sample=cfg.t_sample, thermo=thermo,
-                               tables_ex=tables_ex)
-    est_zr = mc.simulate_zero_range(params, tables,
-                                    t_burn if t_burn is not None else 0.05 * cfg.t_sample,
-                                    cfg.t_sample, cfg.seed)
-    est_ex = mc.simulate_exclusion(params, tables_ex or tables,
-                                   t_burn if t_burn is not None else 0.05 * cfg.t_sample,
-                                   cfg.t_sample, cfg.seed + 1)
-    mc.write_estimate_csv(est_zr, profile, cfg.out / "zr_estimates.csv")
-    mc.write_estimate_csv(est_ex, profile, cfg.out / "ex_estimates.csv")
+                               t_burn=t_burn, t_sample=cfg.t_sample,
+                               thermo=thermo, tables_ex=tables_ex)
+    mc.write_estimate_csv(mapping.est_zr, profile,
+                          cfg.out / "zr_estimates.csv")
+    mc.write_estimate_csv(mapping.est_ex, profile,
+                          cfg.out / "ex_estimates.csv")
     report.add("mapping_summary", mapping.summary())
     report.add("fraction_ok", mapping.fraction_ok)
     if cfg.negative_control:
@@ -417,21 +414,17 @@ def cmd_ldp(cfg: RunConfig) -> int:
     report = Report(cfg)
     if len(cfg.N_list) < 3:
         raise ConfigError("ldp needs at least 3 N values")
-    kernel = cfg.model(cfg.N_list[0], thermo).kernel_params()
-    base = cfg.model(2, thermo)
-    cont = hydro.profile_for_regime(base, cfg.N_list, thermo)
-    profiles = {}
-    for N in cfg.N_list:
-        params = cfg.model(N, thermo)
-        system = assemble(params, thermo, kernel)
-        profiles[N] = (solve_direct(system) if N <= 4096
-                       else solve_iterative(system))
+    params = cfg.model(cfg.N_list[-1], thermo)
+    regime = hydro.classify_regime(cfg.gamma, cfg.theta, cfg.kappa,
+                                   params.kernel_params())
+    solved = solve_lattices(params, cfg.N_list, thermo, cfg.tol)
+    cont = _continuum(params, regime, solved, thermo)
     rows = []
     monotone_all = True
     for label, G in _LDP_BASIS:
         lam, lam_err = ldp_mod.lambda_limit_with_error(cont, thermo, G)
-        per_n = [ldp_mod.log_mgf_scaled(profiles[N], thermo, G)
-                 for N in cfg.N_list]
+        per_n = [ldp_mod.log_mgf_scaled(profile, thermo, G)
+                 for _, profile in solved]
         gaps = [abs(v - lam) for v in per_n]
         monotone = all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
         monotone_all = monotone_all and monotone

@@ -19,18 +19,19 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .hydrostatic import (ContinuumProfile, Regime, classify_regime,
-                          tilde_densities)
+from .hydrostatic import (ContinuumProfile, Regime, _fit_power_limit,
+                          classify_regime, tilde_densities)
 from .kernel import KernelParams
-from .quadrature import integrate_panels, panel_nodes
+from .quadrature import geometric_edges, integrate_panels, panel_nodes
 from .thermo import ThermoTables
-from .traffic import (FugacityProfile, ModelParams, TrafficSystem, assemble,
-                      solve_direct, solve_iterative)
+from .traffic import (FugacityProfile, ModelParams, TrafficSystem,
+                      solve_lattices)
 
 
-def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
-                           system: TrafficSystem) -> np.ndarray:
-    """E[W_x] for x = 1..N given site means ``dens`` and reservoir levels.
+def _bond_evaluator(dens: np.ndarray, bc_left: float, bc_right: float,
+                    system: TrafficSystem) -> Callable[[int], float]:
+    """E[W_x] as a function of the bond x = 1..N, given site means ``dens``
+    and reservoir levels.
 
     O(N) per bond after O(N) prefix sums: kernel partial sums reduce the
     double sum over (y < x <= z) to two sliding inner products.
@@ -46,8 +47,8 @@ def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
     # suffix sums over z >= x and prefix sums over y <= x-1
     lsuf = np.concatenate([np.cumsum(lterm[::-1])[::-1], [0.0]])
     rpre = np.concatenate([[0.0], np.cumsum(rterm)])
-    out = np.empty(N)
-    for x in range(1, N + 1):
+
+    def current(x: int) -> float:
         ys = np.arange(1, x)
         zs = np.arange(x, N)
         bulk = 0.0
@@ -55,8 +56,16 @@ def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
             s_right = P_cum[N - 1 - ys] - P_cum[x - 1 - ys]
             s_left = P_cum[zs - 1] - P_cum[zs - x]
             bulk = float(dens[ys - 1] @ s_right) - float(dens[zs - 1] @ s_left)
-        out[x - 1] = bulk + scale * (lsuf[x - 1] - rpre[x - 1])
-    return out
+        return float(bulk + scale * (lsuf[x - 1] - rpre[x - 1]))
+
+    return current
+
+
+def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
+                           system: TrafficSystem) -> np.ndarray:
+    """E[W_x] for every bond x = 1..N."""
+    current = _bond_evaluator(dens, bc_left, bc_right, system)
+    return np.array([current(x) for x in range(1, system.N + 1)])
 
 
 def bond_currents(profile: FugacityProfile,
@@ -79,7 +88,8 @@ def stationary_current(profile: FugacityProfile, system: TrafficSystem,
     """E[W_x] through the bond x - 1/2 (zero-range units)."""
     if not 1 <= x <= system.N:
         raise DomainError(f"bond index x={x} outside 1..N={system.N}")
-    return float(bond_currents(profile, system)[x - 1])
+    return _bond_evaluator(profile.values, profile.phi_alpha,
+                           profile.phi_beta, system)(x)
 
 
 @dataclass
@@ -199,15 +209,8 @@ def _double_integral(rho_fast: Callable, u: float, gamma: float,
     Substituting s = u-v, t = w-u and grading panels geometrically toward
     the corner s = t = 0, where the Lipschitz difference tames the kernel.
     """
-    def geom(a, b):
-        edges = [a]
-        while edges[-1] * 2.0 < b:
-            edges.append(edges[-1] * 2.0)
-        edges.append(b)
-        return np.array(edges)
-
-    s_edges = geom(s_min, u)
-    t_edges = geom(s_min, 1.0 - u)
+    s_edges = geometric_edges(s_min, u)
+    t_edges = geometric_edges(s_min, 1.0 - u)
     total = 0.0
     for sa, sb in zip(s_edges[:-1], s_edges[1:]):
         s_nodes, s_w = panel_nodes(sa, sb, nodes)
@@ -317,49 +320,34 @@ class SweepResult:
 
 def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
                thermo: Optional[ThermoTables] = None,
-               direct_cap: int = 4096) -> SweepResult:
+               lattices: Optional[list[tuple[TrafficSystem, FugacityProfile]]]
+               = None) -> SweepResult:
     """Rescaled current E[W_1]/B_N along N_sequence, Richardson limit, and
-    the closed-form comparison when theta < 0."""
-    from .hydrostatic import _fit_power_limit  # shared extrapolation core
+    the closed-form comparison when theta < 0.
 
+    ``lattices`` are the (system, profile) pairs of N_sequence already
+    solved (``traffic.solve_lattices``); they are solved here when absent.
+    """
     if len(N_sequence) < 3:
         raise DomainError("need at least 3 lattice sizes to extrapolate")
-    thermo = thermo or params_base.make_thermo()
-    kernel = params_base.kernel_params()
-    currents = []
-    rescaled = []
-    for N in N_sequence:
-        params = ModelParams(
-            gamma=params_base.gamma, theta=params_base.theta,
-            kappa=params_base.kappa, alpha=params_base.alpha,
-            beta=params_base.beta, N=int(N), rate=params_base.rate,
-            normalization_mode=params_base.normalization_mode,
-            phi_alpha=params_base.phi_alpha, phi_beta=params_base.phi_beta)
-        system = assemble(params, thermo, kernel)
-        if N <= direct_cap:
-            profile = solve_direct(system)
-        else:
-            profile = solve_iterative(system)
-        w1 = stationary_current(profile, system, 1)
-        currents.append(w1)
-        rescaled.append(w1 / scaling_B(int(N), params.theta, params.gamma))
-    rescaled_arr = np.array(rescaled)
+    if lattices is None:
+        lattices = solve_lattices(params_base, N_sequence, thermo)
+    theta, gamma = params_base.theta, params_base.gamma
+    currents = np.array([stationary_current(profile, system, 1)
+                         for system, profile in lattices])
+    rescaled_arr = np.array([w1 / scaling_B(int(N), theta, gamma)
+                             for N, w1 in zip(N_sequence, currents)])
     limit, err, _warn = _fit_power_limit(rescaled_arr, N_sequence)
     closed = None
     rel = None
-    if params_base.theta < 0.0:
-        probe = ModelParams(
-            gamma=params_base.gamma, theta=params_base.theta,
-            kappa=params_base.kappa, alpha=params_base.alpha,
-            beta=params_base.beta, N=16, rate=params_base.rate,
-            normalization_mode=params_base.normalization_mode,
-            phi_alpha=params_base.phi_alpha, phi_beta=params_base.phi_beta)
-        phi_a, phi_b = probe.boundary_fugacities(thermo)
-        closed = closed_form_limit_zr(phi_a, phi_b, params_base.gamma,
-                                      params_base.kappa, kernel)
+    if theta < 0.0:
+        profile = lattices[-1][1]
+        closed = closed_form_limit_zr(profile.phi_alpha, profile.phi_beta,
+                                      gamma, params_base.kappa,
+                                      params_base.kernel_params())
         if closed != 0.0:
             rel = abs(limit - closed) / abs(closed)
     return SweepResult(N_values=tuple(int(n) for n in N_sequence),
-                       currents=np.array(currents), rescaled=rescaled_arr,
+                       currents=currents, rescaled=rescaled_arr,
                        extrapolated=limit, err_estimate=err,
                        closed_form=closed, rel_err=rel)

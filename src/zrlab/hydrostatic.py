@@ -24,8 +24,8 @@ from .kernel import (KernelParams, first_moment_half, regional_frac_laplacian,
                      vectorized)
 from .quadrature import integrate_panels
 from .thermo import ThermoTables
-from .traffic import (FugacityProfile, ModelParams, assemble,
-                      solve_direct, solve_iterative)
+from .traffic import FugacityProfile, ModelParams, solve_lattices
+from .traffic import solve_direct  # noqa: F401  (re-export)
 
 EXPLICIT_RATIO = "ExplicitRatio"
 REACTION_DIFFUSION = "ReactionDiffusion"
@@ -34,6 +34,11 @@ ROBIN = "Robin"
 NEUMANN = "Neumann"
 
 EXTRAPOLATED_REGIMES = (REACTION_DIFFUSION, DIRICHLET, ROBIN)
+
+# Decimal inputs on the Robin line miss it in binary floating point by about
+# one ulp (fl(1.2) - 1 != fl(0.2)); |theta - (gamma - 1)| up to this counts
+# as the tie.
+ROBIN_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,12 @@ def classify_regime(gamma: float, theta: float, kappa: float = 1.0,
                     kernel: Optional[KernelParams] = None) -> Regime:
     """Map (gamma, theta) to the limiting boundary-value problem.
 
-    Boundary ties: theta = 0 and theta = gamma - 1 are resolved by exact
-    float comparison; gamma = 1 belongs to the gamma <= 1 branch, so any
-    theta > 0 there is Neumann, while (theta = 0, gamma = 1) is refused
-    (the limit theorems exclude that point).
+    Boundary ties: theta = 0 is an exact float comparison; theta = gamma - 1
+    holds up to ROBIN_TIE_TOL on both sides, so the decimal pairs a user
+    types on the Robin line land on it.  gamma = 1 belongs to the
+    gamma <= 1 branch, so any theta > 0 there is Neumann, while
+    (theta = 0, gamma = 1) is refused (the limit theorems exclude that
+    point).
     """
     if not 0.0 < gamma < 2.0:
         raise DomainError(f"gamma must lie in (0,2), got {gamma}")
@@ -62,9 +69,10 @@ def classify_regime(gamma: float, theta: float, kappa: float = 1.0,
         return Regime(REACTION_DIFFUSION, kappa)
     if gamma <= 1.0:
         return Regime(NEUMANN, 0.0)
-    if theta < gamma - 1.0:
+    gap = theta - (gamma - 1.0)
+    if gap < -ROBIN_TIE_TOL:
         return Regime(DIRICHLET, 0.0)
-    if theta == gamma - 1.0:
+    if gap <= ROBIN_TIE_TOL:
         kernel = kernel or KernelParams.create(gamma)
         return Regime(ROBIN, kappa * first_moment_half(kernel))
     return Regime(NEUMANN, 0.0)
@@ -151,28 +159,14 @@ class DiscreteProfileFamily:
 
     @classmethod
     def solve(cls, params_base: ModelParams, N_values: Sequence[int],
-              thermo: Optional[ThermoTables] = None,
-              direct_cap: int = 4096) -> "DiscreteProfileFamily":
+              thermo: Optional[ThermoTables] = None
+              ) -> "DiscreteProfileFamily":
         if len(N_values) < 3:
             raise DomainError("need at least 3 lattice sizes to extrapolate")
         if any(b <= a for a, b in zip(N_values[:-1], N_values[1:])):
             raise DomainError("N sequence must be increasing")
-        thermo = thermo or params_base.make_thermo()
-        profiles = []
-        for N in N_values:
-            params = ModelParams(
-                gamma=params_base.gamma, theta=params_base.theta,
-                kappa=params_base.kappa, alpha=params_base.alpha,
-                beta=params_base.beta, N=int(N), rate=params_base.rate,
-                normalization_mode=params_base.normalization_mode,
-                phi_alpha=params_base.phi_alpha,
-                phi_beta=params_base.phi_beta)
-            system = assemble(params, thermo)
-            if N <= direct_cap:
-                profiles.append(solve_direct(system, cap=direct_cap))
-            else:
-                profiles.append(solve_iterative(system))
-        return cls(params_base, N_values, profiles)
+        solved = solve_lattices(params_base, N_values, thermo)
+        return cls(params_base, N_values, [prof for _, prof in solved])
 
     def raw_ratio(self, u: float, i: int) -> float:
         """phi_N at floor(uN) over phi_alpha+phi_beta (the raw lattice ratio)."""
@@ -337,18 +331,6 @@ def rho_extrapolated(params_base: ModelParams, regime: Regime,
     return _continuum_from_values(grid, rho, err, warn, regime,
                                   "extrapolated", a_t, b_t, family.phi_sum,
                                   thermo, evaluator, boundary)
-
-
-def profile_for_regime(params_base: ModelParams, N_sequence: Sequence[int],
-                       thermo: Optional[ThermoTables] = None,
-                       grid: Optional[np.ndarray] = None) -> ContinuumProfile:
-    """Classify and produce the continuum profile by the right route."""
-    kernel = params_base.kernel_params()
-    regime = classify_regime(params_base.gamma, params_base.theta,
-                             params_base.kappa, kernel)
-    if regime.tag in EXTRAPOLATED_REGIMES:
-        return rho_extrapolated(params_base, regime, N_sequence, thermo, grid)
-    return rho_closed_form(params_base, regime, thermo, grid)
 
 
 # -- weak formulations ----------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import integrate_panels
+from .quadrature import geometric_edges, integrate_panels
 
 NORMALIZATION_MODES = ("normalized", "paper_literal")
 
@@ -252,7 +252,7 @@ def regional_frac_laplacian(params: KernelParams, G: Callable, u: float,
         def folded(t):
             return (gv(u + t) + gv(u - t) - 2.0 * gu) * t ** (-(1.0 + gam))
 
-        inner += integrate_panels(folded, _geometric_edges(cut, m), n=16)
+        inner += integrate_panels(folded, geometric_edges(cut, m), n=16)
 
     def outer_part(b: float, sign: float) -> float:
         # one side of u, distances in [m, b]
@@ -262,16 +262,7 @@ def regional_frac_laplacian(params: KernelParams, G: Callable, u: float,
         def f(t):
             return (gv(u + sign * t) - gu) * t ** (-(1.0 + gam))
 
-        return integrate_panels(f, _geometric_edges(m, b), n=16)
+        return integrate_panels(f, geometric_edges(m, b), n=16)
 
     outer = outer_part(u, -1.0) + outer_part(1.0 - u, +1.0)
     return params.c_gamma * (inner + outer)
-
-
-def _geometric_edges(a: float, b: float) -> np.ndarray:
-    """Panel edges doubling away from a up to b (a > 0)."""
-    edges = [a]
-    while edges[-1] * 2.0 < b:
-        edges.append(edges[-1] * 2.0)
-    edges.append(b)
-    return np.array(edges)

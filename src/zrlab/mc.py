@@ -570,8 +570,16 @@ class MappingReport:
     z_cross: np.ndarray     # exclusion vs zero-range estimates
     fraction_ok: float
     passed: bool
-    events_zr: int
-    events_ex: int
+    est_zr: SimEstimate
+    est_ex: SimEstimate
+
+    @property
+    def events_zr(self) -> int:
+        return self.est_zr.event_count
+
+    @property
+    def events_ex(self) -> int:
+        return self.est_ex.event_count
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -589,7 +597,7 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
 
     ``tables_ex`` overrides the exclusion-side rates (negative-control
     hook for tests); pass requires >= 95% of sites within 3 sigma on all
-    three comparisons.
+    three comparisons.  The report carries both chains' estimates.
     """
     thermo = thermo or params.make_thermo()
     tables = build_event_tables(params, thermo)
@@ -607,8 +615,7 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
     frac = float(ok.mean())
     return MappingReport(z_eta=z_eta, z_g=z_g, z_cross=z_cross,
                          fraction_ok=frac, passed=frac >= 0.95,
-                         events_zr=est_zr.event_count,
-                         events_ex=est_ex.event_count)
+                         est_zr=est_zr, est_ex=est_ex)
 
 
 def write_estimate_csv(est: SimEstimate, profile: FugacityProfile,

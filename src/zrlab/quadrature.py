@@ -37,39 +37,10 @@ def integrate_panels(f, edges: np.ndarray, n: int = 16) -> float:
     return total
 
 
-def graded_edges(a: float, b: float, *, toward: str, levels: int,
-                 ratio: float = 2.0) -> np.ndarray:
-    """Panel edges on [a, b] shrinking geometrically toward one endpoint.
-
-    ``toward='a'`` puts the smallest panel at a; ``levels`` panels total.
-    """
-    if b <= a:
-        return np.array([a, b])
-    fracs = ratio ** -np.arange(levels, dtype=float)  # 1, 1/r, 1/r^2, ...
-    offsets = np.concatenate([[0.0], fracs[::-1]]) * (b - a)
-    if toward == "a":
-        return a + offsets
-    if toward == "b":
-        return b - offsets[::-1]
-    raise ValueError(f"toward must be 'a' or 'b', got {toward!r}")
-
-
-def singular_edges(a: float, b: float, *, levels: int = 48,
-                   interior: int = 8) -> np.ndarray:
-    """Edges on [a, b] graded toward both endpoints with a uniform middle."""
-    if b <= a:
-        return np.array([a, b])
-    width = b - a
-    lo = a + 0.25 * width
-    hi = b - 0.25 * width
-    left = graded_edges(a, lo, toward="a", levels=levels)
-    mid = np.linspace(lo, hi, interior + 1)
-    right = graded_edges(hi, b, toward="b", levels=levels)
-    return np.unique(np.concatenate([left, mid, right]))
-
-
-def integrate_singular(f, a: float, b: float, *, levels: int = 48,
-                       interior: int = 8, n: int = 16) -> float:
-    """Integrate f on [a, b] assuming endpoint-only algebraic singularities."""
-    return integrate_panels(f, singular_edges(a, b, levels=levels,
-                                              interior=interior), n=n)
+def geometric_edges(a: float, b: float) -> np.ndarray:
+    """Panel edges doubling away from a up to b (a > 0)."""
+    edges = [a]
+    while edges[-1] * 2.0 < b:
+        edges.append(edges[-1] * 2.0)
+    edges.append(b)
+    return np.array(edges)

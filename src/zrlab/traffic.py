@@ -5,14 +5,16 @@ The stationary product measure is characterized by the traffic equation
 system: P_N is the Toeplitz matrix of in-range jump probabilities, D_N
 adds the reservoir coupling kappa N^(-theta)(r^+ + r^-), and R_N carries
 the reservoir fugacities.  A dense LU path covers desk-scale N; large N
-uses conjugate gradients with an FFT Toeplitz matvec.
+uses conjugate gradients with an FFT Toeplitz matvec; ``solve`` is the one
+place that chooses between them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.fft
@@ -22,7 +24,8 @@ from .errors import ConvergenceError, DomainError
 from .kernel import KernelParams, ReservoirRates, jump_prob, reservoir_rates
 from .thermo import RateFunction, ThermoTables
 
-DIRECT_SOLVER_CAP = 8192
+# Largest N solved by dense LU; conjugate gradients take every larger N.
+LU_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def _residual_extended(system: TrafficSystem, x: np.ndarray) -> np.ndarray:
 
 
 def solve_direct(system: TrafficSystem,
-                 cap: int = DIRECT_SOLVER_CAP) -> FugacityProfile:
+                 cap: int = LU_LIMIT) -> FugacityProfile:
     """Dense LU with partial pivoting plus mixed-precision refinement;
     residual < 1e-11 ||R||_inf and forward error near machine precision."""
     if system.N > cap:
@@ -340,6 +343,31 @@ def solve_iterative(system: TrafficSystem, tol: Optional[float] = None,
     if record_iterates:
         profile.iterates = iterates
     return profile
+
+
+def solve(system: TrafficSystem,
+          tol: Optional[float] = None) -> FugacityProfile:
+    """phi_N by dense LU for N <= LU_LIMIT, by conjugate gradients above;
+    ``tol`` bounds the max-norm CG residual (default 1e-12 max(1, ||R||))."""
+    if system.N <= LU_LIMIT:
+        return solve_direct(system)
+    return solve_iterative(system, tol=tol)
+
+
+def solve_lattices(params: ModelParams, N_values: Sequence[int],
+                   thermo: Optional[ThermoTables] = None,
+                   tol: Optional[float] = None
+                   ) -> list[tuple[TrafficSystem, FugacityProfile]]:
+    """Assemble and solve each lattice size once; the systems differ from
+    ``params`` only in N."""
+    thermo = thermo or params.make_thermo()
+    kernel = params.kernel_params()
+    solved = []
+    for N in N_values:
+        system = assemble(dataclasses.replace(params, N=int(N)), thermo,
+                          kernel)
+        solved.append((system, solve(system, tol)))
+    return solved
 
 
 def density_profile(profile: FugacityProfile,

@@ -1,6 +1,9 @@
+from collections import Counter
 from pathlib import Path
 
-from zrlab import cli
+import pytest
+
+from zrlab import cli, mc, traffic
 
 
 def run(args):
@@ -150,3 +153,65 @@ def test_negative_control_fails_as_designed(tmp_path):
                 "--negative-control", "--out", str(out)])
     assert code == 0
     assert "check:negative_control_fails = PASS" in read_report(out)
+
+
+def _count_work(monkeypatch):
+    """Count traffic solves per lattice size and Monte Carlo chain runs."""
+    solves, chains = Counter(), []
+    solve = traffic.solve
+
+    def counting_solve(system, tol=None):
+        solves[system.N] += 1
+        return solve(system, tol)
+
+    monkeypatch.setattr(traffic, "solve", counting_solve)
+    for name in ("simulate_zero_range", "simulate_exclusion"):
+        def counting_chain(*args, _run=getattr(mc, name), _name=name, **kw):
+            chains.append(_name)
+            return _run(*args, **kw)
+
+        monkeypatch.setattr(mc, name, counting_chain)
+    return solves, chains
+
+
+THREE_N = ["--gamma", "1.5", "--theta", "0", "--N", "32", "--N", "64",
+           "--N", "128"]
+
+
+@pytest.mark.parametrize("argv,lattices,chains", [
+    (["profile"] + THREE_N, (32, 64, 128), []),
+    (["current"] + THREE_N, (32, 64, 128), []),
+    (["ldp", "--alpha", "0.5", "--beta", "1.5"] + THREE_N, (32, 64, 128), []),
+    (["simulate", "--gamma", "1.2", "--theta", "0", "--N", "24",
+      "--t-burn", "50", "--t-sample", "400", "--seed", "3"], (24,),
+     ["simulate_zero_range", "simulate_exclusion"]),
+], ids=["profile", "current", "ldp", "simulate"])
+def test_each_lattice_solved_once(tmp_path, monkeypatch, argv, lattices,
+                                  chains):
+    solves, runs = _count_work(monkeypatch)
+    run(argv + ["--out", str(tmp_path / "o")])
+    assert solves == {N: 1 for N in lattices}
+    assert runs == chains
+
+
+def test_tol_reaches_cg_solves(tmp_path, monkeypatch):
+    seen = []
+    solve_iterative = traffic.solve_iterative
+
+    def spy(system, tol=None, **kw):
+        seen.append(tol)
+        return solve_iterative(system, tol=tol, **kw)
+
+    monkeypatch.setattr(traffic, "solve_iterative", spy)
+    # a loose tol may fail the bond check (exit 5); only its use matters here
+    run(["current", "--gamma", "0.5", "--theta", "0.5",
+         "--N", str(traffic.LU_LIMIT + 1), "--tol", "1e-9",
+         "--out", str(tmp_path / "c")])
+    assert seen == [1e-9]
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-12"])
+def test_nonpositive_tol_refused(tmp_path, tol):
+    code = run(["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
+                f"--tol={tol}", "--out", str(tmp_path / "p")])
+    assert code == cli.EXIT_CONFIG

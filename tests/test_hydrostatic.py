@@ -23,8 +23,18 @@ from conftest import make_params
     (1.5, 0.6, H.NEUMANN),
     (0.5, 0.1, H.NEUMANN),
     (1.0, 0.5, H.NEUMANN),     # gamma = 1 belongs to the gamma <= 1 branch
-    (1.9, 1.9 - 1.0, H.ROBIN),  # the Robin line is an exact float comparison
-    (1.9, 0.9, H.NEUMANN),      # 0.9 > fl(1.9-1.0), so past the Robin line
+    (1.9, 1.9 - 1.0, H.ROBIN),
+    # decimal pairs on the Robin line miss fl(gamma - 1) by about 1 ulp
+    (1.9, 0.9, H.ROBIN),
+    (1.2, 0.2, H.ROBIN),
+    (1.3, 0.3, H.ROBIN),
+    (1.1, 0.1, H.ROBIN),
+    (1.4, 0.4, H.ROBIN),
+    (1.6, 0.6, H.ROBIN),
+    (1.7, 0.7, H.ROBIN),
+    (1.2, 0.19, H.DIRICHLET),
+    (1.9, 0.91, H.NEUMANN),
+    (1.3, 0.0, H.REACTION_DIFFUSION),
 ])
 def test_classify_regime(gamma, theta, tag):
     assert H.classify_regime(gamma, theta).tag == tag
