@@ -42,10 +42,8 @@ def main():
           f"g {np.abs(report.z_g).max():.2f}, "
           f"cross {np.abs(report.z_cross).max():.2f}")
     args.out.mkdir(parents=True, exist_ok=True)
-    tables = mc.build_event_tables(params, thermo)
-    est_zr = mc.simulate_zero_range(params, tables, args.t_burn,
-                                    args.t_sample, args.seed)
-    mc.write_estimate_csv(est_zr, profile, args.out / "zr_estimates.csv")
+    mc.write_estimate_csv(report.est_zr, profile,
+                          args.out / "zr_estimates.csv")
     print(f"-> {args.out}/zr_estimates.csv")
 
 

@@ -234,12 +234,22 @@ class Report:
         path.write_text("\n".join(self.lines) + "\n")
 
 
+def _regime(cfg: RunConfig, params: ModelParams) -> hydro.Regime:
+    """The run's hydrostatic regime; one without a closed form is
+    extrapolated from the run's lattices, so it needs at least three."""
+    regime = hydro.classify_regime(cfg.gamma, cfg.theta, cfg.kappa,
+                                   params.kernel_params())
+    if regime.tag in hydro.EXTRAPOLATED_REGIMES and len(cfg.N_list) < 3:
+        raise ConfigError("extrapolated regimes need at least 3 N values")
+    return regime
+
+
 def _continuum(params: ModelParams, regime: hydro.Regime, solved: list,
                thermo: ThermoTables, grid: Optional[np.ndarray] = None
                ) -> hydro.ContinuumProfile:
     """The regime's closed form, or the extrapolation of the run's solved
-    lattices when it has none and there are at least three of them."""
-    if regime.tag in hydro.EXTRAPOLATED_REGIMES and len(solved) >= 3:
+    lattices when it has none (``_regime`` ensures there are three)."""
+    if regime.tag in hydro.EXTRAPOLATED_REGIMES:
         Ns = [system.N for system, _ in solved]
         family = hydro.DiscreteProfileFamily(
             params, Ns, [profile for _, profile in solved])
@@ -289,12 +299,9 @@ def cmd_profile(cfg: RunConfig) -> int:
     thermo = ThermoTables.create(cfg.rate())
     report = Report(cfg)
     params = cfg.model(cfg.N_list[-1], thermo)
-    regime = hydro.classify_regime(cfg.gamma, cfg.theta, cfg.kappa,
-                                   params.kernel_params())
+    regime = _regime(cfg, params)
     report.add("regime", regime.tag)
     report.add("kappa_hat", regime.kappa_hat)
-    if regime.tag in hydro.EXTRAPOLATED_REGIMES and len(cfg.N_list) < 3:
-        raise ConfigError("extrapolated regimes need at least 3 N values")
     solved = solve_lattices(params, cfg.N_list, thermo, cfg.tol)
     for system, prof in solved:
         write_profile_csv(prof, thermo, cfg.out / f"profile_N{system.N}.csv")
@@ -334,7 +341,7 @@ def cmd_current(cfg: RunConfig) -> int:
     thermo = ThermoTables.create(cfg.rate())
     report = Report(cfg)
     params = cfg.model(cfg.N_list[-1], thermo)
-    kernel = params.kernel_params()
+    regime = _regime(cfg, params)
     # the sweep and the extrapolated profile need every N; otherwise N_max
     sweep_Ns = cfg.N_list if len(cfg.N_list) >= 3 else cfg.N_list[-1:]
     solved = solve_lattices(params, sweep_Ns, thermo, cfg.tol)
@@ -358,9 +365,8 @@ def cmd_current(cfg: RunConfig) -> int:
             report.add("sweep_rel_err", sweep.rel_err)
             report.check("fick_closed_form", sweep.rel_err < 0.02,
                          f"rel err {sweep.rel_err:g}")
-    regime = hydro.classify_regime(cfg.gamma, cfg.theta, cfg.kappa, kernel)
     cont = _continuum(params, regime, solved, thermo)
-    fl = current_mod.fick_limit(cont, params, kernel)
+    fl = current_mod.fick_limit(cont, params, params.kernel_params())
     report.add("fick_limit_mean", fl.mean)
     report.add("fick_limit_spread", fl.spread)
     if fl.closed_form is not None:
@@ -372,7 +378,9 @@ def cmd_current(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     thermo = ThermoTables.create(cfg.rate())
     report = Report(cfg)
-    N = cfg.N_list[0]
+    if len(cfg.N_list) != 1:
+        raise ConfigError(f"simulate runs one lattice, got N = {cfg.N_list}")
+    [N] = cfg.N_list
     params = cfg.model(N, thermo)
     [(_, profile)] = solve_lattices(params, (N,), thermo, cfg.tol)
     tables_ex = None
@@ -415,8 +423,7 @@ def cmd_ldp(cfg: RunConfig) -> int:
     if len(cfg.N_list) < 3:
         raise ConfigError("ldp needs at least 3 N values")
     params = cfg.model(cfg.N_list[-1], thermo)
-    regime = hydro.classify_regime(cfg.gamma, cfg.theta, cfg.kappa,
-                                   params.kernel_params())
+    regime = _regime(cfg, params)
     solved = solve_lattices(params, cfg.N_list, thermo, cfg.tol)
     cont = _continuum(params, regime, solved, thermo)
     rows = []

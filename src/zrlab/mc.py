@@ -1,10 +1,15 @@
 """Continuous-time (Gillespie) simulators for the boundary-driven
 zero-range and exclusion dynamics, exact in law.
 
-Event selection walks a Fenwick tree over per-site total rates (O(log N)
-per event, at most two sites change rate per event).  Time averages are
-accrued lazily per site (value times holding time, flushed on change and
-at batch boundaries); standard errors come from batch means.
+One event loop (``_run_chain``) drives both chains.  It draws the
+exponential holding time, selects the firing site by walking a Fenwick
+tree over per-site total rates (O(log N) per event, at most two sites
+change rate per event), flushes batch means and cuts the burn-in.  Each
+model (``_zero_range_chain``, ``_exclusion_chain``) brings only its state,
+its site rate, its accrual of observables and its move: the branch and
+destination draws and the state and tree updates of a fired site.  Time
+averages are accrued lazily per site (value times holding time, flushed on
+change and at batch boundaries); standard errors come from batch means.
 
 A brute-force oracle for the whole stack is exact_stationary_distribution,
 which builds the truncated generator from the same rate tables and solves
@@ -16,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,34 +32,6 @@ from .traffic import FugacityProfile, ModelParams
 
 EVENT_TABLE_CAP = 4096          # dest tables are dense (N-1)^2
 COUNT_OVERFLOW_GUARD = 1 << 62
-
-
-@dataclass
-class ZRConfiguration:
-    """Occupation numbers xi(x) >= 0 on Lambda_N with a cached total."""
-
-    counts: np.ndarray
-    total: int = None
-
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if np.any(self.counts < 0):
-            raise DomainError("occupation numbers must be >= 0")
-        if self.total is None:
-            self.total = int(self.counts.sum())
-
-    def consistent(self) -> bool:
-        return self.total == int(self.counts.sum())
-
-
-@dataclass
-class ExclusionConfiguration:
-    occupancy: np.ndarray
-
-    def __post_init__(self):
-        self.occupancy = np.asarray(self.occupancy, dtype=np.int8)
-        if not np.all((self.occupancy == 0) | (self.occupancy == 1)):
-            raise DomainError("occupancies must be 0 or 1")
 
 
 @dataclass
@@ -218,16 +195,55 @@ def _auto_burn_cut(batches: np.ndarray) -> int:
     return B // 2
 
 
-def simulate_zero_range(params: ModelParams, tables: EventTables,
-                        t_burn: Optional[float], t_sample: float,
-                        seed: int, n_batches: int = 25,
-                        init: Optional[np.ndarray] = None,
-                        track_histogram: int = 0) -> SimEstimate:
-    """Time-averaged xi(x) and g(xi(x)) over the sampling window.
+@dataclass
+class _Chain:
+    """What one model brings to the event loop (see ``_run_chain``).
 
-    ``t_burn=None`` chooses the burn-in with a running-mean heuristic on
-    an extended run.  ``track_histogram=K`` also accrues occupation-time
-    fractions for counts 0..K (last bin collects overflow).
+    ``site_rate(x)`` is site x's total rate in the current ``state``.
+    ``acc`` is the (observables x sites) time-integral accumulator that
+    ``accrue(x, upto)`` adds site x's values into up to time ``upto``
+    (row 0 is the occupation, row 1, if any, g of it);
+    ``move(x, t, uniform, fen)`` fires site x at time t: it draws its own
+    branch and destination from ``uniform()``, accrues the sites it
+    changes, updates the state and resets their rates in ``fen``.
+    """
+
+    state: np.ndarray
+    acc: np.ndarray
+    site_rate: Callable[[int], float]
+    accrue: Callable[[int, float], None]
+    move: Callable[[int, float, Callable[[], float], _Fenwick], None]
+    hist: Optional[np.ndarray] = None    # (sites x bins) occupation times
+
+
+def _initial_state(init, n: int, dtype, occupancy: bool) -> np.ndarray:
+    """A copy of ``init`` as the chain's state (empty lattice for None);
+    refuses a wrong length, and counts that are not integers >= 0 (or,
+    for ``occupancy``, not in {0, 1})."""
+    if init is None:
+        return np.zeros(n, dtype=dtype)
+    arr = np.asarray(init)
+    if arr.shape != (n,):
+        raise DomainError(
+            f"init must hold the N-1 = {n} site values, got shape {arr.shape}")
+    if occupancy:
+        if not np.all((arr == 0) | (arr == 1)):
+            raise DomainError("exclusion occupancies must be 0 or 1")
+    elif not (np.all(np.isfinite(arr)) and np.all(arr >= 0)
+              and np.all(arr == np.floor(arr))):
+        raise DomainError("occupation numbers must be integers >= 0")
+    return arr.astype(dtype)
+
+
+def _run_chain(chain: _Chain, t_burn: Optional[float], t_sample: float,
+               seed: int, n_batches: int, time_scale: float) -> SimEstimate:
+    """Gillespie's direct method for either chain.
+
+    Draws the exponential holding time and the firing site (Fenwick
+    descent), hands the site to ``chain.move``, flushes per-site time
+    integrals into batch means and sheds the tree's float drift every
+    524288 events.  ``t_burn=None`` runs 2 x n_batches batches from t=0
+    and cuts the burn-in by ``_auto_burn_cut``.
     """
     if t_sample <= 0.0:
         raise DomainError("t_sample must be positive")
@@ -240,8 +256,62 @@ def simulate_zero_range(params: ModelParams, tables: EventTables,
         total_batches = n_batches
         horizon_burn = t_burn
         horizon_sample = t_sample
-    N = params.N
-    n = N - 1
+    n = len(chain.state)
+    acc, accrue, move = chain.acc, chain.accrue, chain.move
+    fen = _Fenwick([chain.site_rate(x) for x in range(n)])
+    uniform = _Uniforms(seed).next
+
+    batch_len = horizon_sample / total_batches
+    batches = np.zeros((acc.shape[0], total_batches, n))
+    t = 0.0
+    t_end = horizon_burn + horizon_sample
+    batch_idx = 0
+    next_flush = horizon_burn + batch_len
+    events = 0
+    while True:
+        total = fen.total
+        dt = -math.log(1.0 - uniform()) / total
+        t_new = t + dt
+        while t_new >= next_flush and batch_idx < total_batches:
+            for x in range(n):
+                accrue(x, next_flush)
+            batches[:, batch_idx] = acc / batch_len
+            acc[:] = 0.0
+            batch_idx += 1
+            next_flush = horizon_burn + (batch_idx + 1) * batch_len
+        if batch_idx >= total_batches or t_new >= t_end:
+            break
+        t = t_new
+        move(fen.find(uniform() * total), t, uniform, fen)
+        events += 1
+        if events % 524288 == 0:
+            fen._build()      # shed accumulated float drift
+
+    if auto:
+        use = min(_auto_burn_cut(batches[0]), total_batches - n_batches)
+        burn_time = use * batch_len
+    else:
+        use = 0
+        burn_time = horizon_burn
+    nb = total_batches - use
+    means = [_batch_stats(b[use:]) for b in batches]
+    mean_g, se_g = means[1] if len(means) > 1 else (None, None)
+    hist_frac = None
+    if chain.hist is not None:
+        hist_frac = chain.hist / chain.hist.sum(axis=1, keepdims=True)
+    return SimEstimate(mean_counts=means[0][0], se_counts=means[0][1],
+                       mean_g=mean_g, se_g=se_g, burn_in_time=burn_time,
+                       sample_time=nb * batch_len, event_count=events,
+                       seed=seed, n_batches=nb, time_scale=time_scale,
+                       histogram=hist_frac, burn_auto=auto)
+
+
+def _zero_range_chain(params: ModelParams, tables: EventTables,
+                      counts: np.ndarray, track_histogram: int) -> _Chain:
+    """Observables xi(x) and g(xi(x)); site x fires at
+    g(xi(x)) (q_x + death_base_x) + birth_x and then jumps, dies or gives
+    birth in proportion to those three terms."""
+    n = len(counts)
     rate_fn = params.rate
     g_cache = np.concatenate([[0.0], rate_fn.values(256)])
 
@@ -252,31 +322,17 @@ def simulate_zero_range(params: ModelParams, tables: EventTables,
                 [[0.0], rate_fn.values(2 * (len(g_cache) + 1))])
         return float(g_cache[k])
 
-    counts = (np.zeros(n, dtype=np.int64) if init is None
-              else np.asarray(init, dtype=np.int64).copy())
-    q = tables.q
-    birth = tables.birth
-    death_base = tables.death_base
-    site_rate = [g_of(int(counts[x])) * (q[x] + death_base[x]) + birth[x]
-                 for x in range(n)]
-    fen = _Fenwick(site_rate)
-    uni = _Uniforms(seed)
-
-    batch_len = horizon_sample / total_batches
-    batch_xi = np.zeros((total_batches, n))
-    batch_g = np.zeros((total_batches, n))
+    q, birth, death_base = tables.q, tables.birth, tables.death_base
+    dest_cdf = tables.dest_cdf
+    out = q + death_base
+    acc = np.zeros((2, n))
+    acc_xi, acc_g = acc
+    last = np.zeros(n)
     kbins = track_histogram + 2 if track_histogram else 0
     hist = np.zeros((n, kbins)) if track_histogram else None
 
-    t = 0.0
-    sample_start = horizon_burn
-    t_end = horizon_burn + horizon_sample
-    last = np.zeros(n)
-    acc_xi = np.zeros(n)
-    acc_g = np.zeros(n)
-    batch_idx = 0
-    next_flush = sample_start + batch_len
-    events = 0
+    def site_rate(x: int) -> float:
+        return g_of(int(counts[x])) * out[x] + birth[x]
 
     def accrue(x: int, upto: float) -> None:
         dt = upto - last[x]
@@ -288,78 +344,96 @@ def simulate_zero_range(params: ModelParams, tables: EventTables,
                 hist[x, min(c, kbins - 1)] += dt
         last[x] = upto
 
-    def flush_all(upto: float) -> None:
-        for x in range(n):
-            accrue(x, upto)
-
-    while True:
-        total = fen.total
-        dt = -math.log(1.0 - uni.next()) / total
-        t_new = t + dt
-        while t_new >= next_flush and batch_idx < total_batches:
-            flush_all(next_flush)
-            batch_xi[batch_idx] = acc_xi / batch_len
-            batch_g[batch_idx] = acc_g / batch_len
-            acc_xi[:] = 0.0
-            acc_g[:] = 0.0
-            batch_idx += 1
-            next_flush = sample_start + (batch_idx + 1) * batch_len
-        if batch_idx >= total_batches or t_new >= t_end:
-            break
-        t = t_new
-        x = fen.find(uni.next() * total)
-        c = int(counts[x])
-        gx = g_of(c)
+    # rates are inlined below: one Python call fewer per tree update
+    def move(x: int, t: float, uniform, fen: _Fenwick) -> None:
+        gx = g_of(int(counts[x]))
         gb = gx * q[x]
         gd = gx * death_base[x]
-        b = birth[x]
-        r = uni.next() * (gb + gd + b)
+        r = uniform() * (gb + gd + birth[x])
+        accrue(x, t)
         if r < gb:
-            y = int(np.searchsorted(tables.dest_cdf[x],
-                                    uni.next() * q[x], side="right"))
+            y = int(np.searchsorted(dest_cdf[x], uniform() * q[x],
+                                    side="right"))
             y = min(y, n - 1)
-            accrue(x, t)
             accrue(y, t)
             counts[x] -= 1
             counts[y] += 1
-            fen.set(x, g_of(int(counts[x])) * (q[x] + death_base[x]) + birth[x])
-            fen.set(y, g_of(int(counts[y])) * (q[y] + death_base[y]) + birth[y])
-        elif r < gb + gd:
-            accrue(x, t)
+            fen.set(x, g_of(int(counts[x])) * out[x] + birth[x])
+            fen.set(y, g_of(int(counts[y])) * out[y] + birth[y])
+            return
+        if r < gb + gd:
             counts[x] -= 1
-            fen.set(x, g_of(int(counts[x])) * (q[x] + death_base[x]) + birth[x])
         else:
-            accrue(x, t)
             counts[x] += 1
             if counts[x] >= COUNT_OVERFLOW_GUARD:
                 raise OverflowError("occupation number overflow guard hit")
-            fen.set(x, g_of(int(counts[x])) * (q[x] + death_base[x]) + birth[x])
-        events += 1
-        if events % 524288 == 0:
-            fen._build()      # shed accumulated float drift
+        fen.set(x, g_of(int(counts[x])) * out[x] + birth[x])
 
-    if auto:
-        cut = _auto_burn_cut(batch_xi)
-        use = min(cut, total_batches - n_batches)
-        sel = slice(use, total_batches)
-        burn_time = use * batch_len
-        nb = total_batches - use
-    else:
-        sel = slice(0, total_batches)
-        burn_time = horizon_burn
-        nb = total_batches
-    mean_xi, se_xi = _batch_stats(batch_xi[sel])
-    mean_g, se_g = _batch_stats(batch_g[sel])
-    hist_frac = None
-    if hist is not None:
-        hist_frac = hist / hist.sum(axis=1, keepdims=True)
-    return SimEstimate(mean_counts=mean_xi, se_counts=se_xi,
-                       mean_g=mean_g, se_g=se_g,
-                       burn_in_time=burn_time,
-                       sample_time=nb * batch_len, event_count=events,
-                       seed=seed, n_batches=nb,
-                       time_scale=params.time_scale(),
-                       histogram=hist_frac, burn_auto=auto)
+    return _Chain(state=counts, acc=acc, site_rate=site_rate, accrue=accrue,
+                  move=move, hist=hist)
+
+
+def _exclusion_chain(tables: EventTables, eta: np.ndarray) -> _Chain:
+    """Observable eta(x).  Bulk exchanges are attempted per ordered pair at
+    rate p(y-x)/2 (no-ops between equal occupancies are legal self-loops),
+    so bulk site rates are constant and only flips change a site's rate."""
+    n = len(eta)
+    a_t, b_t = tables.alpha_tilde, tables.beta_tilde
+    fl, fr = tables.flip_left, tables.flip_right
+    q, dest_cdf = tables.q, tables.dest_cdf
+    half_q = 0.5 * q
+    acc = np.zeros((1, n))
+    acc_eta = acc[0]
+    last = np.zeros(n)
+
+    def site_rate(x: int) -> float:
+        if eta[x]:
+            return half_q[x] + (fl[x] * (1.0 - a_t) + fr[x] * (1.0 - b_t))
+        return half_q[x] + (fl[x] * a_t + fr[x] * b_t)
+
+    def accrue(x: int, upto: float) -> None:
+        dt = upto - last[x]
+        if dt > 0.0:
+            acc_eta[x] += float(eta[x]) * dt
+        last[x] = upto
+
+    def move(x: int, t: float, uniform, fen: _Fenwick) -> None:
+        r = uniform() * site_rate(x)
+        if r < half_q[x]:
+            y = int(np.searchsorted(dest_cdf[x], uniform() * q[x],
+                                    side="right"))
+            y = min(y, n - 1)
+            if eta[x] != eta[y]:
+                accrue(x, t)
+                accrue(y, t)
+                eta[x], eta[y] = eta[y], eta[x]
+                fen.set(x, site_rate(x))
+                fen.set(y, site_rate(y))
+        else:
+            accrue(x, t)
+            eta[x] = 1 - eta[x]
+            fen.set(x, site_rate(x))
+
+    return _Chain(state=eta, acc=acc, site_rate=site_rate, accrue=accrue,
+                  move=move)
+
+
+def simulate_zero_range(params: ModelParams, tables: EventTables,
+                        t_burn: Optional[float], t_sample: float,
+                        seed: int, n_batches: int = 25,
+                        init: Optional[np.ndarray] = None,
+                        track_histogram: int = 0) -> SimEstimate:
+    """Time-averaged xi(x) and g(xi(x)) over the sampling window.
+
+    ``t_burn=None`` chooses the burn-in with a running-mean heuristic on
+    an extended run.  ``track_histogram=K`` also accrues occupation-time
+    fractions for counts 0..K (last bin collects overflow).  ``init`` is
+    the starting configuration (N-1 integers >= 0; empty by default).
+    """
+    counts = _initial_state(init, params.N - 1, np.int64, occupancy=False)
+    return _run_chain(_zero_range_chain(params, tables, counts,
+                                        track_histogram),
+                      t_burn, t_sample, seed, n_batches, params.time_scale())
 
 
 def simulate_exclusion(params: ModelParams, tables: EventTables,
@@ -368,113 +442,19 @@ def simulate_exclusion(params: ModelParams, tables: EventTables,
                        init: Optional[np.ndarray] = None) -> SimEstimate:
     """Time-averaged eta(x) for the long-jump exclusion chain.
 
-    Bulk exchanges are attempted per ordered pair at rate p(y-x)/2
-    (no-ops between equal occupancies are legal self-loops), so bulk site
-    rates are constant and only flips touch the Fenwick tree.
+    ``init`` is the starting configuration (N-1 occupancies in {0, 1};
+    empty by default).
     """
-    if t_sample <= 0.0:
-        raise DomainError("t_sample must be positive")
-    auto = t_burn is None
-    if auto:
-        total_batches = 2 * n_batches
-        horizon_burn = 0.0
-        horizon_sample = 2.0 * t_sample
-    else:
-        total_batches = n_batches
-        horizon_burn = t_burn
-        horizon_sample = t_sample
-    N = params.N
-    n = N - 1
-    a_t, b_t = tables.alpha_tilde, tables.beta_tilde
-    eta = (np.zeros(n, dtype=np.int8) if init is None
-           else np.asarray(init, dtype=np.int8).copy())
-    fl = tables.flip_left
-    fr = tables.flip_right
-    half_q = 0.5 * tables.q
-
-    def flip_rate(x: int) -> float:
-        if eta[x]:
-            return fl[x] * (1.0 - a_t) + fr[x] * (1.0 - b_t)
-        return fl[x] * a_t + fr[x] * b_t
-
-    site_rate = [half_q[x] + flip_rate(x) for x in range(n)]
-    fen = _Fenwick(site_rate)
-    uni = _Uniforms(seed)
-
-    batch_len = horizon_sample / total_batches
-    batch_eta = np.zeros((total_batches, n))
-    t = 0.0
-    sample_start = horizon_burn
-    t_end = horizon_burn + horizon_sample
-    last = np.zeros(n)
-    acc = np.zeros(n)
-    batch_idx = 0
-    next_flush = sample_start + batch_len
-    events = 0
-
-    def accrue(x: int, upto: float) -> None:
-        dt = upto - last[x]
-        if dt > 0.0:
-            acc[x] += float(eta[x]) * dt
-        last[x] = upto
-
-    while True:
-        total = fen.total
-        dt = -math.log(1.0 - uni.next()) / total
-        t_new = t + dt
-        while t_new >= next_flush and batch_idx < total_batches:
-            for x in range(n):
-                accrue(x, next_flush)
-            batch_eta[batch_idx] = acc / batch_len
-            acc[:] = 0.0
-            batch_idx += 1
-            next_flush = sample_start + (batch_idx + 1) * batch_len
-        if batch_idx >= total_batches or t_new >= t_end:
-            break
-        t = t_new
-        x = fen.find(uni.next() * total)
-        r = uni.next() * (half_q[x] + flip_rate(x))
-        if r < half_q[x]:
-            y = int(np.searchsorted(tables.dest_cdf[x],
-                                    uni.next() * tables.q[x], side="right"))
-            y = min(y, n - 1)
-            if eta[x] != eta[y]:
-                accrue(x, t)
-                accrue(y, t)
-                eta[x], eta[y] = eta[y], eta[x]
-                fen.set(x, half_q[x] + flip_rate(x))
-                fen.set(y, half_q[y] + flip_rate(y))
-        else:
-            accrue(x, t)
-            eta[x] = 1 - eta[x]
-            fen.set(x, half_q[x] + flip_rate(x))
-        events += 1
-        if events % 524288 == 0:
-            fen._build()
-
-    if auto:
-        cut = _auto_burn_cut(batch_eta)
-        use = min(cut, total_batches - n_batches)
-        sel = slice(use, total_batches)
-        burn_time = use * batch_len
-        nb = total_batches - use
-    else:
-        sel = slice(0, total_batches)
-        burn_time = horizon_burn
-        nb = total_batches
-    mean_eta, se_eta = _batch_stats(batch_eta[sel])
-    return SimEstimate(mean_counts=mean_eta, se_counts=se_eta,
-                       mean_g=None, se_g=None, burn_in_time=burn_time,
-                       sample_time=nb * batch_len, event_count=events,
-                       seed=seed, n_batches=nb,
-                       time_scale=params.time_scale(), burn_auto=auto)
+    eta = _initial_state(init, params.N - 1, np.int8, occupancy=True)
+    return _run_chain(_exclusion_chain(tables, eta), t_burn, t_sample, seed,
+                      n_batches, params.time_scale())
 
 
-def empirical_pairing(config: ZRConfiguration, G, N: int) -> float:
+def empirical_pairing(counts: np.ndarray, G, N: int) -> float:
     """<pi^N, G> = (1/#Lambda_N) sum_x G(x/N) xi(x)."""
     gv = vectorized(G)
     xs = np.arange(1, N, dtype=float) / N
-    return float(np.mean(gv(xs) * config.counts))
+    return float(np.mean(gv(xs) * np.asarray(counts)))
 
 
 # -- brute-force oracle -----------------------------------------------------

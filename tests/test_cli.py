@@ -55,10 +55,22 @@ def test_profile_figure3_preset(tmp_path):
     assert (out / "convergence_gaps.csv").exists()
 
 
-def test_profile_extrapolated_regime_needs_three_N(tmp_path):
+@pytest.mark.parametrize("command", ["profile", "current"])
+def test_extrapolated_regime_needs_three_N(tmp_path, monkeypatch, command):
+    solves, _ = _count_work(monkeypatch)
     out = tmp_path / "p"
-    assert run(["profile", "--gamma", "1.5", "--theta", "0", "--N", "64",
+    assert run([command, "--gamma", "1.5", "--theta", "0", "--N", "64",
                 "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not solves and not out.exists()      # refused before solving
+
+
+def test_simulate_refuses_several_N(tmp_path, monkeypatch):
+    solves, chains = _count_work(monkeypatch)
+    out = tmp_path / "s"
+    assert run(["simulate", "--gamma", "1.2", "--theta", "0", "--N", "16",
+                "--N", "32", "--t-sample", "400", "--out", str(out)]
+               ) == cli.EXIT_CONFIG
+    assert not solves and not chains and not out.exists()
 
 
 def test_current_command(tmp_path):

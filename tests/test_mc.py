@@ -11,17 +11,34 @@ from conftest import make_params
 
 # -- configurations and tables -------------------------------------------------
 
-def test_zr_configuration_invariants():
-    cfg = mc.ZRConfiguration(counts=np.array([1, 0, 4]))
-    assert cfg.total == 5 and cfg.consistent()
-    with pytest.raises(DomainError):
-        mc.ZRConfiguration(counts=np.array([1, -2]))
+def test_zr_configuration_invariants(thermo_identity):
+    params = make_params(1.2, 0.0, 8)
+    tables = mc.build_event_tables(params, thermo_identity)
+    est = mc.simulate_zero_range(params, tables, 0.0, 20.0, seed=1,
+                                 init=np.array([1, 0, 4, 0, 0, 2.0, 0]))
+    assert est.event_count > 0
+    for init in ([-3, 0, 0, 0, 0, 0, 0],        # negative count
+                 [1, 0, 0, 0, 0, 0, 0.5],       # non-integer count
+                 [1, 0, 0, 0, 0, 0, np.nan],
+                 [0] * 12, [0] * 6):            # wrong length for 7 sites
+        with pytest.raises(DomainError):
+            mc.simulate_zero_range(params, tables, 0.0, 20.0, seed=1,
+                                   init=np.array(init))
 
 
-def test_exclusion_configuration_validation():
-    mc.ExclusionConfiguration(occupancy=np.array([0, 1, 1]))
-    with pytest.raises(DomainError):
-        mc.ExclusionConfiguration(occupancy=np.array([0, 2]))
+def test_exclusion_configuration_validation(thermo_identity):
+    params = make_params(1.2, 0.0, 8)
+    tables = mc.build_event_tables(params, thermo_identity)
+    est = mc.simulate_exclusion(params, tables, 0.0, 20.0, seed=1,
+                                init=np.array([0, 1, 1, 0, 0, 1, 0]))
+    assert est.event_count > 0
+    for init in ([0, 2, 0, 0, 0, 0, 0],         # not an occupancy
+                 [0, -1, 0, 0, 0, 0, 0],
+                 [0, 0.5, 0, 0, 0, 0, 0],
+                 [0, 1] * 6):                   # wrong length for 7 sites
+        with pytest.raises(DomainError):
+            mc.simulate_exclusion(params, tables, 0.0, 20.0, seed=1,
+                                  init=np.array(init))
 
 
 def test_event_tables_conservative_limit(thermo_identity):
@@ -195,13 +212,25 @@ def test_exclusion_matches_mapped_profile(thermo_identity):
     assert (z < 4.0).mean() >= 0.95
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: both chains accrue from t=0, so batch 0 integrates the "
+    "burn-in too but is divided by one batch length; discarding it needs "
+    "replica standard errors (ROADMAP item 4)"))
+def test_burn_in_excluded_from_estimates(thermo_identity):
+    # a long burn-in must not raise the time-averaged occupancy above 1
+    params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
+    tables = mc.build_event_tables(params, thermo_identity)
+    est = mc.simulate_exclusion(params, tables, 3000.0, 1000.0, seed=7)
+    assert np.all(est.mean_counts <= 1.0)
+
+
 # -- pairing and mapping --------------------------------------------------------------
 
 def test_empirical_pairing_values():
-    cfg = mc.ZRConfiguration(counts=np.arange(15))
-    val = mc.empirical_pairing(cfg, lambda u: np.ones_like(u), 16)
-    assert val == cfg.total / 15.0
-    empty = mc.ZRConfiguration(counts=np.zeros(15, dtype=int))
+    counts = np.arange(15)
+    val = mc.empirical_pairing(counts, lambda u: np.ones_like(u), 16)
+    assert val == counts.sum() / 15.0
+    empty = np.zeros(15, dtype=int)
     assert mc.empirical_pairing(empty, lambda u: u, 16) == 0.0
 
 
