@@ -245,16 +245,21 @@ def _regime(cfg: RunConfig, params: ModelParams) -> hydro.Regime:
 
 
 def _continuum(params: ModelParams, regime: hydro.Regime, solved: list,
-               thermo: ThermoTables, grid: Optional[np.ndarray] = None
-               ) -> hydro.ContinuumProfile:
+               thermo: ThermoTables, report: Report,
+               grid: Optional[np.ndarray] = None) -> hydro.ContinuumProfile:
     """The regime's closed form, or the extrapolation of the run's solved
-    lattices when it has none (``_regime`` ensures there are three)."""
+    lattices when it has none (``_regime`` ensures there are three).  An
+    extrapolated profile reports on how many grid points the power-law fit
+    fell back to the largest lattice's value."""
     if regime.tag in hydro.EXTRAPOLATED_REGIMES:
         Ns = [system.N for system, _ in solved]
         family = hydro.DiscreteProfileFamily(
             params, Ns, [profile for _, profile in solved])
-        return hydro.rho_extrapolated(params, regime, Ns, thermo, grid,
+        cont = hydro.rho_extrapolated(params, regime, Ns, thermo, grid,
                                       family=family)
+        report.add("extrapolation_fallbacks",
+                   f"{int(cont.warn.sum())} of {len(cont.warn)}")
+        return cont
     return hydro.rho_closed_form(params, regime, thermo, grid)
 
 
@@ -272,19 +277,18 @@ def cmd_thermo(cfg: RunConfig) -> int:
             f"phi grid max {hi} exceeds the working range "
             f"[0, {thermo.phi_max():g})")
     phis = np.linspace(0.0, hi, 51)
-    rows = []
-    max_rt = 0.0
-    for phi in phis:
-        Z = thermo.partition_function(float(phi))
-        R = thermo.mean_density(float(phi))
-        rt = abs(thermo.fugacity(R) - phi)
-        max_rt = max(max_rt, rt)
-        rows.append(f"{float(phi)!r},{float(Z)!r},{float(R)!r},{float(rt)!r}")
+    Z = thermo.partition_function(phis)
+    R = thermo.mean_density(phis)
+    rt = np.abs(thermo.fugacity(R) - phis)
+    max_rt = float(rt.max())
+    rows = [",".join(map(repr, row))
+            for row in np.column_stack([phis, Z, R, rt]).tolist()]
     _write(cfg.out / "thermo_phi.csv", cfg.header_lines(),
            ["phi,Z,R,roundtrip_error"] + rows)
     m_hi = thermo.mean_density(float(0.98 * phis[-1]))
     ms = np.linspace(0.0, m_hi, 51)
-    rows = [f"{float(m)!r},{float(thermo.fugacity(float(m)))!r}" for m in ms]
+    rows = [f"{m!r},{phi!r}"
+            for m, phi in zip(ms.tolist(), thermo.fugacity(ms).tolist())]
     _write(cfg.out / "thermo_density.csv", cfg.header_lines(),
            ["m,Phi"] + rows)
     report.add("phi_star", thermo.phi_star)
@@ -307,7 +311,7 @@ def cmd_profile(cfg: RunConfig) -> int:
         write_profile_csv(prof, thermo, cfg.out / f"profile_N{system.N}.csv")
         report.add(f"residual_N{system.N}", prof.residual_norm)
     grid = hydro.default_grid(cfg.grid_points)
-    cont = _continuum(params, regime, solved, thermo, grid)
+    cont = _continuum(params, regime, solved, thermo, report, grid)
     hydro.write_continuum_csv(cont, cfg.out / "continuum_profile.csv")
     # convergence gaps of raw lattice ratio toward rho on interior points
     rows = []
@@ -315,8 +319,8 @@ def cmd_profile(cfg: RunConfig) -> int:
     rho_ref = np.asarray(cont.rho_at()(interior), dtype=float)
     for system, pr in solved:
         N = system.N
-        vals = np.array([pr.phi_at(min(max(int(u * N), 1), N - 1))
-                         for u in interior]) / cont.phi_sum
+        sites = np.clip((interior * N).astype(int), 1, N - 1)
+        vals = pr.values[sites - 1] / cont.phi_sum
         rows.append(f"{N},{float(np.max(np.abs(vals - rho_ref)))!r}")
     _write(cfg.out / "convergence_gaps.csv", cfg.header_lines(),
            ["N,sup_gap"] + rows)
@@ -365,7 +369,7 @@ def cmd_current(cfg: RunConfig) -> int:
             report.add("sweep_rel_err", sweep.rel_err)
             report.check("fick_closed_form", sweep.rel_err < 0.02,
                          f"rel err {sweep.rel_err:g}")
-    cont = _continuum(params, regime, solved, thermo)
+    cont = _continuum(params, regime, solved, thermo, report)
     fl = current_mod.fick_limit(cont, params, params.kernel_params())
     report.add("fick_limit_mean", fl.mean)
     report.add("fick_limit_spread", fl.spread)
@@ -425,7 +429,14 @@ def cmd_ldp(cfg: RunConfig) -> int:
     params = cfg.model(cfg.N_list[-1], thermo)
     regime = _regime(cfg, params)
     solved = solve_lattices(params, cfg.N_list, thermo, cfg.tol)
-    cont = _continuum(params, regime, solved, thermo)
+    cont = _continuum(params, regime, solved, thermo, report)
+    rho_at = cont.rho_at()
+
+    def tilted(G):
+        """u -> R(e^G(u) Phi(m(u))), the typical density under the tilt G."""
+        return lambda u: thermo.mean_density_array(
+            np.exp(G(u)) * cont.phi_sum * np.asarray(rho_at(u)))
+
     rows = []
     monotone_all = True
     for label, G in _LDP_BASIS:
@@ -435,17 +446,13 @@ def cmd_ldp(cfg: RunConfig) -> int:
         gaps = [abs(v - lam) for v in per_n]
         monotone = all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
         monotone_all = monotone_all and monotone
-        tilt = lambda u, G=G: thermo.mean_density_array(
-            np.exp(G(u)) * cont.phi_sum * np.asarray(cont.rho_at()(u)))
-        rate_val = ldp_mod.rate_function(tilt, cont, thermo)
+        rate_val = ldp_mod.rate_function(tilted(G), cont, thermo)
         cells = ",".join(repr(v) for v in per_n)
         rows.append(f"{label},{cells},{lam!r},{rate_val!r}")
     n_cols = ",".join(f"Lambda_N_over_N_{N}" for N in cfg.N_list)
     _write(cfg.out / "ldp_scan.csv", cfg.header_lines(),
            [f"label,{n_cols},Lambda_limit,rate_value"] + rows)
-    zero = ldp_mod.rate_function(
-        lambda u: np.interp(np.asarray(u, dtype=float), cont.grid, cont.m),
-        cont, thermo)
+    zero = ldp_mod.rate_function(tilted(np.zeros_like), cont, thermo)
     report.add("rate_at_typical_profile", zero)
     report.check("rate_vanishes_at_typical", abs(zero) < 1e-8, f"{zero:g}")
     report.check("gap_monotone", monotone_all)

@@ -168,12 +168,6 @@ class DiscreteProfileFamily:
         solved = solve_lattices(params_base, N_values, thermo)
         return cls(params_base, N_values, [prof for _, prof in solved])
 
-    def raw_ratio(self, u: float, i: int) -> float:
-        """phi_N at floor(uN) over phi_alpha+phi_beta (the raw lattice ratio)."""
-        N = self.N_values[i]
-        x = min(max(int(math.floor(u * N)), 1), N - 1)
-        return self.profiles[i].phi_at(x) / self.phi_sum
-
     def smooth_ratio(self, u: float, i: int) -> float:
         """Lattice ratio with linear interpolation between adjacent sites.
 

@@ -120,9 +120,6 @@ class ReservoirRates:
     def left_at(self, x: int) -> float:
         return float(self.left[x - 1])
 
-    def right_at(self, x: int) -> float:
-        return float(self.right[x - 1])
-
     def in_range_mass(self) -> np.ndarray:
         """sum_{y in Lambda_N} p(y-x), as the exact complement of the tails."""
         return self.total_mass - self.left - self.right

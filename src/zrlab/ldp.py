@@ -65,11 +65,9 @@ def log_mgf_scaled(profile: FugacityProfile, thermo: ThermoTables,
     gv = vectorized(G)
     N = profile.params.N
     g_lat = gv(np.arange(1, N, dtype=float) / N)
-    total = 0.0
-    for gval, phi in zip(g_lat, profile.values):
-        total += (thermo.log_partition(math.exp(gval) * phi)
-                  - thermo.log_partition(phi))
-    return total / N
+    phis = profile.values
+    return float(np.sum(thermo.log_partition(np.exp(g_lat) * phis)
+                        - thermo.log_partition(phis))) / N
 
 
 def lambda_limit(m_bar: ContinuumProfile, thermo: ThermoTables, G: Callable,
@@ -85,11 +83,8 @@ def lambda_limit(m_bar: ContinuumProfile, thermo: ThermoTables, G: Callable,
 
     def integrand(us):
         phis = phi_sum * np.asarray(rho_at(us), dtype=float)
-        gs = gv(us)
-        return np.array([
-            thermo.log_partition(math.exp(g) * phi)
-            - thermo.log_partition(phi)
-            for g, phi in zip(gs, phis)])
+        return (thermo.log_partition(np.exp(gv(us)) * phis)
+                - thermo.log_partition(phis))
 
     return integrate_panels(integrand, _quad_edges(level), n=8)
 
@@ -126,19 +121,14 @@ def rate_function(pi, m_bar: ContinuumProfile, thermo: ThermoTables,
 
     def integrand(us):
         pis = np.asarray(pi_at(us), dtype=float)
-        if np.any(pis < 0.0) or np.any(pis >= thermo.m_star):
-            raise DomainError("density profile leaves [0, m*)")
         phi_m = phi_sum * np.asarray(rho_at(us), dtype=float)
-        out = np.empty(len(us))
-        for j, (piv, phm) in enumerate(zip(pis, phi_m)):
-            php = thermo.fugacity(piv)
-            if piv == 0.0:
-                ent = 0.0
-            else:
-                ent = piv * (math.log(php) - math.log(phm))
-            out[j] = ent - (thermo.log_partition(php)
-                            - thermo.log_partition(phm))
-        return out
+        phi_p = thermo.fugacity(pis)
+        ent = np.zeros_like(pis)
+        occupied = pis != 0.0
+        ent[occupied] = pis[occupied] * (np.log(phi_p[occupied])
+                                         - np.log(phi_m[occupied]))
+        return ent - (thermo.log_partition(phi_p)
+                      - thermo.log_partition(phi_m))
 
     return integrate_panels(integrand, _quad_edges(level), n=8)
 
@@ -170,10 +160,6 @@ def gateaux_derivative(m_bar: ContinuumProfile, thermo: ThermoTables,
 
     def integrand(us):
         phis = phi_sum * np.asarray(rho_at(us), dtype=float)
-        gs = gv(us)
-        hs = hv(us)
-        return np.array([
-            thermo.mean_density(math.exp(g) * phi) * h
-            for g, phi, h in zip(gs, phis, hs)])
+        return thermo.mean_density(np.exp(gv(us)) * phis) * hv(us)
 
     return integrate_panels(integrand, _quad_edges(level), n=8)

@@ -530,8 +530,7 @@ def exact_stationary_distribution(params: ModelParams,
     from .traffic import assemble, solve_direct
     profile = solve_direct(assemble(params, thermo))
     ks = np.arange(0, kmax + 1)
-    marginals = [thermo.occupation_pmf(profile.phi_at(x + 1), ks)
-                 for x in range(n)]
+    marginals = thermo.occupation_pmf(profile.values[:, None], ks)
     prod = marginals[0]
     for marg in marginals[1:]:
         prod = np.multiply.outer(prod, marg)

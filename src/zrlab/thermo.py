@@ -20,6 +20,10 @@ from .errors import ConvergenceError, DomainError
 
 RATE_KINDS = ("identity", "indicator", "figure3", "table")
 MAX_SERIES_TERMS = 1_000_000
+FIRST_TERMS = 32           # series terms of the first pass; doubled per retry
+TAIL_TOL = 1e-16           # bound on a dropped series tail, relative to its sum
+SERIES_BLOCK = 1 << 20     # (sites x terms) entries of one block of weights
+NEWTON_STEPS = 220         # iteration cap of the fugacity inversion
 PHI_STAR_SCAN = 10_000     # values of g inspected for the radius estimate
 WORKING_MARGIN = 0.999     # evaluations require phi <= margin * phi_star
 
@@ -159,14 +163,16 @@ class ThermoTables:
     ``phi_star`` is the estimated radius of convergence; ``m_star`` the
     supremum of R over the working range [0, 0.999 phi_star] (the
     attainable density ceiling), +inf when the series is unbounded there.
+
+    Every evaluator takes a scalar or an array: a scalar gives a float, an
+    array gives an array of its shape.  Elements are independent, so an
+    array evaluation equals the element-by-element one bit for bit.
     """
 
-    def __init__(self, rate: RateFunction, truncation_tol: float = 1e-14):
+    def __init__(self, rate: RateFunction):
         self.rate = rate
-        self.truncation_tol = truncation_tol
         self.phi_star = rate.radius_estimate()
         self._log_gfact = np.zeros(1)  # L[k] = log g(k)!, grown on demand
-        self._grow_cache(256)
         if math.isinf(self.phi_star):
             self.m_star = math.inf
         else:
@@ -176,8 +182,8 @@ class ThermoTables:
                 self.m_star = math.inf
 
     @classmethod
-    def create(cls, rate: RateFunction, truncation_tol: float = 1e-14):
-        return cls(rate, truncation_tol)
+    def create(cls, rate: RateFunction):
+        return cls(rate)
 
     def phi_max(self) -> float:
         return WORKING_MARGIN * self.phi_star
@@ -189,127 +195,155 @@ class ThermoTables:
         L = np.concatenate([[0.0], np.cumsum(np.log(g))])
         self._log_gfact = L  # atomic swap keeps concurrent readers consistent
 
-    def _series(self, phi: float):
-        """Scaled sums (logZ, S1/S0, S2/S0) of the weights phi^k/g(k)!."""
-        if phi < 0.0:
-            raise DomainError(f"fugacity must be >= 0, got {phi}")
-        if phi > self.phi_max():
+    def _series(self, phis) -> np.ndarray:
+        """Scaled sums (logZ, S1/S0, S2/S0) of the weights phi^k/g(k)!, one
+        column per element of the flattened ``phis``: shape (3, n).
+
+        Each element is summed over its first K terms (K = 32, 64, ...)
+        in (sites x K) blocks of log weights.  It is done once the dropped
+        tail of S2, bounded by continuing its last term geometrically at
+        the ratio r = max(phi/g(K), phi/phi*), is below TAIL_TOL S2;
+        relative to their sums the tails of S0 and S1 are smaller still.
+        The other elements are retried with 2K terms.
+        """
+        flat = np.asarray(phis, dtype=float).ravel()
+        bad = ~((flat >= 0.0) & (flat <= self.phi_max())) | np.isinf(flat)
+        if bad.any():
             raise DomainError(
-                f"fugacity {phi} outside working range [0, {self.phi_max():g}) "
-                f"(phi* = {self.phi_star:g})")
-        if phi == 0.0:
-            return 0.0, 0.0, 0.0
-        lnphi = math.log(phi)
-        tol = self.truncation_tol
-        M = 0.0          # current log-scale
-        S0, S1, S2 = 1.0, 0.0, 0.0   # sums scaled by exp(-M); k=0 term included
-        consec = 0
-        k0 = 1
-        block = 256
-        while k0 <= MAX_SERIES_TERMS:
-            k1 = min(k0 + block, MAX_SERIES_TERMS + 1)
-            self._grow_cache(k1)
-            ks = np.arange(k0, k1, dtype=float)
-            lw = ks * lnphi - self._log_gfact[k0:k1]
-            mblk = float(lw.max())
-            if mblk > M:
-                rescale = math.exp(M - mblk)
-                S0 *= rescale
-                S1 *= rescale
-                S2 *= rescale
-                M = mblk
-            w = np.exp(lw - M)
-            partial = S0 + np.cumsum(w)
-            small = w < tol * partial
-            stop = None
-            for i, flag in enumerate(small):
-                consec = consec + 1 if flag else 0
-                if consec >= 5:
-                    stop = i + 1
-                    break
-            if stop is not None:
-                w = w[:stop]
-                ks = ks[:stop]
-            S0 += float(w.sum())
-            S1 += float((ks * w).sum())
-            S2 += float((ks * ks * w).sum())
-            if stop is not None:
-                return M + math.log(S0), S1 / S0, S2 / S0
-            k0 = k1
-            block = min(2 * block, 65536)
-        raise ConvergenceError(
-            f"partition series did not converge within {MAX_SERIES_TERMS} terms "
-            f"at phi={phi} (phi* estimate {self.phi_star:g})")
+                f"fugacity {flat[bad][0]} outside working range "
+                f"[0, {self.phi_max():g}] (phi* = {self.phi_star:g})")
+        sums = np.zeros((3, flat.size))
+        todo = np.flatnonzero(flat)        # phi = 0 has sums (0, 0, 0)
+        K = FIRST_TERMS
+        while todo.size:
+            self._grow_cache(K)
+            rows = max(1, SERIES_BLOCK // K)
+            todo = np.concatenate([
+                self._sum_block(flat, todo[i:i + rows], K, sums)
+                for i in range(0, todo.size, rows)])
+            if todo.size and K == MAX_SERIES_TERMS:
+                raise ConvergenceError(
+                    f"partition series did not converge within "
+                    f"{MAX_SERIES_TERMS} terms at phi={flat[todo[0]]} "
+                    f"(phi* estimate {self.phi_star:g})")
+            K = min(2 * K, MAX_SERIES_TERMS)
+        return sums
+
+    def _sum_block(self, flat, idx, K, sums) -> np.ndarray:
+        """Sum terms k < K for the elements ``idx`` into ``sums``; returns
+        the elements whose tail is not yet negligible."""
+        L = self._log_gfact
+        lnphi = np.log(flat[idx])
+        ks = np.arange(K, dtype=float)
+        w = lnphi[:, None] * ks - L[:K]
+        rows, peak = np.arange(len(idx)), w.argmax(axis=1)
+        top = w[rows, peak]
+        w -= top[:, None]
+        np.exp(w, out=w)
+        w[rows, peak] = 0.0             # S0 = 1 + rest, log S0 = log1p(rest)
+        rest = w.sum(axis=1)
+        w[rows, peak] = 1.0
+        s0 = 1.0 + rest
+        s1 = (w * ks).sum(axis=1)
+        s2 = (w * (ks * ks)).sum(axis=1)
+        # each term past K - 1 is at most r times the one before, so the
+        # tail of S2, sum_{n>=1} (K-1+n)^2 r^n w[K-1], is below
+        # 2 K^2 w[K-1] / (1-r)^3
+        r = np.exp(lnphi - min(L[K] - L[K - 1], math.log(self.phi_star)))
+        done = (r < 1.0) & (2.0 * K * K * w[:, -1]
+                            <= TAIL_TOL * s2 * (1.0 - r) ** 3)
+        ok = idx[done]
+        sums[0, ok] = top[done] + np.log1p(rest[done])
+        sums[1, ok] = s1[done] / s0[done]
+        sums[2, ok] = s2[done] / s0[done]
+        return idx[~done]
 
     # -- public evaluators -------------------------------------------------
 
-    def log_partition(self, phi: float) -> float:
-        return self._series(phi)[0]
+    def log_partition(self, phi):
+        """log Z(phi)."""
+        return _shaped(phi, self._series(phi)[0])
 
-    def partition_function(self, phi: float) -> float:
+    def partition_function(self, phi):
         """Z(phi) = sum_k phi^k / g(k)!."""
-        return math.exp(self.log_partition(phi))
+        return _shaped(phi, np.exp(self._series(phi)[0]))
 
-    def mean_density(self, phi: float) -> float:
+    def mean_density(self, phi):
         """R(phi) = phi Z'(phi)/Z(phi), the mean occupation per site."""
-        return self._series(phi)[1]
+        return _shaped(phi, self._series(phi)[1])
 
-    def mean_density_derivative(self, phi: float) -> float:
-        """R'(phi), strictly positive on (0, phi*)."""
-        if phi == 0.0:
-            return 1.0 / self.rate.g(1)
-        _, r1, r2 = self._series(phi)
-        return (r2 - r1 * r1) / phi
+    def mean_density_derivative(self, phi):
+        """R'(phi) = (S2/S0 - R^2)/phi, strictly positive on (0, phi*)."""
+        flat = np.asarray(phi, dtype=float).ravel()
+        _, r1, r2 = self._series(flat)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.where(flat == 0.0, 1.0 / self.rate.g(1),
+                             (r2 - r1 * r1) / flat)
+        return _shaped(phi, slope)
 
-    def fugacity(self, m: float) -> float:
-        """Phi(m): the unique phi with R(phi) = m, by bisection."""
-        if m < 0.0:
-            raise DomainError(f"density must be >= 0, got {m}")
-        if m == 0.0:
-            return 0.0
-        if m >= self.m_star:
-            raise DomainError(
-                f"density {m} >= attainable ceiling m* = {self.m_star:g}")
-        lo = 0.0
-        if math.isinf(self.phi_star):
-            hi = max(1.0, m)
-            for _ in range(200):
-                if self.mean_density(hi) >= m:
-                    break
-                hi *= 2.0
-            else:
-                raise ConvergenceError(f"could not bracket fugacity for m={m}")
-        else:
-            hi = self.phi_max()
-        for _ in range(220):
-            mid = 0.5 * (lo + hi)
-            r = self.mean_density(mid)
-            if abs(r - m) < 1e-13:
-                return mid
-            if r < m:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-17 * max(1.0, hi):
+    def fugacity(self, m):
+        """Phi(m): the unique phi with R(phi) = m.
+
+        Newton steps on R(phi) - m with R' from the same series, kept
+        inside a bracket [lo, hi] of the root and replaced by bisection
+        when they leave it (hi starts at phi_max; while it is infinite,
+        2 lo stands in for it).  An element stops at phi when
+        |R(phi) - m| < 1e-13 or the Newton step no longer moves phi, and at
+        the midpoint when its bracket is at most 1e-17 max(1, hi) wide.
+        """
+        ms = np.asarray(m, dtype=float).ravel()
+        bad = ~((ms >= 0.0) & (ms < self.m_star))
+        if bad.any():
+            raise DomainError(f"density {ms[bad][0]} outside [0, m*) "
+                              f"(attainable ceiling m* = {self.m_star:g})")
+        phi = np.zeros_like(ms)
+        todo = np.flatnonzero(ms)          # Phi(0) = 0
+        target = ms[todo]
+        lo = np.zeros_like(target)
+        hi = np.full_like(target, self.phi_max())
+        # R(phi) ~ phi/g(1) near 0; the first guess is at most max(1, m)
+        x = np.minimum(target * self.rate.g(1), np.maximum(1.0, target))
+        x = np.minimum(x, hi)
+        for _ in range(NEWTON_STEPS):
+            _, r1, r2 = self._series(x)
+            f = r1 - target
+            lo = np.where(f < 0.0, x, lo)
+            hi = np.where(f < 0.0, hi, x)
+            upper = np.where(np.isinf(hi), 2.0 * lo, hi)
+            mid = 0.5 * (lo + upper)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = x - f * x / (r2 - r1 * r1)
+            hit = (np.abs(f) < 1e-13) | (step == x)
+            phi[todo] = np.where(hit, x, mid)
+            keep = ~hit & (upper - lo > 1e-17 * np.maximum(1.0, upper))
+            if not keep.any():
                 break
-        return 0.5 * (lo + hi)
+            x = np.where((step > lo) & (step < upper), step, mid)[keep]
+            todo, target, lo, hi = todo[keep], target[keep], lo[keep], hi[keep]
+        return _shaped(m, phi)
 
-    def occupation_pmf(self, phi: float, k) -> float | np.ndarray:
-        """Stationary marginal P(xi(x) = k) = phi^k / (Z(phi) g(k)!)."""
-        logZ = self.log_partition(phi)
+    def occupation_pmf(self, phi, k):
+        """Stationary marginal P(xi(x) = k) = phi^k / (Z(phi) g(k)!),
+        broadcast over ``phi`` and ``k``."""
         k_arr = np.asarray(k)
         if np.any(k_arr < 0):
             raise DomainError("occupation numbers must be >= 0")
-        kmax = int(k_arr.max())
-        self._grow_cache(kmax + 1)
-        L = self._log_gfact[k_arr]
-        with np.errstate(divide="ignore"):
-            lnphi = np.log(phi) if phi > 0.0 else -math.inf
-        lw = np.where(k_arr == 0, 0.0, k_arr * lnphi - L)
+        self._grow_cache(int(k_arr.max()) + 1)
+        phi_arr = np.asarray(phi, dtype=float)
+        logZ = self.log_partition(phi_arr)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lw = np.where(k_arr == 0, 0.0,
+                          k_arr * np.log(phi_arr) - self._log_gfact[k_arr])
         out = np.exp(lw - logZ)
-        if np.isscalar(k):
-            return float(out)
-        return out
+        return float(out) if out.ndim == 0 else out
 
-    def mean_density_array(self, phis: np.ndarray) -> np.ndarray:
-        return np.array([self.mean_density(float(p)) for p in phis])
+    def mean_density_array(self, phis) -> np.ndarray:
+        """R over an array of site fugacities."""
+        return np.asarray(self.mean_density(np.asarray(phis, dtype=float)))
+
+
+def _shaped(like, values: np.ndarray):
+    """``values`` (flat) as a float for a scalar ``like``, else in its shape."""
+    if np.ndim(like) == 0:
+        return float(values[0])
+    return values.reshape(np.shape(like))

@@ -174,6 +174,7 @@ class FugacityProfile:
     residual_norm: float
     method: str
     cg_history: Optional[np.ndarray] = None
+    iterates: Optional[list] = None     # CG iterates, when recorded
 
     def phi_at(self, x: int) -> float:
         return float(self.values[x - 1])
@@ -335,14 +336,11 @@ def solve_iterative(system: TrafficSystem, tol: Optional[float] = None,
             history=np.array(history))
     x = _symmetrize(system, x)
     res = residual(system, x)
-    profile = FugacityProfile(values=x, params=system.params,
-                              phi_alpha=system.phi_alpha,
-                              phi_beta=system.phi_beta,
-                              residual_norm=res, method="iterative",
-                              cg_history=np.array(history))
-    if record_iterates:
-        profile.iterates = iterates
-    return profile
+    return FugacityProfile(values=x, params=system.params,
+                           phi_alpha=system.phi_alpha,
+                           phi_beta=system.phi_beta,
+                           residual_norm=res, method="iterative",
+                           cg_history=np.array(history), iterates=iterates)
 
 
 def solve(system: TrafficSystem,

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from zrlab import cli, mc, traffic
+from zrlab import cli, hydrostatic, mc, traffic
+from zrlab.thermo import ThermoTables
 
 
 def run(args):
@@ -84,9 +85,14 @@ def test_current_command(tmp_path):
     assert (out / "bond_currents.csv").exists()
 
 
-def test_ldp_command(tmp_path):
+@pytest.mark.parametrize("gamma,theta", [("0.5", "1"), ("1.5", "0"),
+                                         ("1.5", "0.2")],
+                         ids=["Neumann", "ReactionDiffusion", "Dirichlet"])
+def test_ldp_command(tmp_path, gamma, theta):
+    # the extrapolated regimes need the exact typical profile: an
+    # interpolant of the grid is constant outside it and misses rate 0
     out = tmp_path / "l"
-    assert run(["ldp", "--gamma", "0.5", "--theta", "1", "--alpha", "0.5",
+    assert run(["ldp", "--gamma", gamma, "--theta", theta, "--alpha", "0.5",
                 "--beta", "1.5", "--N", "64", "--N", "128", "--N", "256",
                 "--out", str(out)]) == 0
     rep = read_report(out)
@@ -97,6 +103,29 @@ def test_ldp_command(tmp_path):
     assert header == ("label,Lambda_N_over_N_64,Lambda_N_over_N_128,"
                       "Lambda_N_over_N_256,Lambda_limit,rate_value")
     assert sum(1 for l in scan if not l.startswith(("#", "label"))) == 5
+
+
+@pytest.mark.parametrize("command", ["profile", "current", "ldp"])
+def test_extrapolation_fallbacks_reported(tmp_path, command):
+    args = [command, "--gamma", "1.5", "--theta", "0", "--N", "32",
+            "--N", "64", "--N", "128"]
+    run(args + ["--out", str(tmp_path / "x")])
+    cfg = cli.RunConfig(command, gamma=1.5, theta=0.0, N_list=(32, 64, 128))
+    thermo = ThermoTables.create(cfg.rate())
+    params = cfg.model(128, thermo)
+    solved = traffic.solve_lattices(params, cfg.N_list, thermo)
+    family = hydrostatic.DiscreteProfileFamily(
+        params, cfg.N_list, [profile for _, profile in solved])
+    warn = hydrostatic.rho_extrapolated(
+        params, cli._regime(cfg, params), cfg.N_list, thermo,
+        family=family).warn
+    lines = read_report(tmp_path / "x").splitlines()
+    assert f"extrapolation_fallbacks = {warn.sum()} of {len(warn)}" in lines
+    assert not any(l.startswith("check:extrapolation") for l in lines)
+    # closed-form regimes have no fallbacks to report
+    run([command, "--gamma", "1.5", "--theta", "-1", "--N", "32", "--N", "64",
+         "--N", "128", "--out", str(tmp_path / "c")])
+    assert "extrapolation_fallbacks" not in read_report(tmp_path / "c")
 
 
 def test_config_file_with_cli_override(tmp_path):

@@ -220,3 +220,82 @@ def test_table_rate_properties(values, tail_value):
     mid = float(dens[len(dens) // 2])
     if 0.0 < mid < thermo.m_star:
         assert abs(thermo.mean_density(thermo.fugacity(mid)) - mid) < 1e-11
+
+
+# -- array evaluation -----------------------------------------------------------
+
+def _mixed_phis(thermo):
+    """phi = 0, a tiny, a mid-range and a near-radius value: elements that
+    need very different numbers of series terms."""
+    top = 60.0 if math.isinf(thermo.phi_star) else thermo.phi_max()
+    return np.array([0.0, 1e-12, 0.5 * top, top])
+
+
+def _indicator_twin():
+    return ThermoTables.create(
+        RateFunction.from_table([1.0], tail="constant", tail_value=1.0))
+
+
+@pytest.mark.parametrize("kind", ["identity", "indicator", "table", "figure3"])
+def test_mixed_array_equals_elementwise(kind):
+    thermo = _indicator_twin() if kind == "table" else tables_for(kind)
+    phis = _mixed_phis(thermo)
+    for name in ("log_partition", "partition_function", "mean_density",
+                 "mean_density_derivative"):
+        evaluate = getattr(thermo, name)
+        whole = evaluate(phis)
+        assert isinstance(whole, np.ndarray) and whole.shape == phis.shape
+        one_by_one = [evaluate(float(p)) for p in phis]
+        assert all(type(v) is float for v in one_by_one)
+        assert whole.tobytes() == np.array(one_by_one).tobytes()
+    assert thermo.mean_density(phis.reshape(2, 2)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("kind", ["identity", "indicator", "table"])
+def test_mixed_array_closed_forms(kind):
+    thermo = _indicator_twin() if kind == "table" else tables_for(kind)
+    phis = _mixed_phis(thermo)
+    if kind == "identity":
+        log_z, dens = phis, phis
+    else:
+        log_z, dens = -np.log1p(-phis), phis / (1.0 - phis)
+    scale = np.maximum(np.abs(dens), 1e-300)
+    assert np.all(np.abs(thermo.log_partition(phis) - log_z)
+                  <= 1e-13 * np.maximum(log_z, 1e-300))
+    assert np.all(np.abs(thermo.mean_density(phis) - dens) <= 1e-12 * scale)
+
+
+def test_fugacity_array(thermo_indicator):
+    ms = np.array([0.0, 1e-12, 1.0, 500.0])
+    phis = thermo_indicator.fugacity(ms)
+    assert phis[0] == 0.0
+    assert np.all(np.abs(phis - ms / (1.0 + ms)) < 1e-12)
+    one_by_one = [thermo_indicator.fugacity(float(m)) for m in ms]
+    assert phis.tobytes() == np.array(one_by_one).tobytes()
+    with pytest.raises(DomainError):
+        thermo_indicator.fugacity(np.array([0.5, thermo_indicator.m_star]))
+    with pytest.raises(DomainError):
+        thermo_indicator.fugacity(np.array([0.5, -1e-9]))
+
+
+def test_figure3_density_against_mpmath(thermo_figure3):
+    mp = pytest.importorskip("mpmath")
+    phi = 0.794
+    with mp.workdps(40):
+        x = mp.mpf(phi)
+        # g(1)...g(k) = prod (1 + 3/j)^3 = binomial(k + 3, 3)^3
+        terms = [x ** k / mp.binomial(k + 3, 3) ** 3 for k in range(2000)]
+        ref = mp.fsum(k * t for k, t in enumerate(terms)) / mp.fsum(terms)
+        err = abs((thermo_figure3.mean_density(phi) - ref) / ref)
+    assert err < 1e-15
+
+
+def test_fugacity_without_upper_bracket():
+    # g(1) = 1e12 with an identity tail: phi* = inf, and R' ~ 1e-11 at
+    # phi = 1, so an uncapped Newton step from below the root would jump
+    # to phi ~ 1e11, beyond any series the evaluator can sum
+    thermo = ThermoTables.create(
+        RateFunction.from_table([1e12], tail="identity"))
+    ms = np.array([1e-9, 0.5, 5.0, 50.0])
+    assert np.all(np.abs(thermo.mean_density(thermo.fugacity(ms)) - ms)
+                  < 1e-12)
