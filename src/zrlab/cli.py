@@ -316,7 +316,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     # convergence gaps of raw lattice ratio toward rho on interior points
     rows = []
     interior = grid[(grid >= 0.1) & (grid <= 0.9)]
-    rho_ref = np.asarray(cont.rho_at()(interior), dtype=float)
+    rho_ref = cont.rho_at()(interior)
     for system, pr in solved:
         N = system.N
         sites = np.clip((interior * N).astype(int), 1, N - 1)
@@ -435,7 +435,7 @@ def cmd_ldp(cfg: RunConfig) -> int:
     def tilted(G):
         """u -> R(e^G(u) Phi(m(u))), the typical density under the tilt G."""
         return lambda u: thermo.mean_density_array(
-            np.exp(G(u)) * cont.phi_sum * np.asarray(rho_at(u)))
+            np.exp(G(u)) * cont.phi_sum * rho_at(u))
 
     rows = []
     monotone_all = True

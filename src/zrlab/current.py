@@ -10,7 +10,6 @@ a one-line check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -122,26 +121,32 @@ def scaling_B(N: int, theta: float, gamma: float) -> float:
     return float(N) ** (1.0 - theta - gamma)
 
 
-def h_theta_fn(u: float, gamma: float, theta: float, kappa: float,
-               kernel: KernelParams) -> float:
-    """Weight h_theta(u) pairing the density profile in the current limit.
+def h_theta_fn(u, gamma: float, theta: float, kappa: float,
+               kernel: KernelParams):
+    """Weight h_theta(u) pairing the density profile in the current limit;
+    a float for a float, an array of the same shape for an array.
 
     At theta = 0 both indicator branches are active (the theta = 0 limit
     carries both the bulk and the reservoir contribution).
     """
-    if not 0.0 < u < 1.0:
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise DomainError(f"h_theta undefined at u={u}")
     c = kernel.c_gamma
     if gamma == 1.0:
+        h = (c * (np.log(1.0 - u_arr) - np.log(u_arr)) if theta >= 0.0
+             else np.zeros_like(u_arr))
+    else:
+        coef = 0.0
+        if theta <= 0.0:
+            coef += kappa / gamma
         if theta >= 0.0:
-            return c * (math.log(1.0 - u) - math.log(u))
-        return 0.0
-    coef = 0.0
-    if theta <= 0.0:
-        coef += kappa / gamma
-    if theta >= 0.0:
-        coef += 1.0 / (1.0 - gamma)
-    return c * coef * ((1.0 - u) ** (1.0 - gamma) - u ** (1.0 - gamma))
+            coef += 1.0 / (1.0 - gamma)
+        # np.power, not **: a 0-d operand would take the scalar pow, which
+        # can differ from the array loop in the last bit
+        h = c * coef * (np.power(1.0 - u_arr, 1.0 - gamma)
+                        - np.power(u_arr, 1.0 - gamma))
+    return float(h) if h.ndim == 0 else h
 
 
 def fick_constant(alpha_tilde: float, beta_tilde: float, gamma: float,
@@ -173,9 +178,7 @@ def h_weighted_limit(profile: ContinuumProfile, gamma: float, theta: float,
     rho_at = profile.rho_at()
 
     def integrand(us):
-        h = np.array([h_theta_fn(float(u), gamma, theta, kappa, kernel)
-                      for u in us])
-        return h * np.asarray(rho_at(us), dtype=float)
+        return h_theta_fn(us, gamma, theta, kappa, kernel) * rho_at(us)
 
     edges = np.concatenate([
         np.geomspace(1e-12, 0.2, 30), np.linspace(0.2, 0.8, 13)[1:],
@@ -192,8 +195,7 @@ def _dense_rho(profile: ContinuumProfile) -> Callable:
         [0.0], np.geomspace(1e-8, 2e-3, 40),
         np.linspace(2e-3, 1.0 - 2e-3, 2001),
         1.0 - np.geomspace(2e-3, 1e-8, 40), [1.0]]))
-    vals = np.asarray(profile.rho_at()(us), dtype=float)
-    interp = PchipInterpolator(us, vals, extrapolate=False)
+    interp = PchipInterpolator(us, profile.rho_at()(us), extrapolate=False)
 
     def evaluate(u):
         return interp(np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
@@ -202,26 +204,20 @@ def _dense_rho(profile: ContinuumProfile) -> Callable:
 
 
 def _double_integral(rho_fast: Callable, u: float, gamma: float,
-                     phi_sum: float, kernel: KernelParams,
-                     s_min: float = 1e-12, nodes: int = 6) -> float:
+                     phi_sum: float, kernel: KernelParams) -> float:
     """c int_0^u dv int_u^1 dw (Phi m(v) - Phi m(w)) / (w-v)^(1+gamma).
 
     Substituting s = u-v, t = w-u and grading panels geometrically toward
-    the corner s = t = 0, where the Lipschitz difference tames the kernel.
+    the corner s = t = 0, where the Lipschitz difference tames the kernel;
+    the whole (s-nodes x t-nodes) product grid is one contraction.
     """
-    s_edges = geometric_edges(s_min, u)
-    t_edges = geometric_edges(s_min, 1.0 - u)
-    total = 0.0
-    for sa, sb in zip(s_edges[:-1], s_edges[1:]):
-        s_nodes, s_w = panel_nodes(sa, sb, nodes)
-        rho_v = rho_fast(u - s_nodes)
-        for ta, tb in zip(t_edges[:-1], t_edges[1:]):
-            t_nodes, t_w = panel_nodes(ta, tb, nodes)
-            rho_w = rho_fast(u + t_nodes)
-            diff = rho_v[:, None] - rho_w[None, :]
-            ker = (s_nodes[:, None] + t_nodes[None, :]) ** (-(1.0 + gamma))
-            total += float(s_w @ (diff * ker) @ t_w)
-    return kernel.c_gamma * phi_sum * total
+    s_min, nodes = 1e-12, 6        # innermost edge; nodes per panel
+    s, s_w = (q.ravel() for q in panel_nodes(geometric_edges(s_min, u), nodes))
+    t, t_w = (q.ravel()
+              for q in panel_nodes(geometric_edges(s_min, 1.0 - u), nodes))
+    diff = rho_fast(u - s)[:, None] - rho_fast(u + t)[None, :]
+    ker = (s[:, None] + t[None, :]) ** (-(1.0 + gamma))
+    return kernel.c_gamma * phi_sum * float(s_w @ (diff * ker) @ t_w)
 
 
 def _reservoir_terms(rho_fast: Callable, u: float, gamma: float,

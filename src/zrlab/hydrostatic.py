@@ -88,7 +88,7 @@ def rho_explicit(u, regime: Regime, alpha_tilde: float, beta_tilde: float,
                  gamma: float):
     """Closed-form profiles: V0/V1 (ExplicitRatio) or the constant mean
     (Neumann).  The normalization constant cancels in both."""
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    u_arr = np.asarray(u, dtype=float)
     if regime.tag == NEUMANN:
         out = np.full_like(u_arr, 0.5 * (alpha_tilde + beta_tilde))
     elif regime.tag == EXPLICIT_RATIO:
@@ -100,45 +100,46 @@ def rho_explicit(u, regime: Regime, alpha_tilde: float, beta_tilde: float,
         out[~lo] = (alpha_tilde * s + beta_tilde) / (s + 1.0)
     else:
         raise DomainError(f"no closed form for regime {regime.tag}")
-    if np.isscalar(u):
-        return float(out[0])
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
-def _fit_power_limit(vals: Sequence[float], scales: Sequence[float],
-                     p_lo: float = 0.2, p_hi: float = 2.0):
+def _fit_power_limit(vals: Sequence, scales: Sequence):
     """Extrapolate v_i = c0 + c1 * s_i^(-p) to s -> inf, free p clamped.
 
-    ``scales`` must be increasing (e.g. lattice sizes).  Returns
-    (c0, err_estimate, warn) where warn marks a non-monotone fallback.
+    ``scales`` must be increasing (e.g. lattice sizes).  Each value is a
+    float or an array (one fit per element, one bisection for all).
+    Returns (c0, err_estimate, warn) where warn marks a non-monotone
+    fallback, shaped like the values.
     """
-    v1, v2, v3 = vals[-3:]
-    s1, s2, s3 = (float(s) for s in scales[-3:])
+    v1, v2, v3 = (np.asarray(v, dtype=float) for v in vals[-3:])
+    s1, s2, s3 = (np.asarray(s, dtype=float) for s in scales[-3:])
     d1, d2 = v1 - v2, v2 - v3
-    tiny = 1e-13 * max(1.0, abs(v3))
-    if abs(d1) < tiny and abs(d2) < tiny:
-        return v3, abs(d2), False
-    if d1 * d2 <= 0.0 or abs(d2) >= abs(d1):
-        return v3, max(abs(d1), abs(d2)), True
+    tiny = 1e-13 * np.maximum(1.0, np.abs(v3))
+    flat = (np.abs(d1) < tiny) & (np.abs(d2) < tiny)
+    warn = ~flat & ((d1 * d2 <= 0.0) | (np.abs(d2) >= np.abs(d1)))
 
     def mismatch(p):
         return (d1 / d2) - (s1 ** -p - s2 ** -p) / (s2 ** -p - s3 ** -p)
 
-    lo, hi = p_lo, p_hi
-    m_lo, m_hi = mismatch(lo), mismatch(hi)
-    if m_lo * m_hi > 0.0:
-        p = lo if abs(m_lo) < abs(m_hi) else hi
-    else:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = np.full(v3.shape, 0.2), np.full(v3.shape, 2.0)  # p range
+        m_lo, m_hi = mismatch(lo), mismatch(hi)
         for _ in range(60):
             p = 0.5 * (lo + hi)
-            if mismatch(lo) * mismatch(p) <= 0.0:
-                hi = p
-            else:
-                lo = p
-        p = 0.5 * (lo + hi)
-    c1 = d2 / (s2 ** -p - s3 ** -p)
-    c0 = v3 - c1 * s3 ** -p
-    return c0, abs(c0 - v3), False
+            left = mismatch(lo) * mismatch(p) <= 0.0
+            lo, hi = np.where(left, lo, p), np.where(left, p, hi)
+        p = np.where(m_lo * m_hi > 0.0,
+                     np.where(np.abs(m_lo) < np.abs(m_hi), 0.2, 2.0),
+                     0.5 * (lo + hi))
+        c1 = d2 / (s2 ** -p - s3 ** -p)
+        c0 = v3 - c1 * s3 ** -p
+    value = np.where(flat | warn, v3, c0)
+    err = np.where(flat, np.abs(d2),
+                   np.where(warn, np.maximum(np.abs(d1), np.abs(d2)),
+                            np.abs(c0 - v3)))
+    if value.ndim == 0:
+        return float(value), float(err), bool(warn)
+    return value, err, warn
 
 
 class DiscreteProfileFamily:
@@ -168,47 +169,35 @@ class DiscreteProfileFamily:
         solved = solve_lattices(params_base, N_values, thermo)
         return cls(params_base, N_values, [prof for _, prof in solved])
 
-    def smooth_ratio(self, u: float, i: int) -> float:
-        """Lattice ratio with linear interpolation between adjacent sites.
+    def rho_array(self, us):
+        """(rho, err, warn) at every point of ``us``, shaped like ``us``.
 
+        The lattice ratio interpolates linearly between adjacent sites:
         floor(uN) alone carries an O(1/N) jitter of pseudo-random sign
         (u - floor(uN)/N), the same order as the convergence term itself,
         which destabilizes the extrapolation in N; interpolating between
         the two neighbouring sites removes the jitter at O(1/N^2) cost.
+        With four or more N, err is the move of the limit when the largest
+        N is dropped.
         """
-        N = self.N_values[i]
-        pos = u * N
-        x0 = min(max(int(math.floor(pos)), 1), N - 2)
-        w = min(max(pos - x0, 0.0), 1.0)
-        prof = self.profiles[i]
-        return ((1.0 - w) * prof.phi_at(x0)
-                + w * prof.phi_at(x0 + 1)) / self.phi_sum
-
-    def rho_point(self, u: float) -> tuple[float, float, bool]:
-        vals = [self.smooth_ratio(u, i) for i in range(len(self.N_values))]
-        c0, err, warn = _fit_power_limit(vals, self.N_values)
+        vals = []
+        for N, prof in zip(self.N_values, self.profiles):
+            pos = np.asarray(us, dtype=float) * N
+            x0 = np.clip(np.floor(pos), 1, N - 2).astype(int)
+            w = np.clip(pos - x0, 0.0, 1.0)
+            vals.append(((1.0 - w) * prof.values[x0 - 1]
+                         + w * prof.values[x0]) / self.phi_sum)
+        rho, err, warn = _fit_power_limit(vals, self.N_values)
         if len(vals) >= 4:
-            c0_prev, _, _ = _fit_power_limit(vals[:-1], self.N_values[:-1])
-            err = max(abs(c0 - c0_prev), 1e-16)
-        return c0, err, warn
+            prev, _, _ = _fit_power_limit(vals[:-1], self.N_values[:-1])
+            err = np.maximum(np.abs(rho - prev), 1e-16)
+        return rho, err, warn
 
-    def rho_array(self, us: np.ndarray):
-        out = np.empty(len(us))
-        err = np.empty(len(us))
-        warn = np.zeros(len(us), dtype=bool)
-        for j, u in enumerate(us):
-            out[j], err[j], warn[j] = self.rho_point(float(u))
-        return out, err, warn
-
-    def edge_limit(self, side: str) -> float:
-        """rho at the boundary: the edge lattice site extrapolated in N."""
-        if side == "left":
-            vals = [pr.phi_at(1) / self.phi_sum for pr in self.profiles]
-        else:
-            vals = [pr.phi_at(N - 1) / self.phi_sum
-                    for pr, N in zip(self.profiles, self.N_values)]
+    def edge_limits(self) -> tuple[float, float]:
+        """rho at both boundaries: the edge lattice sites extrapolated in N."""
+        vals = [pr.values[[0, -1]] / self.phi_sum for pr in self.profiles]
         c0, _, _ = _fit_power_limit(vals, self.N_values)
-        return c0
+        return float(c0[0]), float(c0[1])
 
 
 def default_grid(n: int = 257) -> np.ndarray:
@@ -241,20 +230,18 @@ class ContinuumProfile:
         if self.boundary_left is not None:
             return self.boundary_left, self.boundary_right
         u = self.grid
-        v0, _, _ = _fit_power_limit(
-            [self.rho[2], self.rho[1], self.rho[0]],
-            [1.0 / u[2], 1.0 / u[1], 1.0 / u[0]])
-        v1, _, _ = _fit_power_limit(
-            [self.rho[-3], self.rho[-2], self.rho[-1]],
-            [1.0 / (1.0 - u[-3]), 1.0 / (1.0 - u[-2]), 1.0 / (1.0 - u[-1])])
-        return v0, v1
+        ends = np.array([[2, -3], [1, -2], [0, -1]])
+        dist = np.stack([u[ends[:, 0]], 1.0 - u[ends[:, 1]]], axis=1)
+        v, _, _ = _fit_power_limit(self.rho[ends], 1.0 / dist)
+        return float(v[0]), float(v[1])
 
     def rho_at(self) -> Callable:
-        """Callable rho(u) for arbitrary u in [0,1].
+        """Callable rho(u) for arbitrary u in [0,1]: a float for a float,
+        an array of the same shape for an array.
 
-        Extrapolated profiles carry a per-point evaluator over the solved
-        lattice family; serialized profiles fall back to monotone
-        interpolation of the grid."""
+        Extrapolated profiles carry an evaluator over the solved lattice
+        family; serialized profiles fall back to monotone interpolation of
+        the grid."""
         if self._evaluator is None:
             r0, r1 = self.boundary_values()
             xs = np.concatenate([[0.0], self.grid, [1.0]])
@@ -262,8 +249,8 @@ class ContinuumProfile:
             interp = PchipInterpolator(xs, ys, extrapolate=False)
 
             def evaluate(u):
-                u_arr = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-                return interp(u_arr)
+                out = interp(np.clip(u, 0.0, 1.0))
+                return float(out) if out.ndim == 0 else out
 
             self._evaluator = evaluate
         return self._evaluator
@@ -291,8 +278,7 @@ def rho_closed_form(params: ModelParams, regime: Regime,
     phi_a, phi_b = params.boundary_fugacities(thermo)
     a_t, b_t = tilde_densities(phi_a, phi_b)
     rho = rho_explicit(grid, regime, a_t, b_t, params.gamma)
-    evaluator = (lambda u: rho_explicit(np.asarray(u, dtype=float), regime,
-                                        a_t, b_t, params.gamma))
+    evaluator = lambda u: rho_explicit(u, regime, a_t, b_t, params.gamma)
     if regime.tag == NEUMANN:
         boundary = (0.5 * (a_t + b_t), 0.5 * (a_t + b_t))
     else:
@@ -319,12 +305,10 @@ def rho_extrapolated(params_base: ModelParams, regime: Regime,
         family = DiscreteProfileFamily.solve(params_base, N_sequence, thermo)
     rho, err, warn = family.rho_array(grid)
     a_t, b_t = tilde_densities(family.phi_alpha, family.phi_beta)
-    boundary = (family.edge_limit("left"), family.edge_limit("right"))
-    evaluator = lambda us: family.rho_array(np.atleast_1d(
-        np.asarray(us, dtype=float)))[0]
     return _continuum_from_values(grid, rho, err, warn, regime,
                                   "extrapolated", a_t, b_t, family.phi_sum,
-                                  thermo, evaluator, boundary)
+                                  thermo, lambda us: family.rho_array(us)[0],
+                                  family.edge_limits())
 
 
 # -- weak formulations ----------------------------------------------------
@@ -356,31 +340,27 @@ def _laplacian_pairing(rho_at: Callable, G: Callable, kernel: KernelParams,
     n_nodes = 8 + 2 * level
 
     def integrand(us):
-        lg = np.array([regional_frac_laplacian(kernel, G, float(u))
-                       for u in us])
-        return np.asarray(rho_at(us), dtype=float) * lg
+        return rho_at(us) * regional_frac_laplacian(kernel, G, us)
 
-    total = 0.0
-    a, b = 0.25, 0.75
-    interior = np.linspace(a, b, 4 * level + 1)
-    total += integrate_panels(integrand, interior, n=n_nodes)
-    # Exponential substitution toward each endpoint.  The span is capped so
-    # u stays representably inside (0,1); the remaining sliver [0, t0) is
-    # added analytically from the leading u^(1-gamma) growth of L G.
-    y_span = min(max(40.0, 19.0 / (2.0 - gam)), math.log(a / 1e-13))
+    a = 0.25
+    total = integrate_panels(integrand, np.linspace(a, 1.0 - a, 4 * level + 1),
+                             n=n_nodes)
+    # Exponential substitution u = a e^(-y) toward 0 (row 0) and
+    # u = 1 - a e^(-y) toward 1 (row 1).  The span is capped so u stays
+    # representably inside (0,1); the remaining sliver [0, t0) is added
+    # analytically from the leading u^(1-gamma) growth of L G.
+    y_span = math.log(a / 1e-13)
     edges = np.linspace(0.0, y_span, int(math.ceil(y_span / 3.0)) + 1)
-    for anchor, sign in ((a, +1.0), (1.0 - b, -1.0)):
-        origin = 0.0 if sign > 0 else 1.0
+    origin, sign = np.array([[0.0], [1.0]]), np.array([[1.0], [-1.0]])
 
-        def sub(y, anchor=anchor, sign=sign, origin=origin):
-            t = anchor * np.exp(-y)
-            return integrand(origin + sign * t) * t
+    def sub(y):
+        t = a * np.exp(-y)
+        return integrand(origin + sign * t) * t
 
-        total += integrate_panels(sub, edges, n=n_nodes)
-        t0 = anchor * math.exp(-y_span)
-        total += float(integrand(np.array([origin + sign * t0]))[0]) \
-            * t0 / (2.0 - gam)
-    return total
+    ends = integrate_panels(sub, np.stack([edges, edges]), n=n_nodes)
+    t0 = a * math.exp(-y_span)
+    sliver = integrand(np.array([t0, 1.0 - t0])) * t0 / (2.0 - gam)
+    return float(total + ends[0] + sliver[0] + ends[1] + sliver[1])
 
 
 def _reaction_pairing(rho_at: Callable, G: Callable, kernel: KernelParams,
@@ -400,7 +380,7 @@ def _reaction_pairing(rho_at: Callable, G: Callable, kernel: KernelParams,
             rp = pref * (1.0 - u) ** -gam
             v0 = a_t * rm + b_t * rp
             v1 = rm + rp
-            out[idx] = g[idx] * (v0 - np.asarray(rho_at(u), dtype=float) * v1)
+            out[idx] = g[idx] * (v0 - rho_at(u) * v1)
         return out
 
     edges = np.linspace(0.0, 1.0, 32 * level + 1)
@@ -460,7 +440,7 @@ def hydrostatic_average(discrete: FugacityProfile, continuum: ContinuumProfile,
     rho_at = continuum.rho_at()
 
     def integrand(us):
-        return gv(us) * F(continuum.phi_sum * np.asarray(rho_at(us)), us)
+        return gv(us) * F(continuum.phi_sum * rho_at(us), us)
 
     edges = np.concatenate([
         np.geomspace(1e-12, 0.1, 24), np.linspace(0.1, 0.9, 33)[1:],

@@ -192,14 +192,17 @@ def first_moment_half(params: KernelParams) -> float:
 
 
 def vectorized(G: Callable) -> Callable:
-    """Return a function mapping float arrays to float arrays."""
+    """Return a function mapping float arrays to float arrays of the same
+    shape.  G always sees a flat 1-D array; a G that refuses arrays (raises
+    TypeError or ValueError on one) is applied element by element."""
     try:
-        probe = np.asarray(G(np.array([0.25, 0.75])), dtype=float)
-        if probe.shape == (2,):
-            return lambda v: np.asarray(G(v), dtype=float)
-    except Exception:
-        pass
-    return np.vectorize(G, otypes=[float])
+        takes_arrays = np.shape(G(np.array([0.25, 0.75]))) == (2,)
+    except (TypeError, ValueError):
+        takes_arrays = False
+    if not takes_arrays:
+        return np.vectorize(G, otypes=[float])
+    return lambda v: np.reshape(np.asarray(G(np.ravel(v)), dtype=float),
+                                np.shape(v))
 
 
 def discrete_frac_laplacian(params: KernelParams, G: Callable, x: int,
@@ -214,13 +217,13 @@ def discrete_frac_laplacian(params: KernelParams, G: Callable, x: int,
 
 
 _INNER_CUT = 3e-4  # below this distance the folded difference is modeled analytically
+_WINDOW = 1e-3     # half-width of the folded window around u
 
 
-def regional_frac_laplacian(params: KernelParams, G: Callable, u: float,
-                            delta: float = 1e-3) -> float:
+def regional_frac_laplacian(params: KernelParams, G: Callable, u):
     """Regional fractional Laplacian (L G)(u) on [0,1], principal value.
 
-    The window (u-m, u+m), m = min(delta, u, 1-u), is folded so the odd
+    The window (u-m, u+m), m = min(_WINDOW, u, 1-u), is folded so the odd
     Taylor part cancels exactly and only the even combination
     G(u+t)+G(u-t)-2G(u) ~ G''(u) t^2 meets the kernel t^(-1-gamma).  To
     avoid float cancellation at tiny t, distances below _INNER_CUT use the
@@ -228,38 +231,44 @@ def regional_frac_laplacian(params: KernelParams, G: Callable, u: float,
     geometric Gauss-Legendre panels, as is everything outside the window.
     G must be C^2; absolute error <1e-8 at interior points for smooth G,
     degrading to small relative error near the endpoints.
+
+    ``u`` is a float (float out) or an array (same shape out); every point
+    is one row of the same panel quadratures.
     """
-    if not 0.0 < u < 1.0:
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise DomainError(f"regional Laplacian evaluated at boundary u={u}")
     gam = params.gamma
     gv = vectorized(G)
-    gu = float(gv(np.array([u]))[0])
+    x = u_arr.reshape(-1)
+    us = x[:, None]                  # one quadrature row per point
+    gu = gv(us)
 
-    m = min(delta, u, 1.0 - u)
+    m = np.minimum(_WINDOW, np.minimum(x, 1.0 - x))
 
     # stencil at the nearest safely-interior point (shift is O(h) at worst)
     h = 1e-3
-    uc = min(max(u, 2.0 * h), 1.0 - 2.0 * h)
+    uc = np.clip(us, 2.0 * h, 1.0 - 2.0 * h)
     gp = gv(uc + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
-    g2 = (-gp[4] + 16.0 * gp[3] - 30.0 * gp[2] + 16.0 * gp[1] - gp[0]) / (12.0 * h * h)
+    g2 = (-gp[:, 4] + 16.0 * gp[:, 3] - 30.0 * gp[:, 2] + 16.0 * gp[:, 1]
+          - gp[:, 0]) / (12.0 * h * h)
 
-    cut = m if m <= 2.0 * _INNER_CUT else _INNER_CUT
-    inner = g2 * cut ** (2.0 - gam) / (2.0 - gam)
-    if cut < m:
-        def folded(t):
-            return (gv(u + t) + gv(u - t) - 2.0 * gu) * t ** (-(1.0 + gam))
+    cut = np.where(m <= 2.0 * _INNER_CUT, m, _INNER_CUT)
 
-        inner += integrate_panels(folded, geometric_edges(cut, m), n=16)
+    def folded(t):
+        return (gv(us + t) + gv(us - t) - 2.0 * gu) * t ** (-(1.0 + gam))
 
-    def outer_part(b: float, sign: float) -> float:
-        # one side of u, distances in [m, b]
-        if b <= m:
-            return 0.0
+    # a row with cut = m gets zero-width panels only, which add exactly 0
+    inner = (g2 * cut ** (2.0 - gam) / (2.0 - gam)
+             + integrate_panels(folded, geometric_edges(cut, m)))
 
+    def outer_part(b: np.ndarray, sign: float) -> np.ndarray:
+        # one side of u, distances in [m, b]; zero-width where b = m
         def f(t):
-            return (gv(u + sign * t) - gu) * t ** (-(1.0 + gam))
+            return (gv(us + sign * t) - gu) * t ** (-(1.0 + gam))
 
-        return integrate_panels(f, geometric_edges(m, b), n=16)
+        return integrate_panels(f, geometric_edges(m, b))
 
-    outer = outer_part(u, -1.0) + outer_part(1.0 - u, +1.0)
-    return params.c_gamma * (inner + outer)
+    outer = outer_part(x, -1.0) + outer_part(1.0 - x, +1.0)
+    out = (params.c_gamma * (inner + outer)).reshape(u_arr.shape)
+    return float(out) if out.ndim == 0 else out

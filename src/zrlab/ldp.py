@@ -82,7 +82,7 @@ def lambda_limit(m_bar: ContinuumProfile, thermo: ThermoTables, G: Callable,
     phi_sum = m_bar.phi_sum
 
     def integrand(us):
-        phis = phi_sum * np.asarray(rho_at(us), dtype=float)
+        phis = phi_sum * rho_at(us)
         return (thermo.log_partition(np.exp(gv(us)) * phis)
                 - thermo.log_partition(phis))
 
@@ -121,7 +121,7 @@ def rate_function(pi, m_bar: ContinuumProfile, thermo: ThermoTables,
 
     def integrand(us):
         pis = np.asarray(pi_at(us), dtype=float)
-        phi_m = phi_sum * np.asarray(rho_at(us), dtype=float)
+        phi_m = phi_sum * rho_at(us)
         phi_p = thermo.fugacity(pis)
         ent = np.zeros_like(pis)
         occupied = pis != 0.0
@@ -159,7 +159,7 @@ def gateaux_derivative(m_bar: ContinuumProfile, thermo: ThermoTables,
     phi_sum = m_bar.phi_sum
 
     def integrand(us):
-        phis = phi_sum * np.asarray(rho_at(us), dtype=float)
+        phis = phi_sum * rho_at(us)
         return thermo.mean_density(np.exp(gv(us)) * phis) * hv(us)
 
     return integrate_panels(integrand, _quad_edges(level), n=8)

@@ -5,6 +5,8 @@ singularities at panel endpoints (kernel tails like |v-u|^{-1-gamma},
 reservoir rates like u^{-gamma}).  Fixed-order Gauss-Legendre on panels
 that shrink geometrically toward the singular point resolves those to
 near machine precision without adaptive machinery.
+Edges are 1-D (one integral) or 2-D (one integral per row, rows padded
+with zero-width panels, whose zero weights add exactly 0).
 """
 
 from __future__ import annotations
@@ -21,26 +23,37 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[n]
 
 
-def panel_nodes(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to the interval [a, b]."""
+def panel_nodes(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights of every panel between consecutive
+    ``edges``, shaped edges.shape[:-1] + (panels, n)."""
     x, w = gauss_legendre(n)
-    half = 0.5 * (b - a)
+    edges = np.asarray(edges, dtype=float)
+    a = edges[..., :-1, None]
+    half = 0.5 * (edges[..., 1:, None] - a)
     return a + half * (x + 1.0), half * w
 
 
-def integrate_panels(f, edges: np.ndarray, n: int = 16) -> float:
-    """Integrate f over consecutive panels given by ``edges`` (sorted)."""
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = panel_nodes(a, b, n)
-        total += float(np.dot(w, f(x)))
-    return total
+def integrate_panels(f, edges: np.ndarray, n: int = 16):
+    """Integrate f over consecutive panels given by ``edges`` (sorted).
+
+    f is called once, on the nodes of every panel: a 1-D array for 1-D
+    edges, one row of nodes per integral for 2-D edges.  Returns a float,
+    or one value per row.
+    """
+    nodes, weights = panel_nodes(edges, n)
+    vals = np.reshape(f(nodes.reshape(nodes.shape[:-2] + (-1,))), nodes.shape)
+    total = np.sum(weights * vals, axis=(-2, -1))
+    return float(total) if total.ndim == 0 else total
 
 
-def geometric_edges(a: float, b: float) -> np.ndarray:
-    """Panel edges doubling away from a up to b (a > 0)."""
-    edges = [a]
-    while edges[-1] * 2.0 < b:
-        edges.append(edges[-1] * 2.0)
-    edges.append(b)
-    return np.array(edges)
+def geometric_edges(a, b) -> np.ndarray:
+    """Panel edges doubling away from a up to b (a > 0).
+
+    Array a, b give one row per pair, each padded at b to the longest
+    ladder."""
+    a, b = (v[..., None] for v in np.broadcast_arrays(a, b))
+    doublings = int(np.max(np.ceil(np.log2(b / a)), initial=0.0))
+    ladder = a * 2.0 ** np.arange(1, doublings + 1)
+    inside = ladder < b
+    ladder = np.where(inside, ladder, b)[..., :inside.sum(-1).max(initial=0)]
+    return np.concatenate([a, ladder, b], axis=-1)

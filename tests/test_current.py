@@ -107,6 +107,19 @@ def test_h_theta_closed_value():
     assert C.h_theta_fn(0.25, 1.0, -0.5, 1.0, kp1) == 0.0
 
 
+@pytest.mark.parametrize("gamma,theta", ((1.4, 0.0), (0.5, -0.5), (1.0, 0.5),
+                                         (1.0, -0.5)))
+def test_h_theta_array_equals_scalar_calls(gamma, theta):
+    kp = KernelParams.create(gamma)
+    us = np.array([[1e-12, 0.2, 0.5], [0.7, 0.9, 1.0 - 1e-9]])
+    got = C.h_theta_fn(us, gamma, theta, 2.0, kp)
+    assert got.shape == us.shape
+    assert np.array_equal(got, [[C.h_theta_fn(float(u), gamma, theta, 2.0, kp)
+                                 for u in row] for row in us])
+    with pytest.raises(DomainError):
+        C.h_theta_fn(np.array([0.5, 1.0]), gamma, theta, 2.0, kp)
+
+
 @pytest.mark.parametrize("gamma", (0.5, 1.0, 1.5, 1.9))
 def test_h_theta_integrable(gamma):
     kp = KernelParams.create(gamma)

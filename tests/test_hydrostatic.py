@@ -109,6 +109,21 @@ def test_fit_power_limit_fallbacks():
     assert warn and c0 == 0.51
     c0, err, warn = H._fit_power_limit([0.4, 0.4, 0.4], (10, 20, 40))
     assert not warn and c0 == 0.4 and err < 1e-12
+    assert type(c0) is float and type(err) is float and type(warn) is bool
+
+
+def test_fit_power_limit_array_equals_scalar_calls():
+    Ns = (100, 200, 400, 800)
+    cols = [[0.4, 0.4, 0.4, 0.4],                       # flat
+            [0.5, 0.52, 0.51, 0.515],                   # non-monotone
+            [0.37 + 2.1 * n ** -0.8 for n in Ns],       # bisection
+            [0.2 + 1e3 * n ** -3.0 for n in Ns],        # p clamped at 2
+            [0.6 - 0.5 * n ** -0.1 for n in Ns]]        # p clamped at 0.2
+    vals = np.array(cols).T                             # (N, points)
+    c0, err, warn = H._fit_power_limit(vals, Ns)
+    for j, col in enumerate(cols):
+        assert (c0[j], err[j], warn[j]) == H._fit_power_limit(col, Ns)
+    assert list(warn) == [False, True, False, False, False]
 
 
 def test_default_grid_contains_exact_midpoint():
@@ -144,9 +159,34 @@ def test_rd_profile_basics(rd_profile):
 def test_rd_point_stability_between_sequences(thermo_identity, rd_family):
     fine = H.DiscreteProfileFamily.solve(make_params(1.5, 0.0, 2),
                                          (2048, 4096, 8192), thermo_identity)
-    v1, _, _ = rd_family.rho_point(0.25)
-    v2, _, _ = fine.rho_point(0.25)
+    v1, _, _ = rd_family.rho_array(0.25)
+    v2, _, _ = fine.rho_array(0.25)
     assert abs(v1 - v2) < 1e-3
+
+
+def _profile_by_provenance(provenance, thermo, tmp_path):
+    if provenance == "closed_form":
+        return H.rho_closed_form(make_params(1.5, -1.0, 2),
+                                 H.classify_regime(1.5, -1.0), thermo)
+    prof = H.rho_extrapolated(make_params(1.5, 0.0, 2),
+                              H.classify_regime(1.5, 0.0), (128, 256, 512),
+                              thermo)
+    if provenance == "csv":
+        H.write_continuum_csv(prof, tmp_path / "cont.csv")
+        prof = H.read_continuum_csv(tmp_path / "cont.csv")
+    return prof
+
+
+@pytest.mark.parametrize("provenance", ("closed_form", "extrapolated", "csv"))
+def test_rho_at_shape_contract(provenance, thermo_identity, tmp_path):
+    rho = _profile_by_provenance(provenance, thermo_identity,
+                                 tmp_path).rho_at()
+    assert type(rho(0.3)) is float
+    us = np.array([[0.0, 0.1, 0.3], [0.5, 0.77, 1.0]])
+    got = rho(us)
+    assert got.shape == us.shape
+    assert rho(us[0]).shape == (3,)
+    assert np.array_equal(got, [[rho(float(u)) for u in row] for row in us])
 
 
 def test_flat_boundaries_give_constant(thermo_identity):

@@ -254,15 +254,18 @@ def _exact_regional_poly(u, gamma, coeffs):
 
 
 @pytest.mark.parametrize("gamma", (0.3, 1.0, 1.5, 1.9))
-@pytest.mark.parametrize("u", (0.21, 0.5, 0.83))
+@pytest.mark.parametrize("u", (0.21, 0.5, 0.83, "all"))
 def test_regional_laplacian_polynomial_accuracy(gamma, u):
     kp = K.KernelParams.create(gamma)
     coeffs = (0.3, -1.2, 0.7, 0.4)   # cubic
+    us = np.array([0.21, 0.5, 0.83]) if u == "all" else u
     got = K.regional_frac_laplacian(
         kp, lambda v: coeffs[0] + coeffs[1] * v + coeffs[2] * v ** 2
-        + coeffs[3] * v ** 3, u)
-    expected = kp.c_gamma * _exact_regional_poly(u, gamma, coeffs)
-    assert abs(got - expected) < 1e-8
+        + coeffs[3] * v ** 3, us)
+    expected = kp.c_gamma * np.array(
+        [_exact_regional_poly(v, gamma, coeffs) for v in np.ravel(us)])
+    assert np.shape(got) == np.shape(us)
+    assert np.max(np.abs(np.ravel(got) - expected)) < 1e-8
 
 
 def test_regional_laplacian_trivial_cases():
@@ -272,6 +275,46 @@ def test_regional_laplacian_trivial_cases():
     assert abs(K.regional_frac_laplacian(kp, lambda v: v, 0.5)) < 1e-10
     with pytest.raises(DomainError):
         K.regional_frac_laplacian(kp, lambda v: v, 0.0)
+    with pytest.raises(DomainError):
+        K.regional_frac_laplacian(kp, lambda v: v, np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("gamma", (0.5, 1.5))
+def test_regional_laplacian_array_equals_scalar_calls(gamma):
+    kp = K.KernelParams.create(gamma)
+    G = lambda v: np.sin(3.0 * v) + v ** 2
+    us = np.array([1e-12, 1e-3, 0.21, 0.5, 0.83, 1.0 - 1e-9])
+    scalar = np.array([K.regional_frac_laplacian(kp, G, float(u)) for u in us])
+    assert all(isinstance(K.regional_frac_laplacian(kp, G, float(u)), float)
+               for u in us[:2])
+    for arg in (us, us.reshape(2, 3)):
+        got = K.regional_frac_laplacian(kp, G, arg)
+        assert got.shape == arg.shape
+        assert np.all(np.abs(got.ravel() - scalar) <= 1e-13 * np.abs(scalar))
+
+
+def test_vectorized_flattens_and_reshapes():
+    kp = K.KernelParams.create(1.5)
+
+    def one_dim_only(u):            # written for 1-D input
+        out = np.zeros(len(u))
+        for i in range(len(u)):
+            out[i] = u[i] ** 2
+        return out
+
+    assert K.vectorized(one_dim_only)(np.ones((2, 3))).shape == (2, 3)
+    us = np.array([0.1, 0.5, 0.9])
+    assert np.array_equal(K.regional_frac_laplacian(kp, one_dim_only, us),
+                          K.regional_frac_laplacian(kp, lambda u: u ** 2, us))
+    scalar_only = lambda u: math.sin(u) + u * u
+    ref = K.regional_frac_laplacian(kp, lambda u: np.sin(u) + u * u, us)
+    assert np.max(np.abs(K.regional_frac_laplacian(kp, scalar_only, us)
+                         - ref)) < 1e-12
+
+
+def test_vectorized_raises_what_g_raises():
+    with pytest.raises(ZeroDivisionError):
+        K.vectorized(lambda u: 1 / 0)
 
 
 def test_discrete_matches_regional_at_scale():
