@@ -11,7 +11,7 @@ import numpy as np
 
 from zrlab import mc
 from zrlab.thermo import RateFunction, ThermoTables
-from zrlab.traffic import ModelParams, assemble, solve_direct
+from zrlab.traffic import ModelParams, solve_lattices
 
 
 def main():
@@ -32,7 +32,7 @@ def main():
     params = ModelParams(gamma=args.gamma, theta=args.theta, kappa=1.0,
                          alpha=args.alpha, beta=args.beta, N=args.N,
                          rate=rate)
-    profile = solve_direct(assemble(params, thermo))
+    [(_, profile)] = solve_lattices(params, (args.N,), thermo)
     report = mc.mapping_check(params, profile,
                               seeds=(args.seed, args.seed + 1),
                               t_burn=args.t_burn, t_sample=args.t_sample,

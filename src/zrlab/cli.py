@@ -56,7 +56,6 @@ class RunConfig:
     normalization: str = "normalized"
     seed: int = 1
     out: Path = Path("out")
-    tol: float = 1e-12
     t_burn: Optional[float] = None
     t_sample: float = 2000.0
     grid_points: int = 257
@@ -77,8 +76,6 @@ class RunConfig:
             raise ConfigError("give both --phi-alpha and --phi-beta or neither")
         if self.phi_alpha is None and (self.alpha is None or self.beta is None):
             raise ConfigError("boundary data missing (alpha/beta)")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.t_sample <= 0.0:
             raise ConfigError("t-sample must be positive")
         if self.grid_points < 9:
@@ -115,12 +112,12 @@ class RunConfig:
     def header_lines(self) -> list[str]:
         keys = ["command", "gamma", "theta", "kappa", "alpha", "beta",
                 "phi_alpha", "phi_beta", "N_list", "g", "normalization",
-                "seed", "tol", "t_burn", "t_sample", "grid_points"]
+                "seed", "t_burn", "t_sample", "grid_points"]
         vals = [self.command, self.gamma, self.theta, self.kappa, self.alpha,
                 self.beta, self.phi_alpha, self.phi_beta,
                 ",".join(str(n) for n in self.N_list), self.g_spec,
-                self.normalization, self.seed, self.tol, self.t_burn,
-                self.t_sample, self.grid_points]
+                self.normalization, self.seed, self.t_burn, self.t_sample,
+                self.grid_points]
         lines = [f"# zrlab_version = {__version__}"]
         lines += [f"# {k} = {v}" for k, v in zip(keys, vals)]
         return lines
@@ -144,7 +141,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         choices=["normalized", "paper-literal"])
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", type=str)
-    parser.add_argument("--tol", type=float)
 
 
 def _load_config_file(path: str) -> dict:
@@ -160,7 +156,7 @@ def _load_config_file(path: str) -> dict:
 
 
 _FLOAT_KEYS = {"gamma", "theta", "kappa", "alpha", "beta", "phi_alpha",
-               "phi_beta", "tol", "t_burn", "t_sample", "phi_grid_max"}
+               "phi_beta", "t_burn", "t_sample", "phi_grid_max"}
 _INT_KEYS = {"seed", "grid_points"}
 
 
@@ -183,7 +179,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     for key in ("gamma", "theta", "kappa", "alpha", "beta", "phi_alpha",
-                "phi_beta", "g_spec", "seed", "tol"):
+                "phi_beta", "g_spec", "seed"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
@@ -306,7 +302,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     regime = _regime(cfg, params)
     report.add("regime", regime.tag)
     report.add("kappa_hat", regime.kappa_hat)
-    solved = solve_lattices(params, cfg.N_list, thermo, cfg.tol)
+    solved = solve_lattices(params, cfg.N_list, thermo)
     for system, prof in solved:
         write_profile_csv(prof, thermo, cfg.out / f"profile_N{system.N}.csv")
         report.add(f"residual_N{system.N}", prof.residual_norm)
@@ -348,7 +344,7 @@ def cmd_current(cfg: RunConfig) -> int:
     regime = _regime(cfg, params)
     # the sweep and the extrapolated profile need every N; otherwise N_max
     sweep_Ns = cfg.N_list if len(cfg.N_list) >= 3 else cfg.N_list[-1:]
-    solved = solve_lattices(params, sweep_Ns, thermo, cfg.tol)
+    solved = solve_lattices(params, sweep_Ns, thermo)
     system, prof = solved[-1]
     rep = current_mod.current_report(prof, system)
     rows = [f"{x + 1},{float(w)!r}" for x, w in enumerate(rep.per_x)]
@@ -386,7 +382,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError(f"simulate runs one lattice, got N = {cfg.N_list}")
     [N] = cfg.N_list
     params = cfg.model(N, thermo)
-    [(_, profile)] = solve_lattices(params, (N,), thermo, cfg.tol)
+    [(_, profile)] = solve_lattices(params, (N,), thermo)
     tables_ex = None
     if cfg.negative_control:
         tables_ex = mc.build_event_tables(
@@ -428,7 +424,7 @@ def cmd_ldp(cfg: RunConfig) -> int:
         raise ConfigError("ldp needs at least 3 N values")
     params = cfg.model(cfg.N_list[-1], thermo)
     regime = _regime(cfg, params)
-    solved = solve_lattices(params, cfg.N_list, thermo, cfg.tol)
+    solved = solve_lattices(params, cfg.N_list, thermo)
     cont = _continuum(params, regime, solved, thermo, report)
     rho_at = cont.rho_at()
 

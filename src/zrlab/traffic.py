@@ -4,17 +4,19 @@ The stationary product measure is characterized by the traffic equation
 (D_N - P_N) phi_N = R_N, a strictly diagonally dominant symmetric linear
 system: P_N is the Toeplitz matrix of in-range jump probabilities, D_N
 adds the reservoir coupling kappa N^(-theta)(r^+ + r^-), and R_N carries
-the reservoir fugacities.  A dense LU path covers desk-scale N; large N
-uses conjugate gradients with an FFT Toeplitz matvec; ``solve`` is the one
-place that chooses between them.
+the reservoir fugacities.  Every lattice is solved by conjugate gradients
+with an FFT Toeplitz matvec and a Jacobi-scaled optimal circulant
+preconditioner (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988); dense LU
+is kept as the reference solution.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.fft
@@ -24,8 +26,7 @@ from .errors import ConvergenceError, DomainError
 from .kernel import KernelParams, ReservoirRates, jump_prob, reservoir_rates
 from .thermo import RateFunction, ThermoTables
 
-# Largest N solved by dense LU; conjugate gradients take every larger N.
-LU_LIMIT = 4096
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,13 @@ class ModelParams:
 
 
 class _ToeplitzOperator:
-    """Symmetric Toeplitz matvec via circulant embedding and FFT."""
+    """Symmetric Toeplitz matvec via circulant embedding and FFT, in the
+    precision of ``first_col``."""
 
     def __init__(self, first_col: np.ndarray):
         self.n = len(first_col)
         L = scipy.fft.next_fast_len(2 * self.n)
-        embed = np.zeros(L)
+        embed = np.zeros(L, dtype=first_col.dtype)
         embed[:self.n] = first_col
         embed[L - self.n + 1:] = first_col[1:][::-1]
         self._fft = scipy.fft.rfft(embed)
@@ -148,12 +150,15 @@ class TrafficSystem:
     phi_alpha: float
     phi_beta: float
     rates: ReservoirRates
-    _toeplitz: Optional[_ToeplitzOperator] = field(default=None, repr=False)
+    _toeplitz: dict = field(default_factory=dict, repr=False)
 
     def toeplitz_apply(self, v: np.ndarray) -> np.ndarray:
-        if self._toeplitz is None:
-            self._toeplitz = _ToeplitzOperator(self.kernel_row)
-        return self._toeplitz.apply(v)
+        """P v in the precision of v (double, or long double)."""
+        op = self._toeplitz.get(v.dtype)
+        if op is None:
+            op = _ToeplitzOperator(self.kernel_row.astype(v.dtype))
+            self._toeplitz[v.dtype] = op
+        return op.apply(v)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.diag * v - self.toeplitz_apply(v)
@@ -161,6 +166,31 @@ class TrafficSystem:
     def dominance_margin(self) -> np.ndarray:
         """diag minus off-diagonal row mass: kappa N^-theta (r^+ + r^-) > 0."""
         return self.params.boundary_scale() * (self.rates.left + self.rates.right)
+
+    def preconditioner_spectrum(self) -> np.ndarray:
+        """Eigenvalues d - eig(C) of the circulant core dI - C.
+
+        C is T. Chan's optimal circulant of the kernel row and d the
+        diagonal at the middle site.  C's top eigenvalue is the average
+        in-range row mass, at most the middle site's, which is below d, so
+        every eigenvalue is positive."""
+        t = self.kernel_row
+        n = len(t)
+        k = np.arange(n)
+        c = ((n - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / n
+        return self.diag[n // 2] - scipy.fft.rfft(c).real
+
+    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> M^-1 v for M = S (dI - C) S, S = diag(sqrt(diag / d)).
+
+        The Jacobi scaling S carries the edge growth of the diagonal
+        (N^-theta u^-gamma at theta < 0, gamma > 1) that the circulant
+        cannot see."""
+        n = self.N - 1
+        spectrum = self.preconditioner_spectrum()
+        s_inv = np.sqrt(self.diag[n // 2] / self.diag)
+        return lambda v: s_inv * scipy.fft.irfft(
+            scipy.fft.rfft(s_inv * v) / spectrum, n=n)
 
 
 @dataclass
@@ -220,46 +250,25 @@ def residual(system: TrafficSystem, values: np.ndarray) -> float:
     return float(np.max(np.abs(system.matvec(v) - system.rhs)))
 
 
-def _residual_extended(system: TrafficSystem, x: np.ndarray) -> np.ndarray:
-    """rhs - (D-P) x with the matvec accumulated in extended precision.
-
-    Feeds iterative refinement: the boundary coupling kappa N^-theta can be
-    ~1e-8 at theta ~ 1, so plain double-precision forward error would leave
-    the symmetry identity at only ~1e-10.
-    """
-    n = system.N - 1
-    row = system.kernel_row.astype(np.longdouble)
-    sym = np.concatenate([row[::-1], row[1:]])          # p(|i-j|) band
-    x_ld = x.astype(np.longdouble)
-    conv = np.convolve(sym, x_ld)[n - 1:2 * n - 1]
-    ax = system.diag.astype(np.longdouble) * x_ld - conv
-    return (system.rhs.astype(np.longdouble) - ax).astype(float)
-
-
-def solve_direct(system: TrafficSystem,
-                 cap: int = LU_LIMIT) -> FugacityProfile:
-    """Dense LU with partial pivoting plus mixed-precision refinement;
-    residual < 1e-11 ||R||_inf and forward error near machine precision."""
-    if system.N > cap:
-        raise DomainError(
-            f"N={system.N} exceeds the direct-solver cap {cap}; "
-            "use solve_iterative")
+def solve_direct(system: TrafficSystem) -> FugacityProfile:
+    """Dense LU with partial pivoting, O(N^3): the reference solution that
+    tests and the exact-generator check compare against."""
     A = scipy.linalg.toeplitz(-system.kernel_row)
     idx = np.arange(system.N - 1)
     A[idx, idx] += system.diag
-    lu, piv = scipy.linalg.lu_factor(A, overwrite_a=True, check_finite=False)
-    phi = scipy.linalg.lu_solve((lu, piv), system.rhs, check_finite=False)
-    for _ in range(3):
-        r = _residual_extended(system, phi)
-        if np.max(np.abs(r)) < 1e-18 * max(1.0, float(np.max(np.abs(phi)))):
-            break
-        phi = phi + scipy.linalg.lu_solve((lu, piv), r, check_finite=False)
+    phi = scipy.linalg.solve(A, system.rhs, assume_a="gen",
+                             check_finite=False)
+    return _profile(system, phi, "direct")
+
+
+def _profile(system: TrafficSystem, phi: np.ndarray, method: str,
+             **extra) -> FugacityProfile:
     phi = _symmetrize(system, phi)
-    res = residual(system, phi)
     return FugacityProfile(values=phi, params=system.params,
                            phi_alpha=system.phi_alpha,
                            phi_beta=system.phi_beta,
-                           residual_norm=res, method="direct")
+                           residual_norm=residual(system, phi),
+                           method=method, **extra)
 
 
 def _symmetrize(system: TrafficSystem, phi: np.ndarray) -> np.ndarray:
@@ -280,81 +289,71 @@ def _initial_guess(system: TrafficSystem) -> np.ndarray:
     return system.phi_alpha + (system.phi_beta - system.phi_alpha) * x
 
 
-def solve_iterative(system: TrafficSystem, tol: Optional[float] = None,
-                    max_iter: int = 200_000, x0: Optional[np.ndarray] = None,
+def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
                     record_iterates: bool = False) -> FugacityProfile:
-    """Conjugate gradients on the SPD matrix D - P (FFT Toeplitz matvec).
+    """Preconditioned conjugate gradients on the SPD matrix D - P, run to
+    the rounding floor.
 
-    The recorded history holds max-norm residuals per iteration (for
-    failure reports); ``record_iterates`` additionally keeps every iterate
-    so the monotone decay of the error energy norm can be checked against
-    a reference solution.
+    Each sweep restarts from the true residual and iterates until the
+    recurrence residual is below eps (||A|| ||x|| + ||R||) in max norm, the
+    backward error of a correctly rounded solution.  Sweeps repeat while
+    they halve the true residual; the best iterate is returned, and
+    ``ConvergenceError`` is raised only when ``max_iter`` is spent.  The
+    recorded history holds the max-norm residual at each sweep start and
+    after each iteration (for failure reports); ``record_iterates``
+    additionally keeps every iterate so the monotone decay of the error
+    energy norm can be checked against a reference solution.
     """
     b = system.rhs
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(b))))
-    x = _initial_guess(system) if x0 is None else x0.astype(float).copy()
+    precondition = system.preconditioner()
+    a_norm = float(np.max(2.0 * system.diag - system.dominance_margin()))
+    b_norm = float(np.max(np.abs(b)))
+    x = _initial_guess(system)
     history = []
     iterates = [x.copy()] if record_iterates else None
     iterations = 0
-    for _sweep in range(4):
-        r = b - system.matvec(x)
-        history.append(float(np.max(np.abs(r))))
-        if history[-1] < tol:
+    best, best_res, last = x.copy(), math.inf, math.inf
+    while True:
+        # the restart residual is accumulated in long double: smooth error
+        # components barely move a double-precision residual, so without it
+        # the forward error stalls near cond(A) eps instead of eps
+        r = (b - system.matvec(x.astype(np.longdouble))).astype(float)
+        res = float(np.max(np.abs(r)))
+        history.append(res)
+        if res < best_res:
+            best, best_res = x.copy(), res
+        if not res < 0.5 * last:
             break
-        p = r.copy()
-        rs = float(r @ r)
-        while iterations < max_iter:
+        last = res
+        floor = EPS * (a_norm * float(np.max(np.abs(x))) + b_norm)
+        z = precondition(r)
+        p = z.copy()
+        rz = float(r @ z)
+        while res > floor:
+            if iterations >= max_iter:
+                raise ConvergenceError(
+                    f"preconditioned CG spent max_iter={max_iter} "
+                    f"iterations at residual {res:g} (floor {floor:g})",
+                    history=np.array(history))
             Ap = system.matvec(p)
-            denom = float(p @ Ap)
-            if denom <= 0.0:
-                break
-            a = rs / denom
+            a = rz / float(p @ Ap)
             x += a * p
             r -= a * Ap
             iterations += 1
-            history.append(float(np.max(np.abs(r))))
+            res = float(np.max(np.abs(r)))
+            history.append(res)
             if record_iterates:
                 iterates.append(x.copy())
-            if history[-1] < tol:
-                break
-            rs_new = float(r @ r)
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        # recompute the true residual; restart if the recurrence drifted
-        if residual(system, x) < tol:
-            break
-        if iterations >= max_iter:
-            raise ConvergenceError(
-                f"conjugate gradients stalled at residual "
-                f"{residual(system, x):g} (tol {tol:g})",
-                history=np.array(history))
-    else:
-        raise ConvergenceError(
-            f"conjugate gradients did not reach tol={tol:g} after "
-            f"{iterations} iterations (last residual {history[-1]:g})",
-            history=np.array(history))
-    x = _symmetrize(system, x)
-    res = residual(system, x)
-    return FugacityProfile(values=x, params=system.params,
-                           phi_alpha=system.phi_alpha,
-                           phi_beta=system.phi_beta,
-                           residual_norm=res, method="iterative",
-                           cg_history=np.array(history), iterates=iterates)
-
-
-def solve(system: TrafficSystem,
-          tol: Optional[float] = None) -> FugacityProfile:
-    """phi_N by dense LU for N <= LU_LIMIT, by conjugate gradients above;
-    ``tol`` bounds the max-norm CG residual (default 1e-12 max(1, ||R||))."""
-    if system.N <= LU_LIMIT:
-        return solve_direct(system)
-    return solve_iterative(system, tol=tol)
+            z = precondition(r)
+            rz_new = float(r @ z)
+            p = z + (rz_new / rz) * p
+            rz = rz_new
+    return _profile(system, best, "iterative", cg_history=np.array(history),
+                    iterates=iterates)
 
 
 def solve_lattices(params: ModelParams, N_values: Sequence[int],
-                   thermo: Optional[ThermoTables] = None,
-                   tol: Optional[float] = None
+                   thermo: Optional[ThermoTables] = None
                    ) -> list[tuple[TrafficSystem, FugacityProfile]]:
     """Assemble and solve each lattice size once; the systems differ from
     ``params`` only in N."""
@@ -364,7 +363,7 @@ def solve_lattices(params: ModelParams, N_values: Sequence[int],
     for N in N_values:
         system = assemble(dataclasses.replace(params, N=int(N)), thermo,
                           kernel)
-        solved.append((system, solve(system, tol)))
+        solved.append((system, solve_iterative(system)))
     return solved
 
 

@@ -199,13 +199,13 @@ def test_negative_control_fails_as_designed(tmp_path):
 def _count_work(monkeypatch):
     """Count traffic solves per lattice size and Monte Carlo chain runs."""
     solves, chains = Counter(), []
-    solve = traffic.solve
+    solve = traffic.solve_iterative
 
-    def counting_solve(system, tol=None):
+    def counting_solve(system, **kw):
         solves[system.N] += 1
-        return solve(system, tol)
+        return solve(system, **kw)
 
-    monkeypatch.setattr(traffic, "solve", counting_solve)
+    monkeypatch.setattr(traffic, "solve_iterative", counting_solve)
     for name in ("simulate_zero_range", "simulate_exclusion"):
         def counting_chain(*args, _run=getattr(mc, name), _name=name, **kw):
             chains.append(_name)
@@ -235,24 +235,14 @@ def test_each_lattice_solved_once(tmp_path, monkeypatch, argv, lattices,
     assert runs == chains
 
 
-def test_tol_reaches_cg_solves(tmp_path, monkeypatch):
-    seen = []
-    solve_iterative = traffic.solve_iterative
-
-    def spy(system, tol=None, **kw):
-        seen.append(tol)
-        return solve_iterative(system, tol=tol, **kw)
-
-    monkeypatch.setattr(traffic, "solve_iterative", spy)
-    # a loose tol may fail the bond check (exit 5); only its use matters here
-    run(["current", "--gamma", "0.5", "--theta", "0.5",
-         "--N", str(traffic.LU_LIMIT + 1), "--tol", "1e-9",
-         "--out", str(tmp_path / "c")])
-    assert seen == [1e-9]
-
-
-@pytest.mark.parametrize("tol", ["0", "-1e-12"])
-def test_nonpositive_tol_refused(tmp_path, tol):
-    code = run(["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
-                f"--tol={tol}", "--out", str(tmp_path / "p")])
-    assert code == cli.EXIT_CONFIG
+def test_tol_refused(tmp_path):
+    # every solve runs to the rounding floor: a tolerance is not an input
+    argv = ["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
+            "--out", str(tmp_path / "p")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--tol", "1e-9"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\ntol = 1e-9\n")
+    assert run(argv + ["--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "p").exists()

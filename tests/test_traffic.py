@@ -6,11 +6,13 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zrlab.current import current_report
 from zrlab.errors import ConvergenceError, DomainError
 from zrlab.kernel import riemann_zeta
 from zrlab.thermo import RateFunction, ThermoTables
-from zrlab.traffic import (ModelParams, assemble, density_profile, residual,
-                           solve_direct, solve_iterative, write_profile_csv)
+from zrlab.traffic import (EPS, ModelParams, assemble, density_profile,
+                           residual, solve_direct, solve_iterative,
+                           write_profile_csv)
 
 from conftest import make_params
 
@@ -63,8 +65,9 @@ def test_hand_solved_two_site_system(thermo_identity):
     # 2x2 elimination: [[1,-c],[-c,1]] phi = rhs
     det = 1.0 - c * c
     expected = np.array([(rhs1 + c * rhs2) / det, (rhs2 + c * rhs1) / det])
-    prof = solve_direct(system)
-    assert np.allclose(prof.values, expected, atol=1e-14)
+    for solve in (solve_direct, solve_iterative):
+        prof = solve(system)
+        assert np.allclose(prof.values, expected, atol=1e-14)
 
 
 def test_direct_residual_bounds_symmetry(thermo_identity):
@@ -91,13 +94,6 @@ def test_stationarity_witness(solved_256):
     # residual of the assembled system IS E[L_N xi(x)] = 0 reconstructed
     system, prof = solved_256
     assert residual(system, prof) < 1e-11
-
-
-def test_direct_cap_advises_iterative(thermo_identity):
-    params = make_params(1.5, 0.0, 16)
-    system = assemble(params, thermo_identity)
-    with pytest.raises(DomainError, match="solve_iterative"):
-        solve_direct(system, cap=8)
 
 
 def test_iterative_matches_direct(thermo_identity):
@@ -136,7 +132,7 @@ def test_iterative_nonconvergence_reports_history(thermo_identity):
     params = make_params(1.5, 0.0, 256)
     system = assemble(params, thermo_identity)
     with pytest.raises(ConvergenceError) as err:
-        solve_iterative(system, tol=1e-15, max_iter=3)
+        solve_iterative(system, max_iter=3)
     assert err.value.history is not None
     assert len(err.value.history) >= 3
 
@@ -180,14 +176,26 @@ def test_density_profile(thermo_identity, thermo_figure3):
 
 @given(st.floats(min_value=0.3, max_value=1.8),
        st.floats(min_value=-1.0, max_value=1.0),
-       st.floats(min_value=0.25, max_value=4.0))
+       st.floats(min_value=0.25, max_value=4.0),
+       st.integers(min_value=2, max_value=400))
 @settings(max_examples=20, deadline=None)
-def test_bounds_and_symmetry_property(gamma, theta, kappa):
+def test_bounds_and_symmetry_property(gamma, theta, kappa, N):
     thermo = ThermoTables.create(RateFunction.identity())
-    params = make_params(gamma, theta, 48, kappa=kappa)
-    prof = solve_direct(assemble(params, thermo))
-    assert prof.within_bounds(slack=1e-13)
-    assert prof.symmetry_gap() < 1e-11
+    system = assemble(make_params(gamma, theta, N, kappa=kappa), thermo)
+    # the circulant core of the preconditioner is positive definite
+    assert system.preconditioner_spectrum().min() > 0.0
+    a_norm = float(np.max(2.0 * system.diag - system.dominance_margin()))
+    profiles = [solve(system) for solve in (solve_direct, solve_iterative)]
+    for prof in profiles:
+        assert prof.within_bounds(slack=1e-13)
+        assert prof.symmetry_gap() < 1e-11
+        # backward error: a few roundings of eps (||A|| ||phi|| + ||R||)
+        floor = EPS * (a_norm * float(np.max(np.abs(prof.values)))
+                       + float(np.max(np.abs(system.rhs))))
+        assert prof.residual_norm <= 8.0 * floor
+        assert current_report(prof, system).relative_spread() < 1e-10
+    direct, iterative = profiles
+    assert np.max(np.abs(iterative.values - direct.values)) < 1e-9
 
 
 def test_profile_csv(tmp_path, solved_256, thermo_identity):
