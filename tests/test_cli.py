@@ -246,3 +246,14 @@ def test_tol_refused(tmp_path):
     cfg.write_text("[run]\ntol = 1e-9\n")
     assert run(argv + ["--config", str(cfg)]) == cli.EXIT_CONFIG
     assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-12"])
+def test_nonpositive_tol_refused(tmp_path, tol):
+    # the values a tolerance flag once refused are still refused, now as
+    # an unknown flag, before anything is solved or written
+    with pytest.raises(SystemExit) as exc:
+        run(["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
+             f"--tol={tol}", "--out", str(tmp_path / "p")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not (tmp_path / "p").exists()
