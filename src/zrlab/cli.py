@@ -360,6 +360,7 @@ def cmd_current(cfg: RunConfig) -> int:
                                        lattices=solved)
         sweep.to_csv(cfg.out / "fick_sweep.csv", cfg.header_lines())
         report.add("sweep_extrapolated", sweep.extrapolated)
+        report.add("sweep_extrapolation_fallback", sweep.fallback)
         if sweep.closed_form is not None:
             report.add("sweep_closed_form", sweep.closed_form)
             report.add("sweep_rel_err", sweep.rel_err)

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+import scipy.fft
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
@@ -27,44 +28,44 @@ from .traffic import (FugacityProfile, ModelParams, TrafficSystem,
                       solve_lattices)
 
 
-def _bond_evaluator(dens: np.ndarray, bc_left: float, bc_right: float,
-                    system: TrafficSystem) -> Callable[[int], float]:
-    """E[W_x] as a function of the bond x = 1..N, given site means ``dens``
-    and reservoir levels.
-
-    O(N) per bond after O(N) prefix sums: kernel partial sums reduce the
-    double sum over (y < x <= z) to two sliding inner products.
-    """
-    N = system.N
-    p = system.kernel_row                      # p[k], k = 0..N-2
-    P_cum = np.concatenate([[0.0], np.cumsum(p[1:])])   # sum_{j<=k} p(j)
-    left = system.rates.left                   # r^-(z/N), z = 1..N-1
-    right = system.rates.right
-    scale = system.params.boundary_scale()
-    lterm = left * (bc_left - dens)            # z-indexed
-    rterm = right * (bc_right - dens)          # y-indexed
-    # suffix sums over z >= x and prefix sums over y <= x-1
-    lsuf = np.concatenate([np.cumsum(lterm[::-1])[::-1], [0.0]])
-    rpre = np.concatenate([[0.0], np.cumsum(rterm)])
-
-    def current(x: int) -> float:
-        ys = np.arange(1, x)
-        zs = np.arange(x, N)
-        bulk = 0.0
-        if len(ys) and len(zs):
-            s_right = P_cum[N - 1 - ys] - P_cum[x - 1 - ys]
-            s_left = P_cum[zs - 1] - P_cum[zs - x]
-            bulk = float(dens[ys - 1] @ s_right) - float(dens[zs - 1] @ s_left)
-        return float(bulk + scale * (lsuf[x - 1] - rpre[x - 1]))
-
-    return current
-
-
 def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
                            system: TrafficSystem) -> np.ndarray:
-    """E[W_x] for every bond x = 1..N."""
-    current = _bond_evaluator(dens, bc_left, bc_right, system)
-    return np.array([current(x) for x in range(1, system.N + 1)])
+    """E[W_x] for every bond x = 1..N, given site means ``dens`` and
+    reservoir levels, in O(N log N).
+
+    W_x = sum_{y<x<=z} p(z-y) (d_y - d_z) over the pairs with at least one
+    end in 1..N-1; a pair with one end in a reservoir (d = bc_left at
+    y <= 0, bc_right at z >= N) has weight kappa N^-theta.  With the
+    kernel tail sums T[k] = sum_{j>=k} p(j), which are the reservoir rates
+    (left[k-1] = T[k], right[y-1] = T[N-y]), the in-range part is
+
+        sum_{y<x} d_y (T[x-y] - T[N-y]) - sum_{z>=x} d_z (T[z-x+1] - T[z]):
+
+    one convolution and one correlation of d with T by real FFTs, plus
+    cumulative sums.  T decays like k^-gamma, so the FFT rounds against
+    bounded operands, not against the growing prefix sums of p.  W
+    vanishes on constant data, so the midpoint level is subtracted first.
+    """
+    N = system.N
+    tails, right = system.rates.left, system.rates.right
+    scale = system.params.boundary_scale()
+    level = 0.5 * (bc_left + bc_right)
+    d, a, b = dens - level, bc_left - level, bc_right - level
+    L = scipy.fft.next_fast_len(2 * N - 3, real=True)  # linear, not circular
+    d_f = scipy.fft.rfft(d, n=L)
+    t_f = scipy.fft.rfft(tails, n=L)
+    # [x-2] for x = 2..N: sum_{y<x} d_y T[x-y]
+    conv = scipy.fft.irfft(d_f * t_f, n=L)[:N - 1]
+    # [x-1] for x = 1..N-1: sum_{z>=x} d_z T[z-x+1]
+    corr = scipy.fft.irfft(d_f * np.conj(t_f), n=L)[:N - 1]
+    # the y < x terms with T[N-y] and the z >= x terms with T[z], bulk
+    # and reservoir together
+    prefix = np.cumsum(right * ((scale - 1.0) * d - scale * b))
+    suffix = np.cumsum((tails * ((1.0 - scale) * d + scale * a))[::-1])[::-1]
+    W = np.zeros(N)
+    W[1:] += conv + prefix
+    W[:-1] += suffix - corr
+    return W
 
 
 def bond_currents(profile: FugacityProfile,
@@ -87,8 +88,7 @@ def stationary_current(profile: FugacityProfile, system: TrafficSystem,
     """E[W_x] through the bond x - 1/2 (zero-range units)."""
     if not 1 <= x <= system.N:
         raise DomainError(f"bond index x={x} outside 1..N={system.N}")
-    return _bond_evaluator(profile.values, profile.phi_alpha,
-                           profile.phi_beta, system)(x)
+    return float(bond_currents(profile, system)[x - 1])
 
 
 @dataclass
@@ -297,6 +297,7 @@ class SweepResult:
     rescaled: np.ndarray
     extrapolated: float
     err_estimate: float
+    fallback: bool           # the fit fell back to the largest N's value
     closed_form: Optional[float]
     rel_err: Optional[float]
 
@@ -333,7 +334,7 @@ def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
                          for system, profile in lattices])
     rescaled_arr = np.array([w1 / scaling_B(int(N), theta, gamma)
                              for N, w1 in zip(N_sequence, currents)])
-    limit, err, _warn = _fit_power_limit(rescaled_arr, N_sequence)
+    limit, err, fallback = _fit_power_limit(rescaled_arr, N_sequence)
     closed = None
     rel = None
     if theta < 0.0:
@@ -346,4 +347,4 @@ def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
     return SweepResult(N_values=tuple(int(n) for n in N_sequence),
                        currents=currents, rescaled=rescaled_arr,
                        extrapolated=limit, err_estimate=err,
-                       closed_form=closed, rel_err=rel)
+                       fallback=fallback, closed_form=closed, rel_err=rel)

@@ -81,6 +81,9 @@ def test_current_command(tmp_path):
     rep = read_report(out)
     assert "check:bond_independence = PASS" in rep
     assert "check:fick_closed_form = PASS" in rep
+    # the Richardson fit's fallback is a value line, not a check
+    assert "sweep_extrapolation_fallback = True" in rep.splitlines()
+    assert "check:sweep" not in rep
     assert (out / "fick_sweep.csv").exists()
     assert (out / "bond_currents.csv").exists()
 

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zrlab.errors import DomainError
@@ -10,9 +11,11 @@ from zrlab import current as C
 from zrlab import hydrostatic as H
 from zrlab.kernel import KernelParams
 from zrlab.quadrature import integrate_panels
-from zrlab.traffic import assemble, solve_direct
+from zrlab.traffic import assemble, solve_direct, solve_lattices
 
 from conftest import make_params
+
+EPS = float(np.finfo(float).eps)
 
 
 def test_bond_independence(solved_256):
@@ -55,6 +58,74 @@ def test_exclusion_proportionality(solved_256):
     w_ex = C.exclusion_bond_currents(prof, system)
     s = prof.phi_alpha + prof.phi_beta
     assert np.max(np.abs(w_zr - s * w_ex)) < 1e-12 * np.max(np.abs(w_zr))
+
+
+def _exact_bond_currents(dens, bc_left, bc_right, system):
+    """W_x = sum_{y<x<=z} p(z-y) (d_y - d_z) over the sites y, z in 1..N-1,
+    plus kappa N^-theta [sum_{z>=x} r^-(z) (bc_left - d_z)
+    - sum_{y<x} r^+(y) (bc_right - d_y)], in 40-digit arithmetic from
+    p(k) = c k^-(1+gamma) and r^-(z) = sum_{k>=z} p(k) = c zeta(1+gamma, z),
+    r^+(y) = r^-(N-y)."""
+    params, N = system.params, system.N
+    with mpmath.workdps(40):
+        s = mpmath.mpf(params.gamma) + 1
+        c = mpmath.mpf(params.kernel_params().c_gamma)
+        scale = mpmath.mpf(params.kappa) * mpmath.mpf(N) ** -mpmath.mpf(
+            params.theta)
+        d = [None] + [mpmath.mpf(v) for v in dens]          # d[1..N-1]
+        a, b = mpmath.mpf(bc_left), mpmath.mpf(bc_right)
+        jump = [None] + [c * mpmath.mpf(k) ** -s for k in range(1, N)]
+        rate = [None] * (N - 1) + [c * mpmath.zeta(s, N - 1)]
+        for k in range(N - 2, 0, -1):
+            rate[k] = rate[k + 1] + jump[k]
+        # flow[y][x] = sum_{z>=x} p(z-y) (d_y - d_z), for y < x <= N
+        flow = [None] * N
+        for y in range(1, N):
+            flow[y] = [mpmath.mpf(0)] * (N + 1)
+            for x in range(N - 1, y, -1):
+                flow[y][x] = flow[y][x + 1] + jump[x - y] * (d[y] - d[x])
+        out = []
+        for x in range(1, N + 1):
+            bulk = mpmath.fsum(flow[y][x] for y in range(1, x))
+            res = (mpmath.fsum(rate[z] * (a - d[z]) for z in range(x, N))
+                   - mpmath.fsum(rate[N - y] * (b - d[y])
+                                 for y in range(1, x)))
+            out.append(float(bulk + scale * res))
+    return np.array(out)
+
+
+@given(st.floats(min_value=0.1, max_value=1.95),
+       st.floats(min_value=-1.5, max_value=1.5),
+       st.floats(min_value=0.1, max_value=3.0),
+       st.integers(min_value=2, max_value=64))
+@example(1.5, 0.0, 1.0, 2)
+@example(0.5, -0.5, 2.0, 3)
+@settings(max_examples=25, deadline=None)
+def test_bond_currents_match_exact_sum(thermo_identity, gamma, theta, kappa,
+                                       N):
+    # the FFT evaluator against the defining double sum, for the
+    # zero-range profile and for the exclusion image of it
+    system = assemble(make_params(gamma, theta, N, kappa=kappa),
+                      thermo_identity)
+    prof = solve_direct(system)
+    phi_sum = prof.phi_alpha + prof.phi_beta
+    a_t, b_t = H.tilde_densities(prof.phi_alpha, prof.phi_beta)
+    for got, data in (
+            (C.bond_currents(prof, system),
+             (prof.values, prof.phi_alpha, prof.phi_beta)),
+            (C.exclusion_bond_currents(prof, system),
+             (prof.values / phi_sum, a_t, b_t))):
+        ref = _exact_bond_currents(*data, system)
+        assert got.shape == (N,)
+        assert np.max(np.abs(got - ref)) <= 64 * EPS * np.max(np.abs(ref))
+
+
+def test_bond_independence_at_16384(thermo_identity):
+    # the O(N) per-bond prefix sums spread 1.26e-9 here; the solve's
+    # residual is at the rounding floor, so the spread is the evaluator's
+    (system, prof), = solve_lattices(make_params(1.5, 0.0, 2), (16384,),
+                                     thermo_identity)
+    assert C.current_report(prof, system).relative_spread() < 1e-10
 
 
 def test_stationary_current_bond_range(solved_256):
@@ -201,6 +272,18 @@ def test_fick_sweep_neumann_vanishes(thermo_identity):
     assert np.all(np.diff(mags) < 0.0)
     assert mags[-1] < 0.02
     assert abs(sweep.extrapolated) < mags[0]
+
+
+@pytest.mark.parametrize("theta,fallback", ((0.2, True), (0.5, False)),
+                         ids=["Dirichlet", "Robin"])
+def test_fick_sweep_reports_fallback(thermo_identity, theta, fallback):
+    # the Dirichlet rescaled current's steps grow with N at desk sizes
+    # (5.4e-3, then 6.3e-3), so no decaying power law fits and the fit
+    # falls back to the largest N's value
+    sweep = C.fick_sweep(make_params(1.5, theta, 2), (512, 1024, 2048),
+                         thermo_identity)
+    assert sweep.fallback is fallback
+    assert bool(sweep.extrapolated == sweep.rescaled[-1]) is fallback
 
 
 def test_sweep_csv(tmp_path, thermo_identity):
