@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,6 +37,69 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_CONVERGENCE = 4
 EXIT_STATISTICAL = 5
+
+
+SUBCOMMANDS = ("thermo", "profile", "current", "simulate", "ldp")
+MODEL = SUBCOMMANDS[1:]         # the subcommands that solve lattices
+
+
+@dataclass(frozen=True)
+class Option:
+    """One run option: its flag, the RunConfig field it sets, the type of
+    one value, and the subcommands it acts on.  The flag's name and the
+    field's name are its config-file keys (switches have none)."""
+
+    flag: str
+    field: str
+    type: Callable                  # bool: a switch
+    acts_on: tuple
+    header: Optional[str] = None    # its key in the output headers
+    shared: bool = True             # every subcommand parses it
+    repeat: bool = False            # repeatable; comma-separated in a file
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+    def config_keys(self) -> set:
+        if self.type is bool:
+            return set()
+        return {self.flag.lstrip("-").replace("-", "_").lower(),
+                self.field.lower()}
+
+
+# Every option, in the order of the output headers.  A shared option that
+# does not act on a subcommand is parsed there only to be refused.
+OPTIONS = (
+    Option("--gamma", "gamma", float, MODEL, "gamma"),
+    Option("--theta", "theta", float, MODEL, "theta"),
+    Option("--kappa", "kappa", float, MODEL, "kappa"),
+    Option("--alpha", "alpha", float, MODEL, "alpha"),
+    Option("--beta", "beta", float, MODEL, "beta"),
+    Option("--phi-alpha", "phi_alpha", float, MODEL, "phi_alpha",
+           help="boundary fugacity (instead of --alpha)"),
+    Option("--phi-beta", "phi_beta", float, MODEL, "phi_beta"),
+    Option("--N", "N_list", int, MODEL, "N_list", repeat=True,
+           help="lattice size; repeatable"),
+    Option("--g", "g_spec", str, SUBCOMMANDS, "g",
+           help="identity|indicator|figure3|table:PATH"),
+    Option("--normalization", "normalization", str, MODEL, "normalization",
+           choices=("normalized", "paper-literal")),
+    Option("--seed", "seed", int, ("simulate",), "seed"),
+    Option("--t-burn", "t_burn", float, ("simulate",), "t_burn",
+           shared=False),
+    Option("--t-sample", "t_sample", float, ("simulate",), "t_sample",
+           shared=False),
+    Option("--grid-points", "grid_points", int, ("profile",), "grid_points",
+           shared=False),
+    Option("--phi-grid-max", "phi_grid_max", float, ("thermo",),
+           shared=False),
+    Option("--figure3", "figure3", bool, ("profile",), shared=False,
+           help="figure-3 preset: g=figure3, boundary fugacities 0.2/0.8"),
+    Option("--negative-control", "negative_control", bool, ("simulate",),
+           shared=False),
+    Option("--out", "out", Path, SUBCOMMANDS),
+)
+_BY_FIELD = {opt.field: opt for opt in OPTIONS}
+_BY_CONFIG_KEY = {key: opt for opt in OPTIONS for key in opt.config_keys()}
 
 
 @dataclass
@@ -110,37 +173,31 @@ class RunConfig:
                            rate=rate, normalization_mode=self.normalization)
 
     def header_lines(self) -> list[str]:
-        keys = ["command", "gamma", "theta", "kappa", "alpha", "beta",
-                "phi_alpha", "phi_beta", "N_list", "g", "normalization",
-                "seed", "t_burn", "t_sample", "grid_points"]
-        vals = [self.command, self.gamma, self.theta, self.kappa, self.alpha,
-                self.beta, self.phi_alpha, self.phi_beta,
-                ",".join(str(n) for n in self.N_list), self.g_spec,
-                self.normalization, self.seed, self.t_burn, self.t_sample,
-                self.grid_points]
-        lines = [f"# zrlab_version = {__version__}"]
-        lines += [f"# {k} = {v}" for k, v in zip(keys, vals)]
+        lines = [f"# zrlab_version = {__version__}",
+                 f"# command = {self.command}"]
+        for opt in OPTIONS:
+            if opt.header is not None:
+                value = getattr(self, opt.field)
+                if opt.repeat:
+                    value = ",".join(str(v) for v in value)
+                lines.append(f"# {opt.header} = {value}")
         return lines
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     parser.add_argument("--config", type=str, help="key=value config file")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--theta", type=float)
-    parser.add_argument("--kappa", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--phi-alpha", type=float, dest="phi_alpha",
-                        help="boundary fugacity (overrides --alpha)")
-    parser.add_argument("--phi-beta", type=float, dest="phi_beta")
-    parser.add_argument("--N", type=int, action="append", dest="N_list",
-                        help="lattice size; repeatable")
-    parser.add_argument("--g", type=str, dest="g_spec",
-                        help="identity|indicator|figure3|table:PATH")
-    parser.add_argument("--normalization", type=str,
-                        choices=["normalized", "paper-literal"])
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", type=str)
+    for opt in OPTIONS:
+        if not opt.shared and command not in opt.acts_on:
+            continue
+        kwargs = {"dest": opt.field, "default": argparse.SUPPRESS,
+                  "help": opt.help}
+        if opt.type is bool:
+            kwargs["action"] = "store_true"
+        else:
+            kwargs.update(type=opt.type, choices=opt.choices)
+            if opt.repeat:
+                kwargs["action"] = "append"
+        parser.add_argument(opt.flag, **kwargs)
 
 
 def _load_config_file(path: str) -> dict:
@@ -155,50 +212,43 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-_FLOAT_KEYS = {"gamma", "theta", "kappa", "alpha", "beta", "phi_alpha",
-               "phi_beta", "t_burn", "t_sample", "phi_grid_max"}
-_INT_KEYS = {"seed", "grid_points"}
+def _config_value(opt: Option, text: str):
+    try:
+        if opt.repeat:
+            return tuple(opt.type(v) for v in text.split(","))
+        return opt.type(text)
+    except ValueError as exc:
+        raise ConfigError(f"config key {opt.field!r}: {exc}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then the flags given.  A flag that
+    cannot act on the run is refused; a config file may carry keys for
+    other subcommands."""
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
         for key, val in _load_config_file(args.config).items():
-            if key == "n_list" or key == "n":
-                cfg.N_list = tuple(int(v) for v in val.split(","))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(val))
-            elif key in _INT_KEYS:
-                setattr(cfg, key, int(val))
-            elif key in ("g", "g_spec"):
-                cfg.g_spec = val
-            elif key == "normalization":
-                cfg.normalization = val.replace("-", "_")
-            elif key == "out":
-                cfg.out = Path(val)
-            else:
+            if key not in _BY_CONFIG_KEY:
                 raise ConfigError(f"unknown config key {key!r}")
-    for key in ("gamma", "theta", "kappa", "alpha", "beta", "phi_alpha",
-                "phi_beta", "g_spec", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    if getattr(args, "N_list", None):
-        cfg.N_list = tuple(args.N_list)
-    if getattr(args, "normalization", None):
-        cfg.normalization = args.normalization.replace("-", "_")
-    if getattr(args, "out", None):
-        cfg.out = Path(args.out)
-    for key in ("t_burn", "t_sample", "grid_points", "phi_grid_max"):
-        val = getattr(args, key, None)
-        if val is not None:
-            setattr(cfg, key, val)
-    cfg.negative_control = bool(getattr(args, "negative_control", False))
-    cfg.figure3 = bool(getattr(args, "figure3", False))
+            opt = _BY_CONFIG_KEY[key]
+            setattr(cfg, opt.field, _config_value(opt, val))
+    given = {field: val for field, val in vars(args).items()
+             if field in _BY_FIELD}
+    for field, val in given.items():
+        opt = _BY_FIELD[field]
+        if cfg.command not in opt.acts_on:
+            raise ConfigError(f"{opt.flag} does not act on {cfg.command}")
+        setattr(cfg, field, tuple(val) if opt.repeat else val)
+    cfg.normalization = cfg.normalization.replace("-", "_")
     if cfg.figure3:
+        if "g_spec" in given:
+            raise ConfigError("--figure3 sets g; --g does not act with it")
         cfg.g_spec = "figure3"
         if cfg.phi_alpha is None:
             cfg.phi_alpha, cfg.phi_beta = 0.2, 0.8
+    if cfg.phi_alpha is not None and given.keys() & {"alpha", "beta"}:
+        raise ConfigError("boundary fugacities are set; --alpha/--beta "
+                          "do not act with them")
     cfg.validate()
     return cfg
 
@@ -260,10 +310,10 @@ def _continuum(params: ModelParams, regime: hydro.Regime, solved: list,
 
 
 # -- subcommands ------------------------------------------------------------
+# Each writes its data files and adds its lines to the run's report; main
+# writes report.txt and turns failed checks and errors into exit codes.
 
-def cmd_thermo(cfg: RunConfig) -> int:
-    thermo = ThermoTables.create(cfg.rate())
-    report = Report(cfg)
+def cmd_thermo(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     hi = cfg.phi_grid_max
     if hi is None:
         hi = (min(0.98 * thermo.phi_max(), 4.0)
@@ -291,13 +341,9 @@ def cmd_thermo(cfg: RunConfig) -> int:
     report.add("m_star", thermo.m_star)
     report.add("max_roundtrip_error", max_rt)
     report.check("roundtrip", max_rt < 1e-10, f"max {max_rt:g}")
-    report.write(cfg.out / "report.txt")
-    return EXIT_STATISTICAL if report.failures else EXIT_OK
 
 
-def cmd_profile(cfg: RunConfig) -> int:
-    thermo = ThermoTables.create(cfg.rate())
-    report = Report(cfg)
+def cmd_profile(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     params = cfg.model(cfg.N_list[-1], thermo)
     regime = _regime(cfg, params)
     report.add("regime", regime.tag)
@@ -333,13 +379,9 @@ def cmd_profile(cfg: RunConfig) -> int:
     r0, r1 = cont.boundary_values()
     report.add("rho_boundary_left", float(r0))
     report.add("rho_boundary_right", float(r1))
-    report.write(cfg.out / "report.txt")
-    return EXIT_STATISTICAL if report.failures else EXIT_OK
 
 
-def cmd_current(cfg: RunConfig) -> int:
-    thermo = ThermoTables.create(cfg.rate())
-    report = Report(cfg)
+def cmd_current(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     params = cfg.model(cfg.N_list[-1], thermo)
     regime = _regime(cfg, params)
     # the sweep and the extrapolated profile need every N; otherwise N_max
@@ -372,13 +414,9 @@ def cmd_current(cfg: RunConfig) -> int:
     report.add("fick_limit_spread", fl.spread)
     if fl.closed_form is not None:
         report.add("fick_limit_closed_form", fl.closed_form)
-    report.write(cfg.out / "report.txt")
-    return EXIT_STATISTICAL if report.failures else EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    thermo = ThermoTables.create(cfg.rate())
-    report = Report(cfg)
+def cmd_simulate(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     if len(cfg.N_list) != 1:
         raise ConfigError(f"simulate runs one lattice, got N = {cfg.N_list}")
     [N] = cfg.N_list
@@ -405,8 +443,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
                      mapping.summary())
     else:
         report.check("mapping", mapping.passed, mapping.summary())
-    report.write(cfg.out / "report.txt")
-    return EXIT_STATISTICAL if report.failures else EXIT_OK
 
 
 _LDP_BASIS = (
@@ -418,9 +454,7 @@ _LDP_BASIS = (
 )
 
 
-def cmd_ldp(cfg: RunConfig) -> int:
-    thermo = ThermoTables.create(cfg.rate())
-    report = Report(cfg)
+def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     if len(cfg.N_list) < 3:
         raise ConfigError("ldp needs at least 3 N values")
     params = cfg.model(cfg.N_list[-1], thermo)
@@ -453,8 +487,10 @@ def cmd_ldp(cfg: RunConfig) -> int:
     report.add("rate_at_typical_profile", zero)
     report.check("rate_vanishes_at_typical", abs(zero) < 1e-8, f"{zero:g}")
     report.check("gap_monotone", monotone_all)
-    report.write(cfg.out / "report.txt")
-    return EXIT_STATISTICAL if report.failures else EXIT_OK
+
+
+COMMANDS = {"thermo": cmd_thermo, "profile": cmd_profile,
+            "current": cmd_current, "simulate": cmd_simulate, "ldp": cmd_ldp}
 
 
 def main(argv=None) -> int:
@@ -463,28 +499,14 @@ def main(argv=None) -> int:
         description="stationary-state computations for the boundary-driven "
                     "zero-range process with long jumps")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("thermo", cmd_thermo), ("profile", cmd_profile),
-                     ("current", cmd_current), ("simulate", cmd_simulate),
-                     ("ldp", cmd_ldp)):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.set_defaults(func=fn)
-        if name == "thermo":
-            p.add_argument("--phi-grid-max", type=float, dest="phi_grid_max")
-        if name == "profile":
-            p.add_argument("--grid-points", type=int, dest="grid_points")
-            p.add_argument("--figure3", action="store_true",
-                           help="figure-3 preset: g=figure3, boundary "
-                                "fugacities 0.2/0.8")
-        if name == "simulate":
-            p.add_argument("--t-burn", type=float, dest="t_burn")
-            p.add_argument("--t-sample", type=float, dest="t_sample")
-            p.add_argument("--negative-control", action="store_true",
-                           dest="negative_control")
+    for name in COMMANDS:
+        _add_options(sub.add_parser(name), name)
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        return args.func(cfg)
+        thermo = ThermoTables.create(cfg.rate())
+        report = Report(cfg)
+        COMMANDS[cfg.command](cfg, thermo, report)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -494,6 +516,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    report.write(cfg.out / "report.txt")
+    return EXIT_STATISTICAL if report.failures else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ import scipy.fft
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .hydrostatic import (ContinuumProfile, Regime, _fit_power_limit,
-                          classify_regime, tilde_densities)
+from .hydrostatic import ContinuumProfile, _fit_power_limit, tilde_densities
 from .kernel import KernelParams
 from .quadrature import geometric_edges, integrate_panels, panel_nodes
 from .thermo import ThermoTables
@@ -240,12 +239,10 @@ def _reservoir_terms(rho_fast: Callable, u: float, gamma: float,
 
 @dataclass
 class FickLimit:
-    u_values: np.ndarray
     values: np.ndarray       # limit evaluated at each u (zero-range units)
     mean: float
     spread: float
     closed_form: Optional[float]    # theta < 0 only
-    regime: Regime
 
 
 def fick_limit(profile: ContinuumProfile, params: ModelParams,
@@ -259,9 +256,6 @@ def fick_limit(profile: ContinuumProfile, params: ModelParams,
     the double integral alone.  The result must be u-independent; the
     spread over ``u_values`` is reported.
     """
-    if profile.provenance == "extrapolated" and profile.err_estimate is None:
-        raise DomainError("extrapolated profile lacks the error estimate "
-                          "needed to bound the singular double integral")
     kernel = kernel or params.kernel_params()
     gamma, theta, kappa = params.gamma, params.theta, params.kappa
     phi_sum = profile.phi_sum
@@ -281,11 +275,9 @@ def fick_limit(profile: ContinuumProfile, params: ModelParams,
     closed = None
     if theta < 0.0:
         closed = closed_form_limit_zr(phi_a, phi_b, gamma, kappa, kernel)
-    return FickLimit(u_values=np.asarray(u_values, dtype=float), values=vals,
-                     mean=float(vals.mean()),
+    return FickLimit(values=vals, mean=float(vals.mean()),
                      spread=float(vals.max() - vals.min()),
-                     closed_form=closed,
-                     regime=classify_regime(gamma, theta, kappa, kernel))
+                     closed_form=closed)
 
 
 @dataclass
@@ -301,7 +293,7 @@ class SweepResult:
     closed_form: Optional[float]
     rel_err: Optional[float]
 
-    def to_csv(self, path, header_lines=()) -> None:
+    def to_csv(self, path, header_lines) -> None:
         lines = list(header_lines)
         lines.append("N,B_N,current,rescaled,extrapolated_limit,"
                      "closed_form,rel_err")

@@ -9,7 +9,6 @@ functions with a finite radius are rejected up front.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,28 +20,6 @@ from .kernel import vectorized
 from .quadrature import integrate_panels
 from .thermo import ThermoTables
 from .traffic import FugacityProfile
-
-
-@dataclass
-class TestFunctionGrid:
-    """A continuous G sampled on the lattice and on a quadrature grid."""
-
-    fn: Callable
-    lattice: np.ndarray
-    quad: np.ndarray
-    sup_norm: float
-
-    @classmethod
-    def from_callable(cls, G: Callable, N: int,
-                      quad_grid: np.ndarray) -> "TestFunctionGrid":
-        gv = vectorized(G)
-        lattice = gv(np.arange(1, N, dtype=float) / N)
-        quad = gv(np.asarray(quad_grid, dtype=float))
-        vals = np.concatenate([lattice, quad])
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("test function produced non-finite values")
-        return cls(fn=gv, lattice=lattice, quad=quad,
-                   sup_norm=float(np.max(np.abs(vals))))
 
 
 def _require_unbounded(thermo: ThermoTables, what: str) -> None:

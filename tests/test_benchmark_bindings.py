@@ -1,0 +1,75 @@
+"""The names the benchmark (``perfbench/``) binds in zrlab still resolve.
+
+The suite does not collect ``perfbench/``, so without these checks a
+rename would break the benchmark only when it runs.  Its modules are
+loaded from their files and only read.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from zrlab import cli, hydrostatic, traffic
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)     # leaves no cache in perfbench/
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
+
+
+tracing = _load("tracing")
+workloads = _load("workloads")
+
+
+def _resolve(module, attr):
+    obj = importlib.import_module(module)
+    for part in attr.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("module,attr",
+                         [entry[:2] for entry in tracing.TRACED],
+                         ids=[".".join(entry[:2]) for entry in tracing.TRACED])
+def test_traced_functions_resolve(module, attr):
+    assert callable(_resolve(module, attr))
+
+
+@pytest.mark.parametrize("module,attr", [
+    ("zrlab.cli", "main"),
+    ("zrlab.cli", "EXIT_STATISTICAL"),
+    ("zrlab.hydrostatic", "compact_bump"),
+    ("zrlab.hydrostatic", "read_continuum_csv"),
+    ("zrlab.hydrostatic", "weak_form_residual"),
+    ("zrlab.kernel", "KernelParams.create"),
+    ("zrlab.thermo", "ThermoTables.create"),
+])
+def test_bench_names_resolve(module, attr):
+    _resolve(module, attr)
+
+
+def test_solve_direct_reexports():
+    # the tracer wraps every zrlab binding of a traced function
+    assert cli.solve_direct is traffic.solve_direct
+    assert hydrostatic.solve_direct is traffic.solve_direct
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_rate_specs_build(name):
+    specs = workloads.rate_specs(workloads.build(name, 1))
+    assert specs
+    for spec in specs:
+        cli.RunConfig("thermo", g_spec=spec).rate()

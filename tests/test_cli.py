@@ -150,6 +150,14 @@ def test_unknown_config_key(tmp_path):
                 "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
 
 
+def test_malformed_config_value(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nn = 64,many\n")
+    assert run(["profile", "--config", str(cfg),
+                "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert run(["thermo", "--config", str(tmp_path / "nope.cfg"),
                 "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
@@ -260,3 +268,61 @@ def test_nonpositive_tol_refused(tmp_path, tol):
              f"--tol={tol}", "--out", str(tmp_path / "p")])
     assert exc.value.code == cli.EXIT_CONFIG
     assert not (tmp_path / "p").exists()
+
+
+CLOSED_FORM = ["--gamma", "1.5", "--theta", "-1", "--N", "64"]
+FUGACITIES = ["--phi-alpha", "0.2", "--phi-beta", "0.8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermo", "--seed", "5"],
+    ["profile", "--seed", "99"] + CLOSED_FORM,
+    ["current", "--seed", "99"] + CLOSED_FORM,
+    ["ldp", "--seed", "99", "--N", "16", "--N", "32"] + CLOSED_FORM,
+    ["thermo", "--gamma", "1.9"],
+    ["thermo", "--theta", "0.5"],
+    ["thermo", "--kappa", "3"],
+    ["thermo", "--alpha", "0.5"],
+    ["thermo", "--beta", "1.5"],
+    ["thermo"] + FUGACITIES,
+    ["thermo", "--N", "64"],
+    ["thermo", "--normalization", "paper-literal"],
+    ["profile", "--alpha", "0.9"] + FUGACITIES + CLOSED_FORM,
+    ["simulate", "--beta", "1.2", "--t-sample", "50"] + FUGACITIES
+    + CLOSED_FORM,
+    ["profile", "--figure3", "--g", "identity"] + CLOSED_FORM,
+    ["profile", "--figure3", "--alpha", "0.9"] + CLOSED_FORM,
+], ids=["thermo-seed", "profile-seed", "current-seed", "ldp-seed",
+        "thermo-gamma", "thermo-theta", "thermo-kappa", "thermo-alpha",
+        "thermo-beta", "thermo-fugacities", "thermo-N",
+        "thermo-normalization", "alpha-and-fugacities",
+        "beta-and-fugacities", "figure3-and-g", "figure3-and-alpha"])
+def test_inert_flags_refused(tmp_path, monkeypatch, argv):
+    # a flag that cannot act on the run is a config error, not ignored
+    solves, chains = _count_work(monkeypatch)
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+    assert not solves and not chains and not out.exists()
+
+
+def test_config_file_may_carry_other_commands_keys(tmp_path):
+    # one file can serve several subcommands: keys that do not act on this
+    # one are accepted, and the flags that act still override the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\ngamma = 1.9\nkappa = 3\nphi_alpha = 0.2\n"
+                   "phi_beta = 0.8\nn = 64,128\n[run]\nseed = 5\n"
+                   "t_sample = 50\ngrid_points = 33\n")
+    out = tmp_path / "t"
+    assert run(["thermo", "--config", str(cfg), "--g", "figure3",
+                "--out", str(out)]) == 0
+    assert "# g = figure3" in read_report(out).splitlines()
+
+
+def test_header_keys_in_order():
+    cfg = cli.RunConfig("profile", N_list=(64, 128))
+    keys = [line[2:].split(" = ")[0] for line in cfg.header_lines()]
+    assert keys == ["zrlab_version", "command", "gamma", "theta", "kappa",
+                    "alpha", "beta", "phi_alpha", "phi_beta", "N_list", "g",
+                    "normalization", "seed", "t_burn", "t_sample",
+                    "grid_points"]
+    assert "# N_list = 64,128" in cfg.header_lines()

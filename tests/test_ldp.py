@@ -23,17 +23,6 @@ def m_bar_callable(profile):
                                profile.m)
 
 
-def test_test_function_grid():
-    tf = L.TestFunctionGrid.from_callable(lambda u: np.sin(3 * u), 32,
-                                          np.linspace(0, 1, 11))
-    assert tf.lattice.shape == (31,)
-    assert 0.9 < tf.sup_norm <= 1.0
-    with pytest.raises(DomainError):
-        L.TestFunctionGrid.from_callable(
-            lambda u: np.where(u > 0.5, np.inf, 1.0), 8,
-            np.linspace(0, 1, 5))
-
-
 def test_log_mgf_zero_function(thermo_identity, solved_256):
     _, prof = solved_256
     assert L.log_mgf_scaled(prof, thermo_identity, lambda u: 0.0 * u) == 0.0
