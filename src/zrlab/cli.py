@@ -29,7 +29,7 @@ from . import hydrostatic as hydro
 from . import ldp as ldp_mod
 from . import mc
 from .thermo import RateFunction, ThermoTables, read_rate_table
-from .traffic import ModelParams, solve_lattices, write_profile_csv
+from .traffic import ModelParams, assemble, solve_lattices, write_profile_csv
 from .traffic import solve_direct  # noqa: F401  (re-export)
 
 EXIT_OK = 0
@@ -141,6 +141,8 @@ class RunConfig:
             raise ConfigError("boundary data missing (alpha/beta)")
         if self.t_sample <= 0.0:
             raise ConfigError("t-sample must be positive")
+        if self.t_burn is not None and not self.t_burn >= 0.0:
+            raise ConfigError(f"t-burn must be >= 0, got {self.t_burn}")
         if self.grid_points < 9:
             raise ConfigError("grid must have at least 9 points")
 
@@ -213,12 +215,18 @@ def _load_config_file(path: str) -> dict:
 
 
 def _config_value(opt: Option, text: str):
+    """A config-file value, checked as the flag checks it; in a choice,
+    ``_`` may stand for ``-``."""
     try:
         if opt.repeat:
             return tuple(opt.type(v) for v in text.split(","))
-        return opt.type(text)
+        value = opt.type(text)
     except ValueError as exc:
         raise ConfigError(f"config key {opt.field!r}: {exc}") from None
+    if opt.choices is not None and value.replace("_", "-") not in opt.choices:
+        raise ConfigError(f"config key {opt.field!r}: {value!r} is not one "
+                          f"of {', '.join(opt.choices)}")
+    return value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -424,8 +432,8 @@ def cmd_simulate(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     [(_, profile)] = solve_lattices(params, (N,), thermo)
     tables_ex = None
     if cfg.negative_control:
-        tables_ex = mc.build_event_tables(
-            cfg.model(N, thermo, swap_boundaries=True), thermo)
+        tables_ex = mc.build_event_tables(assemble(
+            cfg.model(N, thermo, swap_boundaries=True), thermo))
         report.add("negative_control", True)
     t_burn = cfg.t_burn if cfg.t_burn is not None else 0.05 * cfg.t_sample
     mapping = mc.mapping_check(params, profile,

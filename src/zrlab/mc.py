@@ -11,9 +11,15 @@ destination draws and the state and tree updates of a fired site.  Time
 averages are accrued lazily per site (value times holding time, flushed on
 change and at batch boundaries); standard errors come from batch means.
 
+Every rate is read off the assembled ``TrafficSystem``, the one owner of
+the generator's rates: the kernel row gives the jump destinations, the
+right-hand side the births, the dominance margin the death base and the
+reservoir rates the exclusion flips.  kappa = 0 (the conservative limit)
+is valid here; only the stationary solve refuses it.
+
 A brute-force oracle for the whole stack is exact_stationary_distribution,
-which builds the truncated generator from the same rate tables and solves
-for its stationary vector.
+which builds the truncated generator from the same system and solves for
+its stationary vector.
 """
 
 from __future__ import annotations
@@ -24,71 +30,49 @@ from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DomainError
-from .kernel import KernelParams, jump_prob, reservoir_rates, vectorized
+from .hydrostatic import tilde_densities
+from .kernel import vectorized
 from .thermo import ThermoTables
-from .traffic import FugacityProfile, ModelParams
+from .traffic import (FugacityProfile, ModelParams, TrafficSystem, assemble,
+                      solve_direct)
 
 EVENT_TABLE_CAP = 4096          # dest tables are dense (N-1)^2
 COUNT_OVERFLOW_GUARD = 1 << 62
+N_BATCHES = 25                  # batch means per sampling window
 
 
 @dataclass
 class EventTables:
-    """Static per-site samplers and boundary base rates.
+    """Jump-destination samplers over an assembled traffic system.
 
     dest_cdf[x-1] holds the unnormalized cumulative kernel mass over the
-    in-range destinations of site x; its last entry equals the in-range
-    mass q_x.
+    in-range destinations of site x; its last column is the in-range mass
+    q_x.  Every other rate is read off ``system``.
     """
 
+    system: TrafficSystem
     dest_cdf: np.ndarray
-    q: np.ndarray
-    birth: np.ndarray
-    death_base: np.ndarray
-    flip_left: np.ndarray
-    flip_right: np.ndarray
-    params: ModelParams
-    phi_alpha: float
-    phi_beta: float
-    alpha_tilde: float
-    beta_tilde: float
 
 
-def build_event_tables(params: ModelParams,
-                       thermo: Optional[ThermoTables] = None,
-                       kernel: Optional[KernelParams] = None) -> EventTables:
-    """Jump-destination tables and boundary rates from the generator.
+def build_event_tables(system: TrafficSystem) -> EventTables:
+    """Destination tables: row x of the Toeplitz matrix of in-range jump
+    probabilities p(y-x), cumulated along the row.
 
-    Per-site total rate decomposes as g(xi(x)) (q_x + death_base_x) +
-    birth_x for the zero-range chain.
+    The zero-range site rate is g(xi(x)) (q_x + death_base_x) + birth_x,
+    with birth = ``system.rhs`` and death_base =
+    ``system.dominance_margin()``.
     """
-    N = params.N
+    N = system.N
     if N > EVENT_TABLE_CAP:
         raise DomainError(
             f"N={N} exceeds the event-table cap {EVENT_TABLE_CAP} "
             "(dense destination tables)")
-    thermo = thermo or params.make_thermo()
-    params.validate(thermo)
-    kernel = kernel or params.kernel_params()
-    phi_a, phi_b = params.boundary_fugacities(thermo)
-    rr = reservoir_rates(kernel, N)
-    n = N - 1
-    ys = np.arange(1, N, dtype=float)
-    dest_cdf = np.empty((n, n))
-    for x in range(1, N):
-        dest_cdf[x - 1] = np.cumsum(np.asarray(jump_prob(kernel, ys - x)))
-    q = dest_cdf[:, -1].copy()
-    scale = params.boundary_scale()
-    birth = scale * (phi_b * rr.right + phi_a * rr.left)
-    death_base = scale * (rr.right + rr.left)
-    s = phi_a + phi_b
-    return EventTables(dest_cdf=dest_cdf, q=q, birth=birth,
-                       death_base=death_base,
-                       flip_left=scale * rr.left, flip_right=scale * rr.right,
-                       params=params, phi_alpha=phi_a, phi_beta=phi_b,
-                       alpha_tilde=phi_a / s, beta_tilde=phi_b / s)
+    dest_cdf = scipy.linalg.toeplitz(system.kernel_row)
+    np.cumsum(dest_cdf, axis=1, out=dest_cdf)
+    return EventTables(system=system, dest_cdf=dest_cdf)
 
 
 class _Fenwick:
@@ -164,35 +148,14 @@ class SimEstimate:
     sample_time: float
     event_count: int
     seed: int
-    n_batches: int
     time_scale: float
     histogram: Optional[np.ndarray] = None   # occupation-time fractions
-    burn_auto: bool = False
-
-    def __post_init__(self):
-        if self.n_batches < 20:
-            raise DomainError("standard errors need at least 20 batches")
 
 
 def _batch_stats(batches: np.ndarray):
     mean = batches.mean(axis=0)
     se = batches.std(axis=0, ddof=1) / math.sqrt(batches.shape[0])
     return mean, se
-
-
-def _auto_burn_cut(batches: np.ndarray) -> int:
-    """Smallest batch index whose running tail mean sits inside the final
-    half's two-sigma band at every site (slowest site governs)."""
-    B = batches.shape[0]
-    half = batches[B // 2:]
-    ref = half.mean(axis=0)
-    band = 2.0 * half.std(axis=0, ddof=1) / math.sqrt(half.shape[0])
-    band = band + 1e-12
-    for b in range(B // 2 + 1):
-        tail_mean = batches[b:].mean(axis=0)
-        if np.all(np.abs(tail_mean - ref) <= 3.0 * band):
-            return b
-    return B // 2
 
 
 @dataclass
@@ -235,51 +198,43 @@ def _initial_state(init, n: int, dtype, occupancy: bool) -> np.ndarray:
     return arr.astype(dtype)
 
 
-def _run_chain(chain: _Chain, t_burn: Optional[float], t_sample: float,
-               seed: int, n_batches: int, time_scale: float) -> SimEstimate:
+def _run_chain(chain: _Chain, t_burn: float, t_sample: float,
+               seed: int, time_scale: float) -> SimEstimate:
     """Gillespie's direct method for either chain.
 
     Draws the exponential holding time and the firing site (Fenwick
     descent), hands the site to ``chain.move``, flushes per-site time
-    integrals into batch means and sheds the tree's float drift every
-    524288 events.  ``t_burn=None`` runs 2 x n_batches batches from t=0
-    and cuts the burn-in by ``_auto_burn_cut``.
+    integrals into N_BATCHES batch means over [t_burn, t_burn + t_sample]
+    and sheds the tree's float drift every 524288 events.
     """
     if t_sample <= 0.0:
         raise DomainError("t_sample must be positive")
-    auto = t_burn is None
-    if auto:
-        total_batches = 2 * n_batches
-        horizon_burn = 0.0
-        horizon_sample = 2.0 * t_sample
-    else:
-        total_batches = n_batches
-        horizon_burn = t_burn
-        horizon_sample = t_sample
+    if not t_burn >= 0.0:
+        raise DomainError(f"t_burn must be >= 0, got {t_burn}")
     n = len(chain.state)
     acc, accrue, move = chain.acc, chain.accrue, chain.move
     fen = _Fenwick([chain.site_rate(x) for x in range(n)])
     uniform = _Uniforms(seed).next
 
-    batch_len = horizon_sample / total_batches
-    batches = np.zeros((acc.shape[0], total_batches, n))
+    batch_len = t_sample / N_BATCHES
+    batches = np.zeros((acc.shape[0], N_BATCHES, n))
     t = 0.0
-    t_end = horizon_burn + horizon_sample
+    t_end = t_burn + t_sample
     batch_idx = 0
-    next_flush = horizon_burn + batch_len
+    next_flush = t_burn + batch_len
     events = 0
     while True:
         total = fen.total
         dt = -math.log(1.0 - uniform()) / total
         t_new = t + dt
-        while t_new >= next_flush and batch_idx < total_batches:
+        while t_new >= next_flush and batch_idx < N_BATCHES:
             for x in range(n):
                 accrue(x, next_flush)
             batches[:, batch_idx] = acc / batch_len
             acc[:] = 0.0
             batch_idx += 1
-            next_flush = horizon_burn + (batch_idx + 1) * batch_len
-        if batch_idx >= total_batches or t_new >= t_end:
+            next_flush = t_burn + (batch_idx + 1) * batch_len
+        if batch_idx >= N_BATCHES or t_new >= t_end:
             break
         t = t_new
         move(fen.find(uniform() * total), t, uniform, fen)
@@ -287,23 +242,15 @@ def _run_chain(chain: _Chain, t_burn: Optional[float], t_sample: float,
         if events % 524288 == 0:
             fen._build()      # shed accumulated float drift
 
-    if auto:
-        use = min(_auto_burn_cut(batches[0]), total_batches - n_batches)
-        burn_time = use * batch_len
-    else:
-        use = 0
-        burn_time = horizon_burn
-    nb = total_batches - use
-    means = [_batch_stats(b[use:]) for b in batches]
+    means = [_batch_stats(b) for b in batches]
     mean_g, se_g = means[1] if len(means) > 1 else (None, None)
     hist_frac = None
     if chain.hist is not None:
         hist_frac = chain.hist / chain.hist.sum(axis=1, keepdims=True)
     return SimEstimate(mean_counts=means[0][0], se_counts=means[0][1],
-                       mean_g=mean_g, se_g=se_g, burn_in_time=burn_time,
-                       sample_time=nb * batch_len, event_count=events,
-                       seed=seed, n_batches=nb, time_scale=time_scale,
-                       histogram=hist_frac, burn_auto=auto)
+                       mean_g=mean_g, se_g=se_g, burn_in_time=t_burn,
+                       sample_time=N_BATCHES * batch_len, event_count=events,
+                       seed=seed, time_scale=time_scale, histogram=hist_frac)
 
 
 def _zero_range_chain(params: ModelParams, tables: EventTables,
@@ -322,8 +269,9 @@ def _zero_range_chain(params: ModelParams, tables: EventTables,
                 [[0.0], rate_fn.values(2 * (len(g_cache) + 1))])
         return float(g_cache[k])
 
-    q, birth, death_base = tables.q, tables.birth, tables.death_base
-    dest_cdf = tables.dest_cdf
+    system, dest_cdf = tables.system, tables.dest_cdf
+    q, birth = dest_cdf[:, -1], system.rhs
+    death_base = system.dominance_margin()
     out = q + death_base
     acc = np.zeros((2, n))
     acc_xi, acc_g = acc
@@ -378,9 +326,11 @@ def _exclusion_chain(tables: EventTables, eta: np.ndarray) -> _Chain:
     rate p(y-x)/2 (no-ops between equal occupancies are legal self-loops),
     so bulk site rates are constant and only flips change a site's rate."""
     n = len(eta)
-    a_t, b_t = tables.alpha_tilde, tables.beta_tilde
-    fl, fr = tables.flip_left, tables.flip_right
-    q, dest_cdf = tables.q, tables.dest_cdf
+    system, dest_cdf = tables.system, tables.dest_cdf
+    a_t, b_t = tilde_densities(system.phi_alpha, system.phi_beta)
+    scale = system.params.boundary_scale()
+    fl, fr = scale * system.rates.left, scale * system.rates.right
+    q = dest_cdf[:, -1]
     half_q = 0.5 * q
     acc = np.zeros((1, n))
     acc_eta = acc[0]
@@ -419,26 +369,23 @@ def _exclusion_chain(tables: EventTables, eta: np.ndarray) -> _Chain:
 
 
 def simulate_zero_range(params: ModelParams, tables: EventTables,
-                        t_burn: Optional[float], t_sample: float,
-                        seed: int, n_batches: int = 25,
+                        t_burn: float, t_sample: float, seed: int,
                         init: Optional[np.ndarray] = None,
                         track_histogram: int = 0) -> SimEstimate:
     """Time-averaged xi(x) and g(xi(x)) over the sampling window.
 
-    ``t_burn=None`` chooses the burn-in with a running-mean heuristic on
-    an extended run.  ``track_histogram=K`` also accrues occupation-time
-    fractions for counts 0..K (last bin collects overflow).  ``init`` is
-    the starting configuration (N-1 integers >= 0; empty by default).
+    ``track_histogram=K`` also accrues occupation-time fractions for
+    counts 0..K (last bin collects overflow).  ``init`` is the starting
+    configuration (N-1 integers >= 0; empty by default).
     """
     counts = _initial_state(init, params.N - 1, np.int64, occupancy=False)
     return _run_chain(_zero_range_chain(params, tables, counts,
                                         track_histogram),
-                      t_burn, t_sample, seed, n_batches, params.time_scale())
+                      t_burn, t_sample, seed, params.time_scale())
 
 
 def simulate_exclusion(params: ModelParams, tables: EventTables,
-                       t_burn: Optional[float], t_sample: float,
-                       seed: int, n_batches: int = 25,
+                       t_burn: float, t_sample: float, seed: int,
                        init: Optional[np.ndarray] = None) -> SimEstimate:
     """Time-averaged eta(x) for the long-jump exclusion chain.
 
@@ -447,7 +394,7 @@ def simulate_exclusion(params: ModelParams, tables: EventTables,
     """
     eta = _initial_state(init, params.N - 1, np.int8, occupancy=True)
     return _run_chain(_exclusion_chain(tables, eta), t_burn, t_sample, seed,
-                      n_batches, params.time_scale())
+                      params.time_scale())
 
 
 def empirical_pairing(counts: np.ndarray, G, N: int) -> float:
@@ -463,25 +410,21 @@ def exact_stationary_distribution(params: ModelParams,
                                   thermo: Optional[ThermoTables] = None,
                                   kmax: int = 40):
     """Stationary law of the truncated chain (counts <= kmax) by linear
-    algebra, from the same rates the simulator uses.
+    algebra, from the assembled system the simulator reads its rates off.
 
     Returns (pi, product_pmf, tv_distance, leakage): leakage is the
     product-measure mass outside the truncation box.
     """
     thermo = thermo or params.make_thermo()
-    tables = build_event_tables(params, thermo)
+    system = assemble(params, thermo)
     n = params.N - 1
     S = (kmax + 1) ** n
     if S > 250_000:
         raise DomainError(
             f"truncated state space too large ({S} states)")
     g_vals = np.concatenate([[0.0], params.rate.values(kmax + 1)])
-    kernel = params.kernel_params()
-    p_of = {}
-    for x in range(1, params.N):
-        for y in range(1, params.N):
-            if y != x:
-                p_of[(x, y)] = float(jump_prob(kernel, y - x))
+    p, birth = system.kernel_row, system.rhs
+    death_base = system.dominance_margin()
 
     def state_index(c):
         idx = 0
@@ -501,7 +444,7 @@ def exact_stationary_distribution(params: ModelParams,
                 for y in range(n):
                     if y == x:
                         continue
-                    rate = gx * p_of[(x + 1, y + 1)]
+                    rate = gx * p[abs(x - y)]
                     if c[y] < kmax:
                         tgt = list(c)
                         tgt[x] -= 1
@@ -510,7 +453,7 @@ def exact_stationary_distribution(params: ModelParams,
                         out += rate
                     # moves beyond the cap are impossible inside the box;
                     # their product-measure mass is the reported leakage
-                drate = gx * tables.death_base[x]
+                drate = gx * death_base[x]
                 tgt = list(c)
                 tgt[x] -= 1
                 Q[i, state_index(tgt)] += drate
@@ -518,8 +461,8 @@ def exact_stationary_distribution(params: ModelParams,
             if c[x] < kmax:
                 tgt = list(c)
                 tgt[x] += 1
-                Q[i, state_index(tgt)] += tables.birth[x]
-                out += tables.birth[x]
+                Q[i, state_index(tgt)] += birth[x]
+                out += birth[x]
         Q[i, i] = -out
     A = Q.T.copy()
     A[-1, :] = 1.0
@@ -527,8 +470,7 @@ def exact_stationary_distribution(params: ModelParams,
     b[-1] = 1.0
     pi = np.linalg.solve(A, b)
 
-    from .traffic import assemble, solve_direct
-    profile = solve_direct(assemble(params, thermo))
+    profile = solve_direct(system)
     ks = np.arange(0, kmax + 1)
     marginals = thermo.occupation_pmf(profile.values[:, None], ks)
     prod = marginals[0]
@@ -578,13 +520,13 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
     hook for tests); pass requires >= 95% of sites within 3 sigma on all
     three comparisons.  The report carries both chains' estimates.
     """
-    thermo = thermo or params.make_thermo()
-    tables = build_event_tables(params, thermo)
+    system = assemble(params, thermo)
+    tables = build_event_tables(system)
     est_zr = simulate_zero_range(params, tables, t_burn, t_sample, seeds[0])
     est_ex = simulate_exclusion(params, tables_ex or tables, t_burn,
                                 t_sample, seeds[1])
     phi = profile.values
-    s = tables.phi_alpha + tables.phi_beta
+    s = system.phi_alpha + system.phi_beta
     z_eta = (s * est_ex.mean_counts - phi) / (s * est_ex.se_counts + 1e-300)
     z_g = (est_zr.mean_g - phi) / (est_zr.se_g + 1e-300)
     se_cross = np.sqrt((s * est_ex.se_counts) ** 2 + est_zr.se_g ** 2)

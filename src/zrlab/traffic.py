@@ -8,6 +8,10 @@ the reservoir fugacities.  Every lattice is solved by conjugate gradients
 with an FFT Toeplitz matvec and a Jacobi-scaled optimal circulant
 preconditioner (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988); dense LU
 is kept as the reference solution.
+
+``assemble`` also serves kappa = 0, the conservative limit that the Monte
+Carlo chains read their rates from (rhs = 0); the system is then singular,
+so both solvers refuse kappa <= 0.
 """
 
 from __future__ import annotations
@@ -221,15 +225,13 @@ class FugacityProfile:
                     and self.values.max() <= hi + slack)
 
 
-def assemble(params: ModelParams, thermo: Optional[ThermoTables] = None,
-             kernel: Optional[KernelParams] = None) -> TrafficSystem:
-    """Build diag, kernel row and right-hand side for the given parameters."""
-    if params.kappa <= 0.0:
-        raise DomainError("the stationary solve needs kappa > 0 "
-                          "(diagonal dominance margin)")
+def assemble(params: ModelParams,
+             thermo: Optional[ThermoTables] = None) -> TrafficSystem:
+    """Build diag, kernel row and right-hand side for the given parameters
+    (kappa = 0 included; see ``_require_margin``)."""
     thermo = thermo or params.make_thermo()
     params.validate(thermo)
-    kernel = kernel or params.kernel_params()
+    kernel = params.kernel_params()
     rr = reservoir_rates(kernel, params.N)
     phi_a, phi_b = params.boundary_fugacities(thermo)
     scale = params.boundary_scale()
@@ -250,9 +252,19 @@ def residual(system: TrafficSystem, values: np.ndarray) -> float:
     return float(np.max(np.abs(system.matvec(v) - system.rhs)))
 
 
+def _require_margin(system: TrafficSystem) -> None:
+    """Refuse kappa <= 0 (and NaN): without the reservoirs' dominance
+    margin the system is singular (mass is conserved) and has no
+    stationary profile."""
+    if not system.params.kappa > 0.0:
+        raise DomainError("the stationary solve needs kappa > 0 "
+                          "(diagonal dominance margin)")
+
+
 def solve_direct(system: TrafficSystem) -> FugacityProfile:
     """Dense LU with partial pivoting, O(N^3): the reference solution that
     tests and the exact-generator check compare against."""
+    _require_margin(system)
     A = scipy.linalg.toeplitz(-system.kernel_row)
     idx = np.arange(system.N - 1)
     A[idx, idx] += system.diag
@@ -304,6 +316,7 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
     additionally keeps every iterate so the monotone decay of the error
     energy norm can be checked against a reference solution.
     """
+    _require_margin(system)
     b = system.rhs
     precondition = system.preconditioner()
     a_norm = float(np.max(2.0 * system.diag - system.dominance_margin()))
@@ -358,11 +371,9 @@ def solve_lattices(params: ModelParams, N_values: Sequence[int],
     """Assemble and solve each lattice size once; the systems differ from
     ``params`` only in N."""
     thermo = thermo or params.make_thermo()
-    kernel = params.kernel_params()
     solved = []
     for N in N_values:
-        system = assemble(dataclasses.replace(params, N=int(N)), thermo,
-                          kernel)
+        system = assemble(dataclasses.replace(params, N=int(N)), thermo)
         solved.append((system, solve_iterative(system)))
     return solved
 

@@ -73,3 +73,17 @@ def test_workload_rate_specs_build(name):
     assert specs
     for spec in specs:
         cli.RunConfig("thermo", g_spec=spec).rate()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_jobs_accepted(tmp_path, monkeypatch, name, seed):
+    # every cli job's flags still pass the front end's checks; the
+    # commands are no-ops, so nothing is solved or simulated
+    for command in cli.COMMANDS:
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            lambda cfg, thermo, report: None)
+    for index, job in enumerate(workloads.build(name, seed)):
+        if job.kind == "cli":
+            argv = list(job.argv) + ["--out", str(tmp_path / str(index))]
+            assert cli.main(argv) == cli.EXIT_OK, job.label()

@@ -156,6 +156,23 @@ def test_malformed_config_value(tmp_path):
     assert run(["profile", "--config", str(cfg),
                 "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
     assert not (tmp_path / "x").exists()
+    # a value outside the flag's choices, also where the key does not act
+    cfg.write_text("[model]\nnormalization = bogus\n")
+    for argv in (["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64"],
+                 ["thermo"]):
+        assert run(argv + ["--config", str(cfg),
+                           "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+        assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("spelling", ["paper_literal", "paper-literal"])
+def test_config_normalization_spellings(tmp_path, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[model]\nnormalization = {spelling}\n")
+    out = tmp_path / "o"
+    assert run(["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
+                "--config", str(cfg), "--out", str(out)]) == 0
+    assert "normalization = paper_literal" in read_report(out)
 
 
 def test_missing_config_file(tmp_path):
@@ -177,6 +194,11 @@ def test_exit_code_config_error(tmp_path):
                 "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
     assert run(["thermo", "--gamma", "2.5",
                 "--out", str(tmp_path / "y")]) == cli.EXIT_CONFIG
+    # a negative burn-in would start the batches before the chain
+    assert run(["simulate", "--gamma", "1.2", "--theta", "0", "--N", "16",
+                "--t-burn", "-50", "--t-sample", "200", "--seed", "3",
+                "--out", str(tmp_path / "z")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "z").exists()
 
 
 def test_exit_code_domain_error(tmp_path):

@@ -1,19 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zrlab.errors import DomainError
 from zrlab import mc
-from zrlab.kernel import jump_prob
+from zrlab.hydrostatic import tilde_densities
+from zrlab.kernel import jump_prob, reservoir_rates
+from zrlab.thermo import RateFunction
 from zrlab.traffic import assemble, solve_direct
 
 from conftest import make_params
+
+
+def tables_for(params, thermo):
+    return mc.build_event_tables(assemble(params, thermo))
 
 
 # -- configurations and tables -------------------------------------------------
 
 def test_zr_configuration_invariants(thermo_identity):
     params = make_params(1.2, 0.0, 8)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     est = mc.simulate_zero_range(params, tables, 0.0, 20.0, seed=1,
                                  init=np.array([1, 0, 4, 0, 0, 2.0, 0]))
     assert est.event_count > 0
@@ -24,11 +32,13 @@ def test_zr_configuration_invariants(thermo_identity):
         with pytest.raises(DomainError):
             mc.simulate_zero_range(params, tables, 0.0, 20.0, seed=1,
                                    init=np.array(init))
+    with pytest.raises(DomainError):    # batches would start before t = 0
+        mc.simulate_zero_range(params, tables, -50.0, 20.0, seed=1)
 
 
 def test_exclusion_configuration_validation(thermo_identity):
     params = make_params(1.2, 0.0, 8)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     est = mc.simulate_exclusion(params, tables, 0.0, 20.0, seed=1,
                                 init=np.array([0, 1, 1, 0, 0, 1, 0]))
     assert est.event_count > 0
@@ -42,16 +52,16 @@ def test_exclusion_configuration_validation(thermo_identity):
 
 
 def test_event_tables_conservative_limit(thermo_identity):
-    params = make_params(1.2, 0.0, 32, kappa=0.0)
-    tables = mc.build_event_tables(params, thermo_identity)
-    assert np.all(tables.birth == 0.0)
-    assert np.all(tables.death_base == 0.0)
-    assert np.all(tables.q > 0.0)
+    system = assemble(make_params(1.2, 0.0, 32, kappa=0.0), thermo_identity)
+    tables = mc.build_event_tables(system)
+    assert np.all(system.rhs == 0.0)                 # no births
+    assert np.all(system.dominance_margin() == 0.0)  # no deaths
+    assert np.all(tables.dest_cdf[:, -1] > 0.0)
 
 
 def test_event_tables_destination_weights(thermo_identity):
     params = make_params(1.0, 0.0, 256)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     kernel = params.kernel_params()
     # relative weight of the nearest destination from the edge site
     w12 = tables.dest_cdf[0][1] - tables.dest_cdf[0][0]
@@ -59,12 +69,53 @@ def test_event_tables_destination_weights(thermo_identity):
     # destination mass equals the in-range kernel mass (direct-sum oracle)
     x = 128
     direct = sum(jump_prob(kernel, y - x) for y in range(1, 256))
-    assert abs(tables.q[x - 1] - direct) < 1e-12
+    assert abs(tables.dest_cdf[x - 1, -1] - direct) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(gamma=st.floats(0.1, 1.95), theta=st.floats(-1.5, 1.5),
+       kappa=st.one_of(st.just(0.0), st.floats(0.1, 3.0)),
+       N=st.integers(2, 64), indicator=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_event_tables_read_the_generator(gamma, theta, kappa, N, indicator,
+                                         seed):
+    # the tables and the chains' site rates, against the generator's rates
+    # computed directly from the kernel and the reservoir rates
+    rate = RateFunction.indicator() if indicator else RateFunction.identity()
+    params = make_params(gamma, theta, N, kappa=kappa, rate=rate)
+    thermo = params.make_thermo()
+    tables = tables_for(params, thermo)
+    kernel = params.kernel_params()
+    ys = np.arange(1, N, dtype=float)
+    for x in range(1, N):
+        row = np.cumsum(np.asarray(jump_prob(kernel, ys - x)))
+        assert np.array_equal(tables.dest_cdf[x - 1], row)
+
+    rr = reservoir_rates(kernel, N)
+    scale = kappa * float(N) ** (-theta)
+    phi_a, phi_b = thermo.fugacity(0.4), thermo.fugacity(1.6)
+    q = tables.dest_cdf[:, -1]
+    counts = np.random.default_rng(seed).poisson(2.0, size=N - 1)
+    g = np.concatenate([[0.0], rate.values(int(counts.max()) + 1)])[counts]
+    expected = (g * (q + scale * (rr.right + rr.left))
+                + scale * (phi_b * rr.right + phi_a * rr.left))
+    chain = mc._zero_range_chain(params, tables, counts, 0)
+    got = np.array([chain.site_rate(x) for x in range(N - 1)])
+    assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+    a_t, b_t = tilde_densities(phi_a, phi_b)
+    eta = counts % 2
+    flips = np.where(eta == 1,
+                     rr.left * (1.0 - a_t) + rr.right * (1.0 - b_t),
+                     rr.left * a_t + rr.right * b_t)
+    chain = mc._exclusion_chain(tables, eta)
+    got = np.array([chain.site_rate(x) for x in range(N - 1)])
+    assert np.allclose(got, 0.5 * q + scale * flips, rtol=1e-14, atol=0.0)
 
 
 def test_event_tables_cap(thermo_identity):
     with pytest.raises(DomainError):
-        mc.build_event_tables(make_params(1.0, 0.0, 8192), thermo_identity)
+        tables_for(make_params(1.0, 0.0, 8192), thermo_identity)
 
 
 def test_fenwick_tree():
@@ -109,7 +160,7 @@ def test_state_space_guard(thermo_identity):
 
 def test_zr_reproducible(thermo_identity):
     params = make_params(1.2, 0.0, 24)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     a = mc.simulate_zero_range(params, tables, 50.0, 400.0, seed=42)
     b = mc.simulate_zero_range(params, tables, 50.0, 400.0, seed=42)
     assert a.event_count == b.event_count
@@ -121,7 +172,7 @@ def test_zr_reproducible(thermo_identity):
 
 def test_zr_equilibrium_mean_g(thermo_identity):
     params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     est = mc.simulate_zero_range(params, tables, 300.0, 3000.0, seed=7)
     phi_eq = thermo_identity.fugacity(0.8)
     z = np.abs(est.mean_g - phi_eq) / est.se_g
@@ -134,7 +185,7 @@ def test_zr_equilibrium_pmf_bins(thermo_identity):
     # replica-based z-test per occupation bin, restricted to bins whose
     # stationary mass is visible at this budget
     params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     hists = [mc.simulate_zero_range(params, tables, 300.0, 3000.0,
                                     seed=100 + s,
                                     track_histogram=12).histogram
@@ -152,7 +203,7 @@ def test_zr_equilibrium_pmf_bins(thermo_identity):
 
 def test_zr_matches_traffic_solution(thermo_identity):
     params = make_params(1.2, 0.0, 64)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     system = assemble(params, thermo_identity)
     prof = solve_direct(system)
     est = mc.simulate_zero_range(params, tables, 500.0, 6000.0, seed=1)
@@ -163,20 +214,9 @@ def test_zr_matches_traffic_solution(thermo_identity):
     assert (z_xi < 4.0).mean() >= 0.95
 
 
-def test_zr_auto_burn_in(thermo_identity):
-    params = make_params(1.2, 0.0, 16)
-    tables = mc.build_event_tables(params, thermo_identity)
-    est = mc.simulate_zero_range(params, tables, None, 1500.0, seed=5)
-    assert est.burn_auto
-    assert est.n_batches >= 20
-    assert est.burn_in_time >= 0.0
-    phi_mid = 0.5 * (tables.phi_alpha + tables.phi_beta)
-    assert abs(est.mean_g.mean() - phi_mid) < 0.1
-
-
 def test_histogram_rows_normalized(thermo_identity):
     params = make_params(1.2, 0.0, 16)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     est = mc.simulate_zero_range(params, tables, 100.0, 1000.0, seed=3,
                                  track_histogram=10)
     assert np.allclose(est.histogram.sum(axis=1), 1.0, atol=1e-12)
@@ -186,16 +226,18 @@ def test_histogram_rows_normalized(thermo_identity):
 
 def test_exclusion_equilibrium_bernoulli(thermo_identity):
     params = make_params(1.0, 0.0, 32, alpha=0.7, beta=0.7)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     est = mc.simulate_exclusion(params, tables, 200.0, 3000.0, seed=9)
-    assert abs(tables.alpha_tilde - 0.5) < 1e-12
+    system = tables.system
+    assert abs(system.phi_alpha / (system.phi_alpha + system.phi_beta)
+               - 0.5) < 1e-12
     z = np.abs(est.mean_counts - 0.5) / est.se_counts
     assert np.all(z < 4.0)
 
 
 def test_exclusion_occupation_bounds(thermo_identity):
     params = make_params(1.2, 0.0, 24)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     est = mc.simulate_exclusion(params, tables, 100.0, 1500.0, seed=4)
     assert np.all(est.mean_counts >= 0.0)
     assert np.all(est.mean_counts <= 1.0)
@@ -203,7 +245,7 @@ def test_exclusion_occupation_bounds(thermo_identity):
 
 def test_exclusion_matches_mapped_profile(thermo_identity):
     params = make_params(1.2, 0.0, 64)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     system = assemble(params, thermo_identity)
     prof = solve_direct(system)
     est = mc.simulate_exclusion(params, tables, 500.0, 8000.0, seed=2)
@@ -219,7 +261,7 @@ def test_exclusion_matches_mapped_profile(thermo_identity):
 def test_burn_in_excluded_from_estimates(thermo_identity):
     # a long burn-in must not raise the time-averaged occupancy above 1
     params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     est = mc.simulate_exclusion(params, tables, 3000.0, 1000.0, seed=7)
     assert np.all(est.mean_counts <= 1.0)
 
@@ -239,7 +281,7 @@ def test_pairing_long_run_matches_hydrostatic_mean(thermo_identity):
     # Boundary rates scale with N^-theta = 1/128 here, so filling an empty
     # lattice would take ~1e4 time units; start from a product draw instead.
     params = make_params(1.5, 1.0, 128)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     init = np.random.default_rng(0).poisson(1.0, size=127)
     est = mc.simulate_zero_range(params, tables, 300.0, 3000.0, seed=21,
                                  init=init)
@@ -247,7 +289,7 @@ def test_pairing_long_run_matches_hydrostatic_mean(thermo_identity):
     xs = np.arange(1, 128, dtype=float) / 128.0
     pairing = float(np.mean(G(xs) * est.mean_counts))
     m_bar = thermo_identity.mean_density(
-        0.5 * (tables.phi_alpha + tables.phi_beta))
+        0.5 * (tables.system.phi_alpha + tables.system.phi_beta))
     target = m_bar * 2.0 / np.pi
     se = float(np.mean(np.abs(G(xs)) * est.se_counts))
     assert abs(pairing - target) < 4.0 * se + 0.02
@@ -265,8 +307,8 @@ def test_mapping_check_passes(thermo_identity):
 def test_mapping_check_negative_control(thermo_identity):
     params = make_params(1.2, 0.0, 64)
     prof = solve_direct(assemble(params, thermo_identity))
-    corrupted = mc.build_event_tables(
-        make_params(1.2, 0.0, 64, alpha=1.6, beta=0.4), thermo_identity)
+    corrupted = tables_for(make_params(1.2, 0.0, 64, alpha=1.6, beta=0.4),
+                           thermo_identity)
     report = mc.mapping_check(params, prof, seeds=(1, 2), t_burn=500.0,
                               t_sample=6000.0, thermo=thermo_identity,
                               tables_ex=corrupted)
@@ -275,7 +317,7 @@ def test_mapping_check_negative_control(thermo_identity):
 
 def test_estimate_csv(tmp_path, thermo_identity):
     params = make_params(1.2, 0.0, 16)
-    tables = mc.build_event_tables(params, thermo_identity)
+    tables = tables_for(params, thermo_identity)
     prof = solve_direct(assemble(params, thermo_identity))
     est = mc.simulate_zero_range(params, tables, 50.0, 500.0, seed=1)
     path = tmp_path / "est.csv"

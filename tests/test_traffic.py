@@ -30,10 +30,16 @@ def test_model_params_validation(thermo_identity):
     make_params(1.0, 0.0, 64, alpha=1.6, beta=0.4).validate(thermo_identity)
 
 
-def test_kappa_zero_rejected_by_assemble(thermo_identity):
-    params = make_params(1.0, 0.0, 32, kappa=0.0)
-    with pytest.raises(DomainError):
-        assemble(params, thermo_identity)
+def test_kappa_zero_assembled_but_not_solved(thermo_identity):
+    # kappa = 0 is the simulator's conservative limit: no reservoir input,
+    # and no stationary profile for either solver to find
+    system = assemble(make_params(1.0, 0.0, 32, kappa=0.0), thermo_identity)
+    assert np.all(system.rhs == 0.0)
+    nan = assemble(make_params(1.0, 0.0, 32, kappa=math.nan), thermo_identity)
+    for solve in (solve_direct, solve_iterative):
+        for refused in (system, nan):
+            with pytest.raises(DomainError, match="needs kappa > 0"):
+                solve(refused)
 
 
 def test_time_scale():
