@@ -1,10 +1,15 @@
 """Command-line front end: reproducible experiments emitting CSV data
 files plus one structured-text report per run.
 
-Subcommands: thermo, profile, current, simulate, ldp.  Every output file
-starts with a comment header carrying the resolved configuration and the
-package version; given the same config and seed, re-running a command
-produces byte-identical files.
+Subcommands: thermo, profile, current, simulate, ldp.  report.txt and the
+tables a command computes (thermo_*.csv, convergence_gaps.csv,
+bond_currents.csv, fick_sweep.csv, ldp_scan.csv) start with a comment
+header carrying the resolved configuration and the package version.  The
+dumps of the objects a run builds carry their own header: profile_N*.csv
+the model parameters and solve summary, continuum_profile.csv the regime,
+tilde densities and edge values, zr_/ex_estimates.csv the chain's seed,
+times and event count.  Given the same config and seed, re-running a
+command produces byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 convergence
 failure, 5 statistical-check failure.
@@ -43,6 +48,15 @@ SUBCOMMANDS = ("thermo", "profile", "current", "simulate", "ldp")
 MODEL = SUBCOMMANDS[1:]         # the subcommands that solve lattices
 
 
+def finite_float(text: str) -> float:
+    """The type of every float option, flag or config-file value: NaN
+    and +-inf are refused (a NaN time never ends a simulation)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 @dataclass(frozen=True)
 class Option:
     """One run option: its flag, the RunConfig field it sets, the type of
@@ -69,14 +83,14 @@ class Option:
 # Every option, in the order of the output headers.  A shared option that
 # does not act on a subcommand is parsed there only to be refused.
 OPTIONS = (
-    Option("--gamma", "gamma", float, MODEL, "gamma"),
-    Option("--theta", "theta", float, MODEL, "theta"),
-    Option("--kappa", "kappa", float, MODEL, "kappa"),
-    Option("--alpha", "alpha", float, MODEL, "alpha"),
-    Option("--beta", "beta", float, MODEL, "beta"),
-    Option("--phi-alpha", "phi_alpha", float, MODEL, "phi_alpha",
+    Option("--gamma", "gamma", finite_float, MODEL, "gamma"),
+    Option("--theta", "theta", finite_float, MODEL, "theta"),
+    Option("--kappa", "kappa", finite_float, MODEL, "kappa"),
+    Option("--alpha", "alpha", finite_float, MODEL, "alpha"),
+    Option("--beta", "beta", finite_float, MODEL, "beta"),
+    Option("--phi-alpha", "phi_alpha", finite_float, MODEL, "phi_alpha",
            help="boundary fugacity (instead of --alpha)"),
-    Option("--phi-beta", "phi_beta", float, MODEL, "phi_beta"),
+    Option("--phi-beta", "phi_beta", finite_float, MODEL, "phi_beta"),
     Option("--N", "N_list", int, MODEL, "N_list", repeat=True,
            help="lattice size; repeatable"),
     Option("--g", "g_spec", str, SUBCOMMANDS, "g",
@@ -84,13 +98,13 @@ OPTIONS = (
     Option("--normalization", "normalization", str, MODEL, "normalization",
            choices=("normalized", "paper-literal")),
     Option("--seed", "seed", int, ("simulate",), "seed"),
-    Option("--t-burn", "t_burn", float, ("simulate",), "t_burn",
+    Option("--t-burn", "t_burn", finite_float, ("simulate",), "t_burn",
            shared=False),
-    Option("--t-sample", "t_sample", float, ("simulate",), "t_sample",
+    Option("--t-sample", "t_sample", finite_float, ("simulate",), "t_sample",
            shared=False),
     Option("--grid-points", "grid_points", int, ("profile",), "grid_points",
            shared=False),
-    Option("--phi-grid-max", "phi_grid_max", float, ("thermo",),
+    Option("--phi-grid-max", "phi_grid_max", finite_float, ("thermo",),
            shared=False),
     Option("--figure3", "figure3", bool, ("profile",), shared=False,
            help="figure-3 preset: g=figure3, boundary fugacities 0.2/0.8"),
@@ -139,7 +153,7 @@ class RunConfig:
             raise ConfigError("give both --phi-alpha and --phi-beta or neither")
         if self.phi_alpha is None and (self.alpha is None or self.beta is None):
             raise ConfigError("boundary data missing (alpha/beta)")
-        if self.t_sample <= 0.0:
+        if not self.t_sample > 0.0:
             raise ConfigError("t-sample must be positive")
         if self.t_burn is not None and not self.t_burn >= 0.0:
             raise ConfigError(f"t-burn must be >= 0, got {self.t_burn}")
@@ -306,11 +320,9 @@ def _continuum(params: ModelParams, regime: hydro.Regime, solved: list,
     extrapolated profile reports on how many grid points the power-law fit
     fell back to the largest lattice's value."""
     if regime.tag in hydro.EXTRAPOLATED_REGIMES:
-        Ns = [system.N for system, _ in solved]
-        family = hydro.DiscreteProfileFamily(
-            params, Ns, [profile for _, profile in solved])
-        cont = hydro.rho_extrapolated(params, regime, Ns, thermo, grid,
-                                      family=family)
+        family = hydro.DiscreteProfileFamily([prof for _, prof in solved])
+        cont = hydro.rho_extrapolated(params, regime, family.N_values,
+                                      thermo, grid, family=family)
         report.add("extrapolation_fallbacks",
                    f"{int(cont.warn.sum())} of {len(cont.warn)}")
         return cont

@@ -20,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .hydrostatic import ContinuumProfile, _fit_power_limit, tilde_densities
-from .kernel import KernelParams
+from .kernel import KernelParams, continuum_rate
 from .quadrature import geometric_edges, integrate_panels, panel_nodes
 from .thermo import ThermoTables
 from .traffic import (FugacityProfile, ModelParams, TrafficSystem,
@@ -219,18 +219,18 @@ def _double_integral(rho_fast: Callable, u: float, gamma: float,
     return kernel.c_gamma * phi_sum * float(s_w @ (diff * ker) @ t_w)
 
 
-def _reservoir_terms(rho_fast: Callable, u: float, gamma: float,
-                     kappa: float, phi_alpha: float, phi_beta: float,
-                     phi_sum: float, kernel: KernelParams) -> float:
+def _reservoir_terms(rho_fast: Callable, u: float, kappa: float,
+                     phi_alpha: float, phi_beta: float, phi_sum: float,
+                     kernel: KernelParams) -> float:
     """kappa [int_u^1 (phi_a - Phi m(v)) r^-(v) dv
               - int_0^u (phi_b - Phi m(v)) r^+(v) dv]."""
-    pref = kernel.c_gamma / gamma
-
     def left_part(v):
-        return (phi_alpha - phi_sum * rho_fast(v)) * pref * v ** -gamma
+        return ((phi_alpha - phi_sum * rho_fast(v))
+                * continuum_rate(kernel, v, "left"))
 
     def right_part(v):
-        return (phi_beta - phi_sum * rho_fast(v)) * pref * (1.0 - v) ** -gamma
+        return ((phi_beta - phi_sum * rho_fast(v))
+                * continuum_rate(kernel, v, "right"))
 
     lval = integrate_panels(left_part, np.linspace(u, 1.0, 25), n=12)
     rval = integrate_panels(right_part, np.linspace(0.0, u, 25), n=12)
@@ -245,16 +245,17 @@ class FickLimit:
     closed_form: Optional[float]    # theta < 0 only
 
 
+FICK_CUTS = (0.2, 0.35, 0.5, 0.65, 0.8)     # where fick_limit cuts [0, 1]
+
+
 def fick_limit(profile: ContinuumProfile, params: ModelParams,
-               kernel: Optional[KernelParams] = None,
-               u_values: Sequence[float] = (0.2, 0.35, 0.5, 0.65, 0.8)
-               ) -> FickLimit:
-    """Macroscopic current limit at several cut points.
+               kernel: Optional[KernelParams] = None) -> FickLimit:
+    """Macroscopic current limit at the cut points ``FICK_CUTS``.
 
     theta < 0 uses the reservoir integrals (plus the closed form as a
     cross-check); theta = 0 adds the bulk double integral; theta > 0 keeps
     the double integral alone.  The result must be u-independent; the
-    spread over ``u_values`` is reported.
+    spread over the cut points is reported.
     """
     kernel = kernel or params.kernel_params()
     gamma, theta, kappa = params.gamma, params.theta, params.kappa
@@ -263,11 +264,11 @@ def fick_limit(profile: ContinuumProfile, params: ModelParams,
     phi_b = profile.beta_tilde * phi_sum
     rho_fast = _dense_rho(profile)
     vals = []
-    for u in u_values:
+    for u in FICK_CUTS:
         total = 0.0
         if theta <= 0.0:
-            total += _reservoir_terms(rho_fast, u, gamma, kappa, phi_a,
-                                      phi_b, phi_sum, kernel)
+            total += _reservoir_terms(rho_fast, u, kappa, phi_a, phi_b,
+                                      phi_sum, kernel)
         if theta >= 0.0:
             total += _double_integral(rho_fast, u, gamma, phi_sum, kernel)
         vals.append(total)

@@ -20,8 +20,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .kernel import (KernelParams, first_moment_half, regional_frac_laplacian,
-                     vectorized)
+from .kernel import (KernelParams, continuum_rate, first_moment_half,
+                     regional_frac_laplacian, vectorized)
 from .quadrature import integrate_panels
 from .thermo import ThermoTables
 from .traffic import FugacityProfile, ModelParams, solve_lattices
@@ -149,10 +149,8 @@ class DiscreteProfileFamily:
     (phi_alpha + phi_beta) over the last three N values.
     """
 
-    def __init__(self, params_base: ModelParams, N_values: Sequence[int],
-                 profiles: list[FugacityProfile]):
-        self.params_base = params_base
-        self.N_values = tuple(int(n) for n in N_values)
+    def __init__(self, profiles: list[FugacityProfile]):
+        self.N_values = tuple(prof.params.N for prof in profiles)
         self.profiles = profiles
         self.phi_alpha = profiles[-1].phi_alpha
         self.phi_beta = profiles[-1].phi_beta
@@ -167,7 +165,7 @@ class DiscreteProfileFamily:
         if any(b <= a for a, b in zip(N_values[:-1], N_values[1:])):
             raise DomainError("N sequence must be increasing")
         solved = solve_lattices(params_base, N_values, thermo)
-        return cls(params_base, N_values, [prof for _, prof in solved])
+        return cls([prof for _, prof in solved])
 
     def rho_array(self, us):
         """(rho, err, warn) at every point of ``us``, shaped like ``us``.
@@ -177,8 +175,8 @@ class DiscreteProfileFamily:
         (u - floor(uN)/N), the same order as the convergence term itself,
         which destabilizes the extrapolation in N; interpolating between
         the two neighbouring sites removes the jitter at O(1/N^2) cost.
-        With four or more N, err is the move of the limit when the largest
-        N is dropped.
+        u = 0 and u = 1 read the edge sites alone.  With four or more N,
+        err is the move of the limit when the largest N is dropped.
         """
         vals = []
         for N, prof in zip(self.N_values, self.profiles):
@@ -193,12 +191,6 @@ class DiscreteProfileFamily:
             err = np.maximum(np.abs(rho - prev), 1e-16)
         return rho, err, warn
 
-    def edge_limits(self) -> tuple[float, float]:
-        """rho at both boundaries: the edge lattice sites extrapolated in N."""
-        vals = [pr.values[[0, -1]] / self.phi_sum for pr in self.profiles]
-        c0, _, _ = _fit_power_limit(vals, self.N_values)
-        return float(c0[0]), float(c0[1])
-
 
 def default_grid(n: int = 257) -> np.ndarray:
     """Uniform interior grid; endpoints excluded (profiles may be
@@ -208,7 +200,11 @@ def default_grid(n: int = 257) -> np.ndarray:
 
 @dataclass
 class ContinuumProfile:
-    """Macroscopic profile rho(u) and the density profile m(u) built from it."""
+    """Macroscopic profile rho(u) and the density profile m(u) built from it.
+
+    ``evaluate`` is rho on all of [0, 1], ends included: a float for a
+    float, an array of the same shape for an array.  On the grid it
+    gives ``rho``."""
 
     grid: np.ndarray
     rho: np.ndarray
@@ -216,58 +212,30 @@ class ContinuumProfile:
     regime: Regime
     provenance: str                    # closed_form | extrapolated
     err_estimate: np.ndarray
+    warn: np.ndarray                   # the fit fell back at this point
     alpha_tilde: float
     beta_tilde: float
     phi_sum: float
-    warn: np.ndarray = field(default=None, repr=False)
-    boundary_left: Optional[float] = None
-    boundary_right: Optional[float] = None
-    _evaluator: Optional[Callable] = field(default=None, repr=False)
+    evaluate: Callable = field(repr=False)
 
     def boundary_values(self) -> tuple[float, float]:
-        """rho(0+), rho(1-): stored at construction when available, else a
-        free-exponent fit of the grid points closest to each endpoint."""
-        if self.boundary_left is not None:
-            return self.boundary_left, self.boundary_right
-        u = self.grid
-        ends = np.array([[2, -3], [1, -2], [0, -1]])
-        dist = np.stack([u[ends[:, 0]], 1.0 - u[ends[:, 1]]], axis=1)
-        v, _, _ = _fit_power_limit(self.rho[ends], 1.0 / dist)
-        return float(v[0]), float(v[1])
+        """rho(0), rho(1)."""
+        r0, r1 = self.evaluate(np.array([0.0, 1.0]))
+        return float(r0), float(r1)
 
     def rho_at(self) -> Callable:
-        """Callable rho(u) for arbitrary u in [0,1]: a float for a float,
-        an array of the same shape for an array.
-
-        Extrapolated profiles carry an evaluator over the solved lattice
-        family; serialized profiles fall back to monotone interpolation of
-        the grid."""
-        if self._evaluator is None:
-            r0, r1 = self.boundary_values()
-            xs = np.concatenate([[0.0], self.grid, [1.0]])
-            ys = np.concatenate([[r0], self.rho, [r1]])
-            interp = PchipInterpolator(xs, ys, extrapolate=False)
-
-            def evaluate(u):
-                out = interp(np.clip(u, 0.0, 1.0))
-                return float(out) if out.ndim == 0 else out
-
-            self._evaluator = evaluate
-        return self._evaluator
+        """Callable rho(u) for arbitrary u in [0,1]."""
+        return self.evaluate
 
 
 def _continuum_from_values(grid, rho, err, warn, regime, provenance,
-                           a_t, b_t, phi_sum, thermo, evaluator=None,
-                           boundary=(None, None)):
+                           a_t, b_t, phi_sum, thermo, evaluate):
     phis = np.clip(phi_sum * rho, 0.0, None)
     m = thermo.mean_density_array(phis)
     return ContinuumProfile(grid=grid, rho=rho, m=m, regime=regime,
                             provenance=provenance, err_estimate=err,
-                            alpha_tilde=a_t, beta_tilde=b_t,
-                            phi_sum=phi_sum, warn=warn,
-                            boundary_left=boundary[0],
-                            boundary_right=boundary[1],
-                            _evaluator=evaluator)
+                            warn=warn, alpha_tilde=a_t, beta_tilde=b_t,
+                            phi_sum=phi_sum, evaluate=evaluate)
 
 
 def rho_closed_form(params: ModelParams, regime: Regime,
@@ -278,15 +246,10 @@ def rho_closed_form(params: ModelParams, regime: Regime,
     phi_a, phi_b = params.boundary_fugacities(thermo)
     a_t, b_t = tilde_densities(phi_a, phi_b)
     rho = rho_explicit(grid, regime, a_t, b_t, params.gamma)
-    evaluator = lambda u: rho_explicit(u, regime, a_t, b_t, params.gamma)
-    if regime.tag == NEUMANN:
-        boundary = (0.5 * (a_t + b_t), 0.5 * (a_t + b_t))
-    else:
-        boundary = (a_t, b_t)
-    return _continuum_from_values(grid, rho, np.zeros_like(grid),
-                                  np.zeros(len(grid), dtype=bool), regime,
-                                  "closed_form", a_t, b_t, phi_a + phi_b,
-                                  thermo, evaluator, boundary)
+    return _continuum_from_values(
+        grid, rho, np.zeros_like(grid), np.zeros(len(grid), dtype=bool),
+        regime, "closed_form", a_t, b_t, phi_a + phi_b, thermo,
+        lambda u: rho_explicit(u, regime, a_t, b_t, params.gamma))
 
 
 def rho_extrapolated(params_base: ModelParams, regime: Regime,
@@ -307,8 +270,7 @@ def rho_extrapolated(params_base: ModelParams, regime: Regime,
     a_t, b_t = tilde_densities(family.phi_alpha, family.phi_beta)
     return _continuum_from_values(grid, rho, err, warn, regime,
                                   "extrapolated", a_t, b_t, family.phi_sum,
-                                  thermo, lambda us: family.rho_array(us)[0],
-                                  family.edge_limits())
+                                  thermo, lambda us: family.rho_array(us)[0])
 
 
 # -- weak formulations ----------------------------------------------------
@@ -366,9 +328,7 @@ def _laplacian_pairing(rho_at: Callable, G: Callable, kernel: KernelParams,
 def _reaction_pairing(rho_at: Callable, G: Callable, kernel: KernelParams,
                       a_t: float, b_t: float, level: int = 1) -> float:
     """<G, V0> - <rho, G V1>, for test functions vanishing at the ends."""
-    gam = kernel.gamma
     gv = vectorized(G)
-    pref = kernel.c_gamma / gam
 
     def integrand(us):
         g = gv(us)
@@ -376,8 +336,8 @@ def _reaction_pairing(rho_at: Callable, G: Callable, kernel: KernelParams,
         idx = g != 0.0
         if np.any(idx):
             u = us[idx]
-            rm = pref * u ** -gam
-            rp = pref * (1.0 - u) ** -gam
+            rm = continuum_rate(kernel, u, "left")
+            rp = continuum_rate(kernel, u, "right")
             v0 = a_t * rm + b_t * rp
             v1 = rm + rp
             out[idx] = g[idx] * (v0 - rho_at(u) * v1)
@@ -452,7 +412,14 @@ def hydrostatic_average(discrete: FugacityProfile, continuum: ContinuumProfile,
 
 # -- serialization ---------------------------------------------------------
 
+_CSV_COLUMNS = "u,rho,m,err_estimate,fallback"
+
+
 def write_continuum_csv(profile: ContinuumProfile, path) -> None:
+    """The grid values plus what the grid cannot carry: rho at both ends
+    and the points where the fit fell back, so the file reads back as the
+    same profile."""
+    r0, r1 = profile.boundary_values()
     lines = [
         f"# regime = {profile.regime.tag}",
         f"# kappa_hat = {profile.regime.kappa_hat!r}",
@@ -460,29 +427,50 @@ def write_continuum_csv(profile: ContinuumProfile, path) -> None:
         f"# alpha_tilde = {profile.alpha_tilde!r}",
         f"# beta_tilde = {profile.beta_tilde!r}",
         f"# phi_sum = {profile.phi_sum!r}",
-        "u,rho,m,err_estimate",
+        f"# rho_boundary_left = {r0!r}",
+        f"# rho_boundary_right = {r1!r}",
+        _CSV_COLUMNS,
     ]
-    for u, r, m, e in zip(profile.grid, profile.rho, profile.m,
-                          profile.err_estimate):
-        lines.append(f"{float(u)!r},{float(r)!r},{float(m)!r},{float(e)!r}")
+    for u, r, m, e, w in zip(profile.grid, profile.rho, profile.m,
+                             profile.err_estimate, profile.warn):
+        lines.append(f"{float(u)!r},{float(r)!r},{float(m)!r},{float(e)!r},"
+                     f"{int(w)}")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_continuum_csv(path) -> ContinuumProfile:
-    header = {}
-    rows = []
-    for raw in Path(path).read_text().splitlines():
+    """The profile ``write_continuum_csv`` wrote; between the grid points
+    and the ends, rho is the monotone (PCHIP) interpolant of the values."""
+    lines = Path(path).read_text().splitlines()
+    header, rows = {}, []
+    for raw in lines:
         if raw.startswith("#"):
             key, _, val = raw[1:].partition("=")
             header[key.strip()] = val.strip()
         elif raw and not raw.startswith("u,"):
             rows.append([float(v) for v in raw.split(",")])
+    if _CSV_COLUMNS not in lines or not {
+            "rho_boundary_left", "rho_boundary_right"} <= header.keys():
+        raise DomainError(
+            f"{path} lacks the edge values or the fallback column of a "
+            "continuum profile; write it again")
     data = np.array(rows)
-    regime = Regime(header["regime"], float(header["kappa_hat"]))
+    grid, rho = data[:, 0], data[:, 1]
+    r0 = float(header["rho_boundary_left"])
+    r1 = float(header["rho_boundary_right"])
+    interp = PchipInterpolator(np.concatenate([[0.0], grid, [1.0]]),
+                               np.concatenate([[r0], rho, [r1]]),
+                               extrapolate=False)
+
+    def evaluate(u):
+        out = interp(np.clip(u, 0.0, 1.0))
+        return float(out) if out.ndim == 0 else out
+
     return ContinuumProfile(
-        grid=data[:, 0], rho=data[:, 1], m=data[:, 2], regime=regime,
+        grid=grid, rho=rho, m=data[:, 2],
+        regime=Regime(header["regime"], float(header["kappa_hat"])),
         provenance=header["provenance"], err_estimate=data[:, 3],
-        alpha_tilde=float(header["alpha_tilde"]),
+        warn=data[:, 4] != 0.0, alpha_tilde=float(header["alpha_tilde"]),
         beta_tilde=float(header["beta_tilde"]),
-        phi_sum=float(header["phi_sum"]))
+        phi_sum=float(header["phi_sum"]), evaluate=evaluate)

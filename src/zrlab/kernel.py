@@ -156,14 +156,20 @@ def reservoir_rates(params: KernelParams, N: int) -> ReservoirRates:
                           total_mass=params.total_mass())
 
 
-def continuum_rate(params: KernelParams, u: float, side: str) -> float:
-    """Macroscopic reservoir rate r^-(u) or r^+(u) = c_gamma/gamma * dist^-gamma."""
-    if not 0.0 < u < 1.0:
+def continuum_rate(params: KernelParams, u, side: str):
+    """Macroscopic reservoir rate r^-(u) or r^+(u) = c_gamma/gamma *
+    dist^-gamma; a float for a float, an array of the same shape for an
+    array."""
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise DomainError(f"continuum rate undefined at u={u}")
-    dist = u if side == "left" else (1.0 - u) if side == "right" else None
+    dist = (u_arr if side == "left" else (1.0 - u_arr) if side == "right"
+            else None)
     if dist is None:
         raise DomainError(f"side must be 'left' or 'right', got {side!r}")
-    return params.c_gamma / params.gamma * dist ** (-params.gamma)
+    # np.power, not **: a 0-d operand would take the scalar pow
+    r = params.c_gamma / params.gamma * np.power(dist, -params.gamma)
+    return float(r) if r.ndim == 0 else r
 
 
 class BoundaryPotentials(NamedTuple):

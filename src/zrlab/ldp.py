@@ -84,8 +84,8 @@ def _as_density_callable(pi, m_bar: ContinuumProfile) -> Callable:
     return lambda us: interp(np.asarray(us, dtype=float))
 
 
-def rate_function(pi, m_bar: ContinuumProfile, thermo: ThermoTables,
-                  level: int = 1) -> float:
+def rate_function(pi, m_bar: ContinuumProfile,
+                  thermo: ThermoTables) -> float:
     """Lambda*(pi) = int [ pi log(Phi(pi)/Phi(m)) - log(Z(Phi(pi))/Z(Phi(m))) ] du.
 
     ``pi`` is a density profile (callable on [0,1] or array on the grid),
@@ -107,11 +107,10 @@ def rate_function(pi, m_bar: ContinuumProfile, thermo: ThermoTables,
         return ent - (thermo.log_partition(phi_p)
                       - thermo.log_partition(phi_m))
 
-    return integrate_panels(integrand, _quad_edges(level), n=8)
+    return integrate_panels(integrand, _quad_edges(), n=8)
 
 
-def continuum_pairing(pi, m_bar: ContinuumProfile, G: Callable,
-                      level: int = 1) -> float:
+def continuum_pairing(pi, m_bar: ContinuumProfile, G: Callable) -> float:
     """<pi, G> = int pi(u) G(u) du on the same quadrature grid."""
     pi_at = _as_density_callable(pi, m_bar)
     gv = vectorized(G)
@@ -119,11 +118,11 @@ def continuum_pairing(pi, m_bar: ContinuumProfile, G: Callable,
     def integrand(us):
         return np.asarray(pi_at(us), dtype=float) * gv(us)
 
-    return integrate_panels(integrand, _quad_edges(level), n=8)
+    return integrate_panels(integrand, _quad_edges(), n=8)
 
 
 def gateaux_derivative(m_bar: ContinuumProfile, thermo: ThermoTables,
-                       G: Callable, H: Callable, level: int = 1) -> float:
+                       G: Callable, H: Callable) -> float:
     """d/dt Lambda(G + tH) at t=0: int R(e^G(u) Phi(m(u))) H(u) du.
 
     The integrand uses R(e^G Phi(m)) for consistency with Lambda itself;
@@ -139,4 +138,4 @@ def gateaux_derivative(m_bar: ContinuumProfile, thermo: ThermoTables,
         phis = phi_sum * rho_at(us)
         return thermo.mean_density(np.exp(gv(us)) * phis) * hv(us)
 
-    return integrate_panels(integrand, _quad_edges(level), n=8)
+    return integrate_panels(integrand, _quad_edges(), n=8)

@@ -66,6 +66,8 @@ def build_event_tables(system: TrafficSystem) -> EventTables:
     ``system.dominance_margin()``.
     """
     N = system.N
+    if math.isnan(system.params.kappa):     # NaN rates never end a run
+        raise DomainError("the chains need kappa >= 0, got NaN")
     if N > EVENT_TABLE_CAP:
         raise DomainError(
             f"N={N} exceeds the event-table cap {EVENT_TABLE_CAP} "
@@ -207,10 +209,11 @@ def _run_chain(chain: _Chain, t_burn: float, t_sample: float,
     integrals into N_BATCHES batch means over [t_burn, t_burn + t_sample]
     and sheds the tree's float drift every 524288 events.
     """
-    if t_sample <= 0.0:
-        raise DomainError("t_sample must be positive")
-    if not t_burn >= 0.0:
-        raise DomainError(f"t_burn must be >= 0, got {t_burn}")
+    if not 0.0 < t_sample < math.inf:
+        raise DomainError(f"t_sample must be positive and finite, got "
+                          f"{t_sample}")
+    if not 0.0 <= t_burn < math.inf:
+        raise DomainError(f"t_burn must be finite and >= 0, got {t_burn}")
     n = len(chain.state)
     acc, accrue, move = chain.acc, chain.accrue, chain.move
     fen = _Fenwick([chain.site_rate(x) for x in range(n)])

@@ -56,10 +56,14 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.gamma < 2.0:
             raise DomainError(f"gamma must lie in (0,2), got {self.gamma}")
-        if self.kappa < 0.0:
+        if not math.isfinite(self.theta):
+            raise DomainError(f"theta must be finite, got {self.theta}")
+        if self.kappa < 0.0 or math.isinf(self.kappa):
             # kappa = 0 is allowed only for the conservative simulator
-            # limit; the stationary solve requires kappa > 0
-            raise DomainError(f"kappa must be >= 0, got {self.kappa}")
+            # limit; the stationary solve requires kappa > 0 (and refuses
+            # a NaN kappa, see _require_margin)
+            raise DomainError(f"kappa must be finite and >= 0, got "
+                              f"{self.kappa}")
         if self.N < 2:
             raise DomainError(f"N must be >= 2, got N={self.N}")
         if (self.phi_alpha is None) != (self.phi_beta is None):
@@ -255,9 +259,9 @@ def residual(system: TrafficSystem, values: np.ndarray) -> float:
 def _require_margin(system: TrafficSystem) -> None:
     """Refuse kappa <= 0 (and NaN): without the reservoirs' dominance
     margin the system is singular (mass is conserved) and has no
-    stationary profile."""
-    if not system.params.kappa > 0.0:
-        raise DomainError("the stationary solve needs kappa > 0 "
+    stationary profile.  An infinite kappa has no finite system."""
+    if not 0.0 < system.params.kappa < math.inf:
+        raise DomainError("the stationary solve needs kappa > 0 and finite "
                           "(diagonal dominance margin)")
 
 

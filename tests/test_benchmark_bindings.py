@@ -1,12 +1,14 @@
-"""The names the benchmark (``perfbench/``) binds in zrlab still resolve.
+"""The names the benchmark (``perfbench/``) binds in zrlab still resolve,
+and the benchmark still reads the files the CLI writes.
 
 The suite does not collect ``perfbench/``, so without these checks a
-rename would break the benchmark only when it runs.  Its modules are
-loaded from their files and only read.
+rename or a format change would break the benchmark only when it runs.
+Its modules are loaded from their files and only read.
 """
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -23,15 +25,18 @@ def _load(name):
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module     # dataclasses look their module up
     write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(PERFBENCH))      # bench imports its siblings
     try:
         spec.loader.exec_module(module)     # leaves no cache in perfbench/
     finally:
+        sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = write_bytecode
     return module
 
 
 tracing = _load("tracing")
 workloads = _load("workloads")
+bench = _load("bench")
 
 
 def _resolve(module, attr):
@@ -87,3 +92,20 @@ def test_workload_jobs_accepted(tmp_path, monkeypatch, name, seed):
         if job.kind == "cli":
             argv = list(job.argv) + ["--out", str(tmp_path / str(index))]
             assert cli.main(argv) == cli.EXIT_OK, job.label()
+
+
+def test_bench_reads_the_cli_outputs(tmp_path):
+    # a profile job and the weak-form job that reads its continuum CSV,
+    # run and checked as the benchmark runs and checks them
+    jobs = [bench.workloads.Job("cli", ("profile", "--figure3", "--gamma",
+                                        "1.5", "--theta", "0.5", "--N", "64",
+                                        "--N", "128", "--N", "256"),
+                                "1.5", "0.5"),
+            bench.workloads.Job("weak", (), "1.5", "0.5", source=0)]
+    outs = [tmp_path / "profile", tmp_path / "weak"]
+    for index, job in enumerate(jobs):
+        result = bench._execute(index, job, outs)
+        bench.check(result, outs[index])
+        assert result.exit_code == 0, result.error
+        assert not result.problems, result.problems
+    assert math.isfinite(result.accuracy["weak_residual"])

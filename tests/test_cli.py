@@ -118,7 +118,7 @@ def test_extrapolation_fallbacks_reported(tmp_path, command):
     params = cfg.model(128, thermo)
     solved = traffic.solve_lattices(params, cfg.N_list, thermo)
     family = hydrostatic.DiscreteProfileFamily(
-        params, cfg.N_list, [profile for _, profile in solved])
+        [profile for _, profile in solved])
     warn = hydrostatic.rho_extrapolated(
         params, cli._regime(cfg, params), cfg.N_list, thermo,
         family=family).warn
@@ -163,6 +163,12 @@ def test_malformed_config_value(tmp_path):
         assert run(argv + ["--config", str(cfg),
                            "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
         assert not (tmp_path / "x").exists()
+    # a non-finite number, as the flag refuses it
+    cfg.write_text("[run]\nt_sample = nan\n")
+    assert run(["simulate", "--gamma", "1.2", "--theta", "0", "--N", "8",
+                "--t-burn", "1", "--seed", "3", "--config", str(cfg),
+                "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("spelling", ["paper_literal", "paper-literal"])
@@ -199,6 +205,21 @@ def test_exit_code_config_error(tmp_path):
                 "--t-burn", "-50", "--t-sample", "200", "--seed", "3",
                 "--out", str(tmp_path / "z")]) == cli.EXIT_CONFIG
     assert not (tmp_path / "z").exists()
+    # non-finite numbers; a NaN or infinite time never ends a simulation
+    simulate = ["simulate", "--gamma", "1.2", "--theta", "0", "--N", "8",
+                "--seed", "3"]
+    for argv in (["profile", "--gamma", "0.5", "--theta", "nan", "--N", "64"],
+                 ["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
+                  "--kappa", "inf"],
+                 ["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
+                  "--alpha", "nan"],
+                 ["thermo", "--phi-grid-max", "inf"],
+                 simulate + ["--t-burn", "1", "--t-sample", "inf"],
+                 simulate + ["--t-burn", "inf", "--t-sample", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "n")])
+        assert exc.value.code == cli.EXIT_CONFIG, argv
+        assert not (tmp_path / "n").exists()
 
 
 def test_exit_code_domain_error(tmp_path):

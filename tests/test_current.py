@@ -128,6 +128,16 @@ def test_bond_independence_at_16384(thermo_identity):
     assert C.current_report(prof, system).relative_spread() < 1e-10
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: at gamma = 1.9 the spread crosses 1e-10 by N = 4096 "
+    "(1.15e-10; residual 1.4e-15), from rounding in the differences of "
+    "the kernel tail sums, not from the solve (ROADMAP item 1)"))
+def test_bond_independence_gamma_19_at_4096(thermo_identity):
+    (system, prof), = solve_lattices(make_params(1.9, 1.0, 2), (4096,),
+                                     thermo_identity)
+    assert C.current_report(prof, system).relative_spread() < 1e-10
+
+
 def test_stationary_current_bond_range(solved_256):
     system, prof = solved_256
     C.stationary_current(prof, system, 1)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from zrlab.errors import DomainError
 from zrlab import hydrostatic as H
 from zrlab.kernel import KernelParams, first_moment_half
-from zrlab.traffic import assemble, solve_direct
+from zrlab.thermo import RateFunction
+from zrlab.traffic import ModelParams, assemble, solve_direct
 
 from conftest import make_params
 
@@ -219,6 +220,42 @@ def test_m_profile_consistency_and_roundtrip(rd_profile, thermo_identity,
     assert np.max(np.abs(re_m - back.m)) < 1e-13
 
 
+@pytest.mark.parametrize("gamma,theta", [
+    (1.5, -1.0), (1.5, 0.0), (1.5, 0.25), (1.5, 0.5), (1.5, 0.8)])
+def test_continuum_csv_reads_back_the_profile(gamma, theta, thermo_identity,
+                                              tmp_path):
+    regime = H.classify_regime(gamma, theta)
+    base = make_params(gamma, theta, 2)
+    if regime.tag in H.EXTRAPOLATED_REGIMES:
+        prof = H.rho_extrapolated(base, regime, (128, 256, 512),
+                                  thermo_identity)
+    else:
+        prof = H.rho_closed_form(base, regime, thermo_identity)
+    H.write_continuum_csv(prof, tmp_path / "cont.csv")
+    back = H.read_continuum_csv(tmp_path / "cont.csv")
+    for name in ("grid", "rho", "m", "err_estimate", "warn"):
+        assert np.array_equal(getattr(back, name), getattr(prof, name)), name
+    for profile in (prof, back):
+        assert np.array_equal(profile.rho_at()(profile.grid), prof.rho)
+    (r0, r1), (b0, b1) = prof.boundary_values(), back.boundary_values()
+    assert b0 == r0
+    assert abs(b1 - r1) <= np.spacing(r1)   # PCHIP at its last knot
+
+
+def test_continuum_csv_without_edges_refused(rd_profile, tmp_path):
+    # a file in the format before the edge values and the fallback column
+    path = tmp_path / "cont.csv"
+    H.write_continuum_csv(rd_profile, path)
+    lines = path.read_text().splitlines()
+    no_edges = [l for l in lines if not l.startswith("# rho_boundary")]
+    no_fallback = [l if l.startswith("#") else l.rpartition(",")[0]
+                   for l in lines]
+    for kept in (no_edges, no_fallback):
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(DomainError):
+            H.read_continuum_csv(path)
+
+
 # -- weak formulations -------------------------------------------------------------
 
 SMOOTH_BASIS = (
@@ -235,6 +272,25 @@ def test_neumann_weak_form_constant_profile(thermo_identity):
     kp = KernelParams.create(1.5)
     for G in SMOOTH_BASIS:
         assert H.weak_form_residual(prof, G, reg, kp) < 1e-6
+
+
+def test_robin_weak_form_of_read_back_profile(thermo_figure3, tmp_path):
+    # acceptance-08's smooth basis on the figure-3 Robin profile as the CLI
+    # writes it; the boundary term reads rho(0) and rho(1) off the file
+    kernel = KernelParams.create(1.5)
+    regime = H.classify_regime(1.5, 0.5, 1.0, kernel)
+    base = ModelParams.from_fugacities(1.5, 0.5, 1.0, 0.2, 0.8, 2,
+                                       RateFunction.figure3(),
+                                       thermo=thermo_figure3)
+    prof = H.rho_extrapolated(base, regime, (512, 1024, 2048),
+                              thermo_figure3)
+    H.write_continuum_csv(prof, tmp_path / "cont.csv")
+    back = H.read_continuum_csv(tmp_path / "cont.csv")
+    basis = SMOOTH_BASIS + (
+        lambda u: np.asarray(u, dtype=float) ** 2,
+        lambda u: np.cos(2.0 * np.pi * np.asarray(u, dtype=float)))
+    assert max(H.weak_form_residual(back, G, regime, kernel)
+               for G in basis) < 5e-3
 
 
 def test_rd_weak_form_residual(rd_profile):

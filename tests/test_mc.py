@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,12 @@ def test_zr_configuration_invariants(thermo_identity):
                                    init=np.array(init))
     with pytest.raises(DomainError):    # batches would start before t = 0
         mc.simulate_zero_range(params, tables, -50.0, 20.0, seed=1)
+    with pytest.raises(DomainError):    # NaN site rates
+        tables_for(make_params(1.2, 0.0, 8, kappa=math.nan), thermo_identity)
+    for t_burn, t_sample in ((0.0, math.nan), (0.0, math.inf),
+                             (math.nan, 20.0), (math.inf, 20.0)):
+        with pytest.raises(DomainError):    # the run would never end
+            mc.simulate_zero_range(params, tables, t_burn, t_sample, seed=1)
 
 
 def test_exclusion_configuration_validation(thermo_identity):

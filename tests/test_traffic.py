@@ -24,6 +24,10 @@ def test_model_params_validation(thermo_identity):
         make_params(1.0, 0.0, 1)
     with pytest.raises(DomainError):
         make_params(1.0, 0.0, 64, kappa=-1.0)
+    for theta, kappa in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                         (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            make_params(1.0, theta, 64, kappa=kappa)
     with pytest.raises(DomainError):
         make_params(1.0, 0.0, 64, alpha=-0.5).validate(thermo_identity)
     # alpha > beta is allowed (bounds use the sorted pair)
