@@ -11,6 +11,16 @@ destination draws and the state and tree updates of a fired site.  Time
 averages are accrued lazily per site (value times holding time, flushed on
 change and at batch boundaries); standard errors come from batch means.
 
+The loop runs on Python scalars: states, rates, the tree and the
+accumulators are lists and the uniforms are Python floats, because in an
+interpreted loop arithmetic on numpy scalars costs several times that on
+floats, and that overhead, spread over every line, was the loop's cost.
+Jump destinations bisect zero-copy memoryviews of the rows of the dense
+destination table (``bisect_right`` is ``searchsorted(side="right")``);
+the table itself is never copied into lists.  Draws and float operations
+run in a fixed order, so estimates at a fixed seed are pinned bit for bit
+by the tests.
+
 Every rate is read off the assembled ``TrafficSystem``, the one owner of
 the generator's rates: the kernel row gives the jump destinations, the
 right-hand side the births, the dominance margin the death base and the
@@ -24,7 +34,9 @@ its stationary vector.
 
 from __future__ import annotations
 
+import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -40,7 +52,6 @@ from .traffic import (FugacityProfile, ModelParams, TrafficSystem, assemble,
                       solve_direct)
 
 EVENT_TABLE_CAP = 4096          # dest tables are dense (N-1)^2
-COUNT_OVERFLOW_GUARD = 1 << 62
 N_BATCHES = 25                  # batch means per sampling window
 
 
@@ -77,65 +88,28 @@ def build_event_tables(system: TrafficSystem) -> EventTables:
     return EventTables(system=system, dest_cdf=dest_cdf)
 
 
-class _Fenwick:
-    """Prefix-sum tree over per-site rates with incremental updates."""
-
-    def __init__(self, values):
-        self.n = len(values)
-        self.vals = [float(v) for v in values]
-        self._build()
-
-    def _build(self):
-        self.tree = [0.0] * (self.n + 1)
-        for i in range(1, self.n + 1):
-            self.tree[i] += self.vals[i - 1]
-            j = i + (i & -i)
-            if j <= self.n:
-                self.tree[j] += self.tree[i]
-        self.total = sum(self.vals)
-
-    def set(self, i: int, v: float) -> None:
-        d = v - self.vals[i]
-        if d == 0.0:
-            return
-        self.vals[i] = v
-        self.total += d
-        j = i + 1
-        while j <= self.n:
-            self.tree[j] += d
-            j += j & -j
-
-    def find(self, target: float) -> int:
-        """Smallest index i with prefix-sum > target."""
-        idx = 0
-        bit = 1 << (self.n.bit_length() - 1)
-        rem = target
-        tree = self.tree
-        n = self.n
-        while bit:
-            nxt = idx + bit
-            if nxt <= n and tree[nxt] <= rem:
-                rem -= tree[nxt]
-                idx = nxt
-            bit >>= 1
-        return min(idx, n - 1)
+def _fenwick(rates: list) -> list:
+    """Prefix-sum tree over per-site rates (1-based); slot 0 holds their
+    total.  ``_run_chain`` descends it inline and updates it in place."""
+    n = len(rates)
+    tree = [0.0] * (n + 1)
+    for i in range(1, n + 1):
+        tree[i] += rates[i - 1]
+        j = i + (i & -i)
+        if j <= n:
+            tree[j] += tree[i]
+    tree[0] = sum(rates)
+    return tree
 
 
-class _Uniforms:
-    """Blocked uniform stream (reproducible for a fixed seed)."""
-
-    def __init__(self, seed):
-        self.gen = np.random.default_rng(seed)
-        self.buf = self.gen.random(65536)
-        self.i = 0
-
-    def next(self) -> float:
-        if self.i >= self.buf.shape[0]:
-            self.buf = self.gen.random(65536)
-            self.i = 0
-        v = self.buf[self.i]
-        self.i += 1
-        return v
+def _uniforms(seed) -> Callable[[], float]:
+    """The uniform stream of ``default_rng(seed)`` read as Python floats
+    (reproducible for a fixed seed).  The generator fills blocks draw by
+    draw, so the block length does not change the stream; 4096 keeps the
+    block's Python floats near 0.1 MB."""
+    gen = np.random.default_rng(seed)
+    return itertools.chain.from_iterable(
+        iter(lambda: gen.random(4096).tolist(), None)).__next__
 
 
 @dataclass
@@ -164,29 +138,30 @@ def _batch_stats(batches: np.ndarray):
 class _Chain:
     """What one model brings to the event loop (see ``_run_chain``).
 
-    ``site_rate(x)`` is site x's total rate in the current ``state``.
-    ``acc`` is the (observables x sites) time-integral accumulator that
-    ``accrue(x, upto)`` adds site x's values into up to time ``upto``
-    (row 0 is the occupation, row 1, if any, g of it);
-    ``move(x, t, uniform, fen)`` fires site x at time t: it draws its own
-    branch and destination from ``uniform()``, accrues the sites it
-    changes, updates the state and resets their rates in ``fen``.
+    ``site_rate(x)`` is site x's total rate in the current ``state`` (a
+    list of ints).  ``acc`` holds one list per observable (row 0 the
+    occupation, row 1, if any, g of it) of per-site time integrals that
+    ``accrue(x, upto)`` adds site x's values into up to time ``upto``;
+    ``move(x, t, uniform, set_rate)`` fires site x at time t: it draws its
+    own branch and destination from ``uniform()``, accrues the sites it
+    changes, updates the state and hands their new rates to ``set_rate``.
     """
 
-    state: np.ndarray
-    acc: np.ndarray
+    state: list
+    acc: list
     site_rate: Callable[[int], float]
     accrue: Callable[[int, float], None]
-    move: Callable[[int, float, Callable[[], float], _Fenwick], None]
-    hist: Optional[np.ndarray] = None    # (sites x bins) occupation times
+    move: Callable[[int, float, Callable[[], float],
+                    Callable[[int, float], None]], None]
+    hist: Optional[list] = None     # (sites x bins) occupation times
 
 
-def _initial_state(init, n: int, dtype, occupancy: bool) -> np.ndarray:
-    """A copy of ``init`` as the chain's state (empty lattice for None);
-    refuses a wrong length, and counts that are not integers >= 0 (or,
-    for ``occupancy``, not in {0, 1})."""
+def _initial_state(init, n: int, occupancy: bool) -> list:
+    """``init`` as the chain's state, a list of ints (empty lattice for
+    None); refuses a wrong length, and counts that are not integers >= 0
+    (or, for ``occupancy``, not in {0, 1})."""
     if init is None:
-        return np.zeros(n, dtype=dtype)
+        return [0] * n
     arr = np.asarray(init)
     if arr.shape != (n,):
         raise DomainError(
@@ -197,7 +172,7 @@ def _initial_state(init, n: int, dtype, occupancy: bool) -> np.ndarray:
     elif not (np.all(np.isfinite(arr)) and np.all(arr >= 0)
               and np.all(arr == np.floor(arr))):
         raise DomainError("occupation numbers must be integers >= 0")
-    return arr.astype(dtype)
+    return arr.astype(np.int64).tolist()
 
 
 def _run_chain(chain: _Chain, t_burn: float, t_sample: float,
@@ -207,7 +182,9 @@ def _run_chain(chain: _Chain, t_burn: float, t_sample: float,
     Draws the exponential holding time and the firing site (Fenwick
     descent), hands the site to ``chain.move``, flushes per-site time
     integrals into N_BATCHES batch means over [t_burn, t_burn + t_sample]
-    and sheds the tree's float drift every 524288 events.
+    and sheds the tree's float drift every 524288 events.  A state no site
+    can leave (total rate 0: an empty lattice with kappa = 0) holds until
+    the end, with no event.
     """
     if not 0.0 < t_sample < math.inf:
         raise DomainError(f"t_sample must be positive and finite, got "
@@ -216,115 +193,142 @@ def _run_chain(chain: _Chain, t_burn: float, t_sample: float,
         raise DomainError(f"t_burn must be finite and >= 0, got {t_burn}")
     n = len(chain.state)
     acc, accrue, move = chain.acc, chain.accrue, chain.move
-    fen = _Fenwick([chain.site_rate(x) for x in range(n)])
-    uniform = _Uniforms(seed).next
+    rates = [chain.site_rate(x) for x in range(n)]
+    tree = _fenwick(rates)
+    top = 1 << (n.bit_length() - 1)
 
+    def set_rate(x: int, v: float) -> None:
+        d = v - rates[x]
+        if d == 0.0:
+            return
+        rates[x] = v
+        tree[0] += d
+        j = x + 1
+        while j <= n:
+            tree[j] += d
+            j += j & -j
+
+    uniform = _uniforms(seed)
     batch_len = t_sample / N_BATCHES
-    batches = np.zeros((acc.shape[0], N_BATCHES, n))
+    batches = np.zeros((len(acc), N_BATCHES, n))
     t = 0.0
     t_end = t_burn + t_sample
     batch_idx = 0
     next_flush = t_burn + batch_len
     events = 0
     while True:
-        total = fen.total
-        dt = -math.log(1.0 - uniform()) / total
+        total = tree[0]
+        dt = -math.log(1.0 - uniform()) / total if total > 0.0 else math.inf
         t_new = t + dt
         while t_new >= next_flush and batch_idx < N_BATCHES:
             for x in range(n):
                 accrue(x, next_flush)
-            batches[:, batch_idx] = acc / batch_len
-            acc[:] = 0.0
+            batches[:, batch_idx] = np.array(acc) / batch_len
+            for row in acc:
+                row[:] = [0.0] * n
             batch_idx += 1
             next_flush = t_burn + (batch_idx + 1) * batch_len
         if batch_idx >= N_BATCHES or t_new >= t_end:
             break
         t = t_new
-        move(fen.find(uniform() * total), t, uniform, fen)
+        # descend to the first site whose rate prefix sum exceeds u * total
+        rem = uniform() * total
+        x = 0
+        bit = top
+        while bit:
+            nxt = x + bit
+            if nxt <= n and tree[nxt] <= rem:
+                rem -= tree[nxt]
+                x = nxt
+            bit >>= 1
+        move(x if x < n else n - 1, t, uniform, set_rate)
         events += 1
         if events % 524288 == 0:
-            fen._build()      # shed accumulated float drift
+            tree[:] = _fenwick(rates)       # shed accumulated float drift
 
     means = [_batch_stats(b) for b in batches]
     mean_g, se_g = means[1] if len(means) > 1 else (None, None)
     hist_frac = None
     if chain.hist is not None:
-        hist_frac = chain.hist / chain.hist.sum(axis=1, keepdims=True)
+        hist = np.array(chain.hist)
+        hist_frac = hist / hist.sum(axis=1, keepdims=True)
     return SimEstimate(mean_counts=means[0][0], se_counts=means[0][1],
                        mean_g=mean_g, se_g=se_g, burn_in_time=t_burn,
                        sample_time=N_BATCHES * batch_len, event_count=events,
                        seed=seed, time_scale=time_scale, histogram=hist_frac)
 
 
-def _zero_range_chain(params: ModelParams, tables: EventTables,
-                      counts: np.ndarray, track_histogram: int) -> _Chain:
+def _zero_range_chain(params: ModelParams, tables: EventTables, counts: list,
+                      track_histogram: int, t_burn: float) -> _Chain:
     """Observables xi(x) and g(xi(x)); site x fires at
     g(xi(x)) (q_x + death_base_x) + birth_x and then jumps, dies or gives
-    birth in proportion to those three terms."""
+    birth in proportion to those three terms.  The histogram, if tracked,
+    covers the occupation times after ``t_burn``."""
     n = len(counts)
     rate_fn = params.rate
-    g_cache = np.concatenate([[0.0], rate_fn.values(256)])
+    g_cache = [0.0] + rate_fn.values(256).tolist()
 
     def g_of(k: int) -> float:
-        nonlocal g_cache
         while k >= len(g_cache):
-            g_cache = np.concatenate(
-                [[0.0], rate_fn.values(2 * (len(g_cache) + 1))])
-        return float(g_cache[k])
+            g_cache[:] = [0.0] + rate_fn.values(
+                2 * (len(g_cache) + 1)).tolist()
+        return g_cache[k]
 
+    # g_cache covers every count the state holds: the largest initial one,
+    # and each count a move raises, which ``move`` looks up with g_of
+    g_of(max(counts, default=0))
     system, dest_cdf = tables.system, tables.dest_cdf
-    q, birth = dest_cdf[:, -1], system.rhs
-    death_base = system.dominance_margin()
-    out = q + death_base
-    acc = np.zeros((2, n))
+    rows = [memoryview(r) for r in dest_cdf]
+    q_arr, death_arr = dest_cdf[:, -1], system.dominance_margin()
+    q, death_base = q_arr.tolist(), death_arr.tolist()
+    out = (q_arr + death_arr).tolist()
+    birth = system.rhs.tolist()
+    acc = [[0.0] * n, [0.0] * n]
     acc_xi, acc_g = acc
-    last = np.zeros(n)
+    last = [0.0] * n
     kbins = track_histogram + 2 if track_histogram else 0
-    hist = np.zeros((n, kbins)) if track_histogram else None
+    hist = [[0.0] * kbins for _ in range(n)] if track_histogram else None
 
     def site_rate(x: int) -> float:
-        return g_of(int(counts[x])) * out[x] + birth[x]
+        return g_cache[counts[x]] * out[x] + birth[x]
 
     def accrue(x: int, upto: float) -> None:
         dt = upto - last[x]
         if dt > 0.0:
-            c = int(counts[x])
+            c = counts[x]
             acc_xi[x] += c * dt
-            acc_g[x] += g_of(c) * dt
-            if hist is not None:
-                hist[x, min(c, kbins - 1)] += dt
+            acc_g[x] += g_cache[c] * dt
+            if hist is not None and upto > t_burn:
+                hist[x][min(c, kbins - 1)] += upto - max(last[x], t_burn)
         last[x] = upto
 
-    # rates are inlined below: one Python call fewer per tree update
-    def move(x: int, t: float, uniform, fen: _Fenwick) -> None:
-        gx = g_of(int(counts[x]))
+    def move(x: int, t: float, uniform, set_rate) -> None:
+        gx = g_cache[counts[x]]
         gb = gx * q[x]
         gd = gx * death_base[x]
         r = uniform() * (gb + gd + birth[x])
         accrue(x, t)
         if r < gb:
-            y = int(np.searchsorted(dest_cdf[x], uniform() * q[x],
-                                    side="right"))
+            y = bisect_right(rows[x], uniform() * q[x])
             y = min(y, n - 1)
             accrue(y, t)
             counts[x] -= 1
             counts[y] += 1
-            fen.set(x, g_of(int(counts[x])) * out[x] + birth[x])
-            fen.set(y, g_of(int(counts[y])) * out[y] + birth[y])
+            set_rate(x, g_cache[counts[x]] * out[x] + birth[x])
+            set_rate(y, g_of(counts[y]) * out[y] + birth[y])
             return
         if r < gb + gd:
             counts[x] -= 1
-        else:
-            counts[x] += 1
-            if counts[x] >= COUNT_OVERFLOW_GUARD:
-                raise OverflowError("occupation number overflow guard hit")
-        fen.set(x, g_of(int(counts[x])) * out[x] + birth[x])
+            set_rate(x, g_cache[counts[x]] * out[x] + birth[x])
+            return
+        counts[x] += 1
+        set_rate(x, g_of(counts[x]) * out[x] + birth[x])
 
     return _Chain(state=counts, acc=acc, site_rate=site_rate, accrue=accrue,
                   move=move, hist=hist)
 
 
-def _exclusion_chain(tables: EventTables, eta: np.ndarray) -> _Chain:
+def _exclusion_chain(tables: EventTables, eta: list) -> _Chain:
     """Observable eta(x).  Bulk exchanges are attempted per ordered pair at
     rate p(y-x)/2 (no-ops between equal occupancies are legal self-loops),
     so bulk site rates are constant and only flips change a site's rate."""
@@ -332,40 +336,43 @@ def _exclusion_chain(tables: EventTables, eta: np.ndarray) -> _Chain:
     system, dest_cdf = tables.system, tables.dest_cdf
     a_t, b_t = tilde_densities(system.phi_alpha, system.phi_beta)
     scale = system.params.boundary_scale()
-    fl, fr = scale * system.rates.left, scale * system.rates.right
-    q = dest_cdf[:, -1]
-    half_q = 0.5 * q
-    acc = np.zeros((1, n))
+    fl = (scale * system.rates.left).tolist()
+    fr = (scale * system.rates.right).tolist()
+    rows = [memoryview(r) for r in dest_cdf]
+    q = dest_cdf[:, -1].tolist()
+    half_q = (0.5 * dest_cdf[:, -1]).tolist()
+    # site x's rate when empty (rate[0]) and when occupied (rate[1])
+    rate = ([half_q[x] + (fl[x] * a_t + fr[x] * b_t) for x in range(n)],
+            [half_q[x] + (fl[x] * (1.0 - a_t) + fr[x] * (1.0 - b_t))
+             for x in range(n)])
+    acc = [[0.0] * n]
     acc_eta = acc[0]
-    last = np.zeros(n)
+    last = [0.0] * n
 
     def site_rate(x: int) -> float:
-        if eta[x]:
-            return half_q[x] + (fl[x] * (1.0 - a_t) + fr[x] * (1.0 - b_t))
-        return half_q[x] + (fl[x] * a_t + fr[x] * b_t)
+        return rate[eta[x]][x]
 
     def accrue(x: int, upto: float) -> None:
         dt = upto - last[x]
         if dt > 0.0:
-            acc_eta[x] += float(eta[x]) * dt
+            acc_eta[x] += eta[x] * dt
         last[x] = upto
 
-    def move(x: int, t: float, uniform, fen: _Fenwick) -> None:
-        r = uniform() * site_rate(x)
-        if r < half_q[x]:
-            y = int(np.searchsorted(dest_cdf[x], uniform() * q[x],
-                                    side="right"))
+    def move(x: int, t: float, uniform, set_rate) -> None:
+        ex = eta[x]
+        if uniform() * rate[ex][x] < half_q[x]:
+            y = bisect_right(rows[x], uniform() * q[x])
             y = min(y, n - 1)
-            if eta[x] != eta[y]:
+            if ex != eta[y]:
                 accrue(x, t)
                 accrue(y, t)
-                eta[x], eta[y] = eta[y], eta[x]
-                fen.set(x, site_rate(x))
-                fen.set(y, site_rate(y))
+                eta[x], eta[y] = 1 - ex, ex
+                set_rate(x, rate[1 - ex][x])
+                set_rate(y, rate[ex][y])
         else:
             accrue(x, t)
-            eta[x] = 1 - eta[x]
-            fen.set(x, site_rate(x))
+            eta[x] = 1 - ex
+            set_rate(x, rate[1 - ex][x])
 
     return _Chain(state=eta, acc=acc, site_rate=site_rate, accrue=accrue,
                   move=move)
@@ -378,12 +385,13 @@ def simulate_zero_range(params: ModelParams, tables: EventTables,
     """Time-averaged xi(x) and g(xi(x)) over the sampling window.
 
     ``track_histogram=K`` also accrues occupation-time fractions for
-    counts 0..K (last bin collects overflow).  ``init`` is the starting
-    configuration (N-1 integers >= 0; empty by default).
+    counts 0..K (last bin collects overflow) over the sampling window.
+    ``init`` is the starting configuration (N-1 integers >= 0; empty by
+    default).
     """
-    counts = _initial_state(init, params.N - 1, np.int64, occupancy=False)
+    counts = _initial_state(init, params.N - 1, occupancy=False)
     return _run_chain(_zero_range_chain(params, tables, counts,
-                                        track_histogram),
+                                        track_histogram, t_burn),
                       t_burn, t_sample, seed, params.time_scale())
 
 
@@ -395,7 +403,7 @@ def simulate_exclusion(params: ModelParams, tables: EventTables,
     ``init`` is the starting configuration (N-1 occupancies in {0, 1};
     empty by default).
     """
-    eta = _initial_state(init, params.N - 1, np.int8, occupancy=True)
+    eta = _initial_state(init, params.N - 1, occupancy=True)
     return _run_chain(_exclusion_chain(tables, eta), t_burn, t_sample, seed,
                       params.time_scale())
 

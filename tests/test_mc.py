@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -42,6 +43,14 @@ def test_zr_configuration_invariants(thermo_identity):
                              (math.nan, 20.0), (math.inf, 20.0)):
         with pytest.raises(DomainError):    # the run would never end
             mc.simulate_zero_range(params, tables, t_burn, t_sample, seed=1)
+    # kappa = 0 from an empty lattice: no site can fire, the state holds
+    conservative = make_params(1.2, 0.0, 8, kappa=0.0)
+    est = mc.simulate_zero_range(conservative,
+                                 tables_for(conservative, thermo_identity),
+                                 0.0, 20.0, seed=1)
+    assert est.event_count == 0
+    for arr in (est.mean_counts, est.se_counts, est.mean_g, est.se_g):
+        assert np.array_equal(arr, np.zeros(7))
 
 
 def test_exclusion_configuration_validation(thermo_identity):
@@ -107,7 +116,7 @@ def test_event_tables_read_the_generator(gamma, theta, kappa, N, indicator,
     g = np.concatenate([[0.0], rate.values(int(counts.max()) + 1)])[counts]
     expected = (g * (q + scale * (rr.right + rr.left))
                 + scale * (phi_b * rr.right + phi_a * rr.left))
-    chain = mc._zero_range_chain(params, tables, counts, 0)
+    chain = mc._zero_range_chain(params, tables, counts, 0, 0.0)
     got = np.array([chain.site_rate(x) for x in range(N - 1)])
     assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
@@ -126,21 +135,41 @@ def test_event_tables_cap(thermo_identity):
         tables_for(make_params(1.0, 0.0, 8192), thermo_identity)
 
 
-def test_fenwick_tree():
+def test_fenwick_tree(monkeypatch):
+    # the event loop's rate tree: its total, its inline descent to the
+    # first site whose rate prefix sum exceeds u * total, and the rate
+    # update a move calls; scripted uniforms alternate a zero holding time
+    # with the site draw target / total, and the chain records each site
     rng = np.random.default_rng(0)
     vals = rng.uniform(0.1, 2.0, size=37)
-    tree = mc._Fenwick(vals)
-    assert abs(tree.total - vals.sum()) < 1e-12
+    rates = vals.tolist()
+    assert abs(mc._fenwick(rates)[0] - vals.sum()) < 1e-12
     cum = np.cumsum(vals)
-    for target in (0.0, 0.5, cum[-1] * 0.999, cum[10] - 1e-9, cum[10] + 1e-9):
-        idx = tree.find(target)
-        assert idx == int(np.searchsorted(cum, target, side="right"))
-    tree.set(5, 3.0)
+    targets = [0.0, 0.5, cum[-1] * 0.999, cum[10] - 1e-9, cum[10] + 1e-9]
+    expected = [int(np.searchsorted(cum, target, side="right"))
+                for target in targets]
+    draws = [u for target in targets for u in (0.0, target / cum[-1])]
     vals[5] = 3.0
     cum = np.cumsum(vals)
     for target in (cum[4] + 1e-9, cum[5] - 1e-9):
-        assert tree.find(target) == int(np.searchsorted(cum, target,
-                                                        side="right"))
+        expected.append(int(np.searchsorted(cum, target, side="right")))
+        draws += [0.0, target / cum[-1]]
+    draws.append(0.5)                   # a holding time past the window
+
+    fired = []
+
+    def move(x, t, uniform, set_rate):
+        fired.append(x)
+        if len(fired) == len(targets):
+            set_rate(5, 3.0)
+
+    chain = mc._Chain(state=[0] * 37, acc=[[0.0] * 37],
+                      site_rate=rates.__getitem__,
+                      accrue=lambda x, upto: None, move=move)
+    monkeypatch.setattr(mc, "_uniforms", lambda seed: iter(draws).__next__)
+    est = mc._run_chain(chain, 0.0, 1e-3, seed=0, time_scale=1.0)
+    assert fired == expected
+    assert est.event_count == len(expected)
 
 
 # -- brute-force oracle ----------------------------------------------------------
@@ -176,6 +205,38 @@ def test_zr_reproducible(thermo_identity):
     assert np.array_equal(a.se_counts, b.se_counts)
     c = mc.simulate_zero_range(params, tables, 50.0, 400.0, seed=43)
     assert not np.array_equal(a.mean_counts, c.mean_counts)
+
+
+@pytest.mark.parametrize("chain, from_init, events, digest", [
+    ("zr", False, 9881,
+     "1821610064b9b802bc171f756e613de3bf6039a7fd02c3dbcff4525c7109c210"),
+    ("ex", False, 5178,
+     "6fc58045b9f488eaf6c4185bd9ecc63e50ce8e63b2c1eba7e3e6f2c7b904cb58"),
+    ("zr", True, 11383,
+     "ccbd5ef691e7e43d6c78bdcf698fac920f9cc4f1f51e56d7399b521fde601af8"),
+    ("ex", True, 5135,
+     "b2109f2691bb3368fc3c05400492b362b716bd8caae247c24eb50186df0dfe85"),
+])
+def test_chains_bit_identical_at_fixed_seed(thermo_identity, chain, from_init,
+                                            events, digest):
+    # event counts and estimate bytes recorded with the numpy-scalar event
+    # loop; a faster loop must draw, add and divide in the same order
+    params = make_params(1.2, 0.0, 24)
+    tables = tables_for(params, thermo_identity)
+    if chain == "zr":
+        init = np.arange(23) % 4 if from_init else None
+        est = mc.simulate_zero_range(params, tables, 50.0, 400.0, seed=3,
+                                     init=init)
+    else:
+        init = np.arange(23) % 2 if from_init else None
+        est = mc.simulate_exclusion(params, tables, 50.0, 400.0, seed=3,
+                                    init=init)
+    h = hashlib.sha256()
+    for arr in (est.mean_counts, est.se_counts, est.mean_g, est.se_g):
+        if arr is not None:
+            h.update(arr.tobytes())
+    assert est.event_count == events
+    assert h.hexdigest() == digest
 
 
 def test_zr_equilibrium_mean_g(thermo_identity):
@@ -228,6 +289,18 @@ def test_histogram_rows_normalized(thermo_identity):
     est = mc.simulate_zero_range(params, tables, 100.0, 1000.0, seed=3,
                                  track_histogram=10)
     assert np.allclose(est.histogram.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_histogram_excludes_burn_in(thermo_identity):
+    # a lattice started at 30 per site drains during the burn-in; counts
+    # above 12 have stationary mass ~1e-12, so the overflow bin must stay
+    # empty once the burn-in is cut
+    params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
+    tables = tables_for(params, thermo_identity)
+    est = mc.simulate_zero_range(params, tables, 300.0, 300.0, seed=3,
+                                 init=np.full(15, 30), track_histogram=12)
+    assert np.allclose(est.histogram.sum(axis=1), 1.0, atol=1e-12)
+    assert est.histogram[:, -1].max() < 1e-6
 
 
 # -- exclusion simulator -------------------------------------------------------------
