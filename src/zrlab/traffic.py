@@ -6,8 +6,8 @@ system: P_N is the Toeplitz matrix of in-range jump probabilities, D_N
 adds the reservoir coupling kappa N^(-theta)(r^+ + r^-), and R_N carries
 the reservoir fugacities.  Every lattice is solved by conjugate gradients
 with an FFT Toeplitz matvec and a Jacobi-scaled optimal circulant
-preconditioner (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988); dense LU
-is kept as the reference solution.
+preconditioner (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988), zero-padded
+to a fast FFT length; dense LU is kept as the reference solution.
 
 ``assemble`` also serves kappa = 0, the conservative limit that the Monte
 Carlo chains read their rates from (rhs = 0); the system is then singular,
@@ -128,22 +128,12 @@ class ModelParams:
         return d
 
 
-class _ToeplitzOperator:
-    """Symmetric Toeplitz matvec via circulant embedding and FFT, in the
-    precision of ``first_col``."""
-
-    def __init__(self, first_col: np.ndarray):
-        self.n = len(first_col)
-        L = scipy.fft.next_fast_len(2 * self.n)
-        embed = np.zeros(L, dtype=first_col.dtype)
-        embed[:self.n] = first_col
-        embed[L - self.n + 1:] = first_col[1:][::-1]
-        self._fft = scipy.fft.rfft(embed)
-        self._L = L
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        vf = scipy.fft.rfft(v, n=self._L)
-        return scipy.fft.irfft(vf * self._fft, n=self._L)[:self.n]
+def _padded_circulant(spectrum: np.ndarray,
+                      length: int) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> the first len(v) entries of C [v; 0], for the circulant C of
+    size ``length`` with real-FFT eigenvalues ``spectrum``."""
+    return lambda v: scipy.fft.irfft(scipy.fft.rfft(v, n=length) * spectrum,
+                                     n=length)[:len(v)]
 
 
 @dataclass
@@ -162,11 +152,12 @@ class TrafficSystem:
 
     def toeplitz_apply(self, v: np.ndarray) -> np.ndarray:
         """P v in the precision of v (double, or long double)."""
-        op = self._toeplitz.get(v.dtype)
-        if op is None:
-            op = _ToeplitzOperator(self.kernel_row.astype(v.dtype))
-            self._toeplitz[v.dtype] = op
-        return op.apply(v)
+        if v.dtype not in self._toeplitz:
+            t = self.kernel_row.astype(v.dtype)
+            L = scipy.fft.next_fast_len(2 * len(t) - 1, real=True)  # no wrap
+            col = np.concatenate((t, np.zeros(L + 1 - 2 * len(t)), t[:0:-1]))
+            self._toeplitz[v.dtype] = _padded_circulant(scipy.fft.rfft(col), L)
+        return self._toeplitz[v.dtype](v)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.diag * v - self.toeplitz_apply(v)
@@ -178,27 +169,36 @@ class TrafficSystem:
     def preconditioner_spectrum(self) -> np.ndarray:
         """Eigenvalues d - eig(C) of the circulant core dI - C.
 
-        C is T. Chan's optimal circulant of the kernel row and d the
-        diagonal at the middle site.  C's top eigenvalue is the average
-        in-range row mass, at most the middle site's, which is below d, so
-        every eigenvalue is positive."""
-        t = self.kernel_row
-        n = len(t)
-        k = np.arange(n)
-        c = ((n - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / n
+        C is T. Chan's optimal circulant of the kernel row p, zero-padded to
+        the fast real-FFT length m >= n = N - 1; d is the middle diagonal.
+        As C >= 0, its top eigenvalue is its row sum, the average row mass
+        2 sum_{k<n} (1 - k/m) p(k) of the padded Toeplitz matrix.  Bounding
+        k p(k) = c k^-gamma (nonincreasing) by h p(h), h = n // 2, from below
+        for k <= h and from above beyond puts that under the middle site's
+        in-range mass if m (H_2h - H_h) <= n - 1 (H harmonic numbers, H_2h -
+        H_h < ln 2).  Fast lengths meet it: m = n to n = 6, m <= 15n/13 to
+        n = 13, m <= 4n/3 beyond.  The reservoir margin then lifts d above
+        it: every eigenvalue is positive."""
+        n = self.N - 1
+        m = scipy.fft.next_fast_len(n, real=True)
+        t = np.concatenate((self.kernel_row, np.zeros(m - n)))
+        k = np.arange(m)
+        c = ((m - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / m
         return self.diag[n // 2] - scipy.fft.rfft(c).real
 
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> M^-1 v for M = S (dI - C) S, S = diag(sqrt(diag / d)).
+        """v -> M^-1 v = S^-1 [(dI - C)^-1]_n S^-1 v, S = diag(sqrt(diag / d)).
 
-        The Jacobi scaling S carries the edge growth of the diagonal
-        (N^-theta u^-gamma at theta < 0, gamma > 1) that the circulant
-        cannot see."""
+        v is zero-padded to C's length m and the product cut to its first n
+        entries: a principal block of the SPD (dI - C)^-1, so M is SPD (T.
+        Chan's own at m = n).  The Jacobi scaling S carries the diagonal's
+        edge growth (N^-theta u^-gamma at theta < 0, gamma > 1) that the
+        circulant cannot see."""
         n = self.N - 1
-        spectrum = self.preconditioner_spectrum()
+        circulant = _padded_circulant(1.0 / self.preconditioner_spectrum(),
+                                      scipy.fft.next_fast_len(n, real=True))
         s_inv = np.sqrt(self.diag[n // 2] / self.diag)
-        return lambda v: s_inv * scipy.fft.irfft(
-            scipy.fft.rfft(s_inv * v) / spectrum, n=n)
+        return lambda v: s_inv * circulant(s_inv * v)
 
 
 @dataclass

@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +208,53 @@ def test_bounds_and_symmetry_property(gamma, theta, kappa, N):
         assert current_report(prof, system).relative_spread() < 1e-10
     direct, iterative = profiles
     assert np.max(np.abs(iterative.values - direct.values)) < 1e-9
+
+
+@pytest.mark.parametrize("N", (2, 3, 17, 64, 65, 100, 257))
+def test_preconditioner_is_spd(N, thermo_identity):
+    # M^-1 = S^-1 [(dI - C)^-1]_n S^-1 is SPD at padded and unpadded
+    # lengths; where n = N - 1 is itself a fast length it is T. Chan's
+    # length-n preconditioner, built here densely
+    n = N - 1
+    for gamma, theta in itertools.product((0.3, 1.8), (-1.0, 0.0, 1.0)):
+        system = assemble(make_params(gamma, theta, N), thermo_identity)
+        precondition = system.preconditioner()
+        M_inv = np.column_stack([precondition(e) for e in np.eye(n)])
+        scale = float(np.max(np.abs(M_inv)))
+        assert np.max(np.abs(M_inv - M_inv.T)) <= 8.0 * EPS * scale
+        assert np.linalg.eigvalsh(M_inv).min() > 0.0
+        if scipy.fft.next_fast_len(n, real=True) == n:
+            t = system.kernel_row
+            k = np.arange(n)
+            c = ((n - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / n
+            d = system.diag[n // 2]
+            s = np.sqrt(system.diag / d)
+            M = s[:, None] * (d * np.eye(n) - scipy.linalg.circulant(c)) * s
+            assert np.max(np.abs(M_inv - np.linalg.inv(M))) <= 1e-13 * scale
+
+
+def test_circulant_row_sum_below_middle_mass(thermo_identity):
+    # the bound behind the preconditioner's positivity holds without the
+    # reservoir margin, at every padded length of small lattices
+    for gamma, N in itertools.product((0.05, 1.0, 1.95), range(2, 130)):
+        system = assemble(make_params(gamma, 1.0, N), thermo_identity)
+        d = system.diag[(N - 1) // 2]
+        margin = system.dominance_margin()[(N - 1) // 2]
+        assert system.preconditioner_spectrum().min() - margin > -4 * EPS * d
+
+
+@pytest.mark.parametrize("rate, theta, recorded", (("identity", 0.5, 50),
+                                                   ("figure3", -1.0, 80)))
+def test_cg_work_at_prime_length(rate, theta, recorded):
+    # N - 1 = 8191 is prime, the length the preconditioner is padded from;
+    # the counts were recorded with the unpadded length-(N - 1) circulant
+    # (scipy 1.17.1, numpy 2.4.6, x86-64)
+    rate = getattr(RateFunction, rate)()
+    thermo = ThermoTables.create(rate)
+    params = ModelParams.from_fugacities(1.5, theta, 1.0, 0.2, 0.8, 8192,
+                                         rate, thermo=thermo)
+    prof = solve_iterative(assemble(params, thermo))
+    assert len(prof.cg_history) <= 1.05 * recorded
 
 
 def test_profile_csv(tmp_path, solved_256, thermo_identity):
