@@ -157,6 +157,8 @@ class RunConfig:
             raise ConfigError("t-sample must be positive")
         if self.t_burn is not None and not self.t_burn >= 0.0:
             raise ConfigError(f"t-burn must be >= 0, got {self.t_burn}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.grid_points < 9:
             raise ConfigError("grid must have at least 9 points")
 

@@ -15,11 +15,10 @@ The loop runs on Python scalars: states, rates, the tree and the
 accumulators are lists and the uniforms are Python floats, because in an
 interpreted loop arithmetic on numpy scalars costs several times that on
 floats, and that overhead, spread over every line, was the loop's cost.
-Jump destinations bisect zero-copy memoryviews of the rows of the dense
-destination table (``bisect_right`` is ``searchsorted(side="right")``);
-the table itself is never copied into lists.  Draws and float operations
-run in a fixed order, so estimates at a fixed seed are pinned bit for bit
-by the tests.
+Jump destinations bisect one cumulative kernel row (``EventTables``), so
+the tables cost O(N) for any N.  Draws and float operations run in a
+fixed order, so estimates at a fixed seed are pinned bit for bit by the
+tests.
 
 Every rate is read off the assembled ``TrafficSystem``, the one owner of
 the generator's rates: the kernel row gives the jump destinations, the
@@ -36,13 +35,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError
 from .hydrostatic import tilde_densities
@@ -51,41 +49,41 @@ from .thermo import ThermoTables
 from .traffic import (FugacityProfile, ModelParams, TrafficSystem, assemble,
                       solve_direct)
 
-EVENT_TABLE_CAP = 4096          # dest tables are dense (N-1)^2
 N_BATCHES = 25                  # batch means per sampling window
 
 
 @dataclass
 class EventTables:
-    """Jump-destination samplers over an assembled traffic system.
-
-    dest_cdf[x-1] holds the unnormalized cumulative kernel mass over the
-    in-range destinations of site x; its last column is the in-range mass
-    q_x.  Every other rate is read off ``system``.
-    """
+    """An assembled traffic system plus its cumulative kernel row
+    ``cum[k]`` = p(1) + ... + p(k), ``cum[0]`` = 0, over the n = N - 1
+    sites.  Every rate is read off ``system``."""
 
     system: TrafficSystem
-    dest_cdf: np.ndarray
+    cum: list
+
+    def in_range_mass(self) -> list:
+        """q_x = cum[x] + cum[n-1-x] for every site x."""
+        return [a + b for a, b in zip(self.cum, reversed(self.cum))]
+
+    def destination(self, x: int, r: float) -> int:
+        """The site a jump from x lands on, for r uniform on [0, q_x): the
+        sites in row order, far left first; past q_x by rounding, the last."""
+        cum = self.cum
+        cx = cum[x]
+        if r < cx:
+            return x - bisect_left(cum, cx - r)
+        return min(x + bisect_right(cum, r - cx), len(cum) - 1)
 
 
 def build_event_tables(system: TrafficSystem) -> EventTables:
-    """Destination tables: row x of the Toeplitz matrix of in-range jump
-    probabilities p(y-x), cumulated along the row.
-
-    The zero-range site rate is g(xi(x)) (q_x + death_base_x) + birth_x,
-    with birth = ``system.rhs`` and death_base =
-    ``system.dominance_margin()``.
-    """
-    N = system.N
-    if math.isnan(system.params.kappa):     # NaN rates never end a run
-        raise DomainError("the chains need kappa >= 0, got NaN")
-    if N > EVENT_TABLE_CAP:
-        raise DomainError(
-            f"N={N} exceeds the event-table cap {EVENT_TABLE_CAP} "
-            "(dense destination tables)")
-    dest_cdf = scipy.linalg.toeplitz(system.kernel_row)
-    np.cumsum(dest_cdf, axis=1, out=dest_cdf)
-    return EventTables(system=system, dest_cdf=dest_cdf)
+    """O(N) tables for any N.  The zero-range site rate is
+    g(xi(x)) (q_x + death_base_x) + birth_x, with birth = ``system.rhs`` and
+    death_base = ``system.dominance_margin()``."""
+    scale = system.params.boundary_scale()
+    if not 0.0 <= scale < math.inf:     # NaN or inf rates never end a run
+        raise DomainError(f"the chains need a reservoir scale kappa "
+                          f"N^(-theta) >= 0 and finite, got {scale}")
+    return EventTables(system, np.cumsum(system.kernel_row).tolist())
 
 
 def _fenwick(rates: list) -> list:
@@ -277,11 +275,9 @@ def _zero_range_chain(params: ModelParams, tables: EventTables, counts: list,
     # g_cache covers every count the state holds: the largest initial one,
     # and each count a move raises, which ``move`` looks up with g_of
     g_of(max(counts, default=0))
-    system, dest_cdf = tables.system, tables.dest_cdf
-    rows = [memoryview(r) for r in dest_cdf]
-    q_arr, death_arr = dest_cdf[:, -1], system.dominance_margin()
-    q, death_base = q_arr.tolist(), death_arr.tolist()
-    out = (q_arr + death_arr).tolist()
+    system, destination = tables.system, tables.destination
+    q, death_base = tables.in_range_mass(), system.dominance_margin().tolist()
+    out = [qx + dx for qx, dx in zip(q, death_base)]
     birth = system.rhs.tolist()
     acc = [[0.0] * n, [0.0] * n]
     acc_xi, acc_g = acc
@@ -309,8 +305,7 @@ def _zero_range_chain(params: ModelParams, tables: EventTables, counts: list,
         r = uniform() * (gb + gd + birth[x])
         accrue(x, t)
         if r < gb:
-            y = bisect_right(rows[x], uniform() * q[x])
-            y = min(y, n - 1)
+            y = destination(x, uniform() * q[x])
             accrue(y, t)
             counts[x] -= 1
             counts[y] += 1
@@ -333,14 +328,13 @@ def _exclusion_chain(tables: EventTables, eta: list) -> _Chain:
     rate p(y-x)/2 (no-ops between equal occupancies are legal self-loops),
     so bulk site rates are constant and only flips change a site's rate."""
     n = len(eta)
-    system, dest_cdf = tables.system, tables.dest_cdf
+    system, destination = tables.system, tables.destination
     a_t, b_t = tilde_densities(system.phi_alpha, system.phi_beta)
     scale = system.params.boundary_scale()
     fl = (scale * system.rates.left).tolist()
     fr = (scale * system.rates.right).tolist()
-    rows = [memoryview(r) for r in dest_cdf]
-    q = dest_cdf[:, -1].tolist()
-    half_q = (0.5 * dest_cdf[:, -1]).tolist()
+    q = tables.in_range_mass()
+    half_q = [0.5 * qx for qx in q]
     # site x's rate when empty (rate[0]) and when occupied (rate[1])
     rate = ([half_q[x] + (fl[x] * a_t + fr[x] * b_t) for x in range(n)],
             [half_q[x] + (fl[x] * (1.0 - a_t) + fr[x] * (1.0 - b_t))
@@ -361,8 +355,7 @@ def _exclusion_chain(tables: EventTables, eta: list) -> _Chain:
     def move(x: int, t: float, uniform, set_rate) -> None:
         ex = eta[x]
         if uniform() * rate[ex][x] < half_q[x]:
-            y = bisect_right(rows[x], uniform() * q[x])
-            y = min(y, n - 1)
+            y = destination(x, uniform() * q[x])
             if ex != eta[y]:
                 accrue(x, t)
                 accrue(y, t)
@@ -519,6 +512,14 @@ class MappingReport:
                 f"(zr events {self.events_zr}, ex events {self.events_ex})")
 
 
+def _z_scores(est: SimEstimate, phi: np.ndarray, s: float) -> np.ndarray:
+    """Per-site z of an estimate of phi_N(x): E[g(xi(x))] for zero-range,
+    s E[eta(x)] with s = phi_a + phi_b for exclusion."""
+    if est.mean_g is not None:
+        return (est.mean_g - phi) / (est.se_g + 1e-300)
+    return (s * est.mean_counts - phi) / (s * est.se_counts + 1e-300)
+
+
 def mapping_check(params: ModelParams, profile: FugacityProfile,
                   seeds: tuple = (1234, 5678),
                   t_burn: float = 50.0, t_sample: float = 500.0,
@@ -538,8 +539,8 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
                                 t_sample, seeds[1])
     phi = profile.values
     s = system.phi_alpha + system.phi_beta
-    z_eta = (s * est_ex.mean_counts - phi) / (s * est_ex.se_counts + 1e-300)
-    z_g = (est_zr.mean_g - phi) / (est_zr.se_g + 1e-300)
+    z_eta = _z_scores(est_ex, phi, s)
+    z_g = _z_scores(est_zr, phi, s)
     se_cross = np.sqrt((s * est_ex.se_counts) ** 2 + est_zr.se_g ** 2)
     z_cross = (s * est_ex.mean_counts - est_zr.mean_g) / (se_cross + 1e-300)
     ok = ((np.abs(z_eta) < 3.0) & (np.abs(z_g) < 3.0)
@@ -562,16 +563,12 @@ def write_estimate_csv(est: SimEstimate, profile: FugacityProfile,
         "x,mean_xi,se_xi,mean_g,se_g,exact_phi,z_score",
     ]
     phi = profile.values
+    z = _z_scores(est, phi, profile.phi_alpha + profile.phi_beta)
     for x in range(len(est.mean_counts)):
-        if est.mean_g is None:
-            mg, sg = "", ""
-            z = (est.mean_counts[x] * (profile.phi_alpha + profile.phi_beta)
-                 - phi[x]) / ((profile.phi_alpha + profile.phi_beta)
-                              * est.se_counts[x] + 1e-300)
-        else:
+        mg, sg = "", ""
+        if est.mean_g is not None:
             mg, sg = repr(float(est.mean_g[x])), repr(float(est.se_g[x]))
-            z = (est.mean_g[x] - phi[x]) / (est.se_g[x] + 1e-300)
         lines.append(f"{x + 1},{float(est.mean_counts[x])!r},{float(est.se_counts[x])!r},"
-                     f"{mg},{sg},{float(phi[x])!r},{float(z)!r}")
+                     f"{mg},{sg},{float(phi[x])!r},{float(z[x])!r}")
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")

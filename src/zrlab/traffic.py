@@ -59,9 +59,8 @@ class ModelParams:
         if not math.isfinite(self.theta):
             raise DomainError(f"theta must be finite, got {self.theta}")
         if self.kappa < 0.0 or math.isinf(self.kappa):
-            # kappa = 0 is allowed only for the conservative simulator
-            # limit; the stationary solve requires kappa > 0 (and refuses
-            # a NaN kappa, see _require_margin)
+            # kappa = 0 serves only the conservative chains; the stationary
+            # solve refuses it, and NaN, in _require_margin
             raise DomainError(f"kappa must be finite and >= 0, got "
                               f"{self.kappa}")
         if self.N < 2:
@@ -257,12 +256,13 @@ def residual(system: TrafficSystem, values: np.ndarray) -> float:
 
 
 def _require_margin(system: TrafficSystem) -> None:
-    """Refuse kappa <= 0 (and NaN): without the reservoirs' dominance
-    margin the system is singular (mass is conserved) and has no
-    stationary profile.  An infinite kappa has no finite system."""
-    if not 0.0 < system.params.kappa < math.inf:
-        raise DomainError("the stationary solve needs kappa > 0 and finite "
-                          "(diagonal dominance margin)")
+    """Refuse a reservoir scale kappa N^(-theta) <= 0, infinite or NaN:
+    without the reservoirs' dominance margin the system is singular (mass
+    is conserved) and has no stationary profile."""
+    scale = system.params.boundary_scale()
+    if not 0.0 < scale < math.inf:
+        raise DomainError(f"the stationary solve needs kappa > 0 and a "
+                          f"finite kappa N^(-theta), got {scale}")
 
 
 def solve_direct(system: TrafficSystem) -> FugacityProfile:

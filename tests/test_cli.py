@@ -205,6 +205,14 @@ def test_exit_code_config_error(tmp_path):
                 "--t-burn", "-50", "--t-sample", "200", "--seed", "3",
                 "--out", str(tmp_path / "z")]) == cli.EXIT_CONFIG
     assert not (tmp_path / "z").exists()
+    # a negative seed, as a flag and in a config file
+    assert run(["simulate", "--N", "8", "--t-sample", "10", "--seed", "-1",
+                "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nseed = -1\n")
+    assert run(["simulate", "--N", "8", "--t-sample", "10", "--config",
+                str(cfg), "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "s").exists()
     # non-finite numbers; a NaN or infinite time never ends a simulation
     simulate = ["simulate", "--gamma", "1.2", "--theta", "0", "--N", "8",
                 "--seed", "3"]
@@ -229,6 +237,11 @@ def test_exit_code_domain_error(tmp_path):
     # the excluded regime point
     assert run(["profile", "--gamma", "1.0", "--theta", "0", "--N", "64",
                 "--out", str(tmp_path / "y")]) == cli.EXIT_DOMAIN
+    # kappa N^(-theta) overflows to inf: no finite stationary solve
+    for command in ("profile", "current"):
+        assert run([command, "--gamma", "1.5", "--theta", "-1", "--N", "8",
+                    "--kappa", "1e308",
+                    "--out", str(tmp_path / "z")]) == cli.EXIT_DOMAIN
 
 
 def test_exit_code_statistical_failure(tmp_path):

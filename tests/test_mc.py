@@ -39,6 +39,8 @@ def test_zr_configuration_invariants(thermo_identity):
         mc.simulate_zero_range(params, tables, -50.0, 20.0, seed=1)
     with pytest.raises(DomainError):    # NaN site rates
         tables_for(make_params(1.2, 0.0, 8, kappa=math.nan), thermo_identity)
+    with pytest.raises(DomainError):    # kappa N^(-theta) overflows to inf
+        tables_for(make_params(1.5, -1.0, 8, kappa=1e308), thermo_identity)
     for t_burn, t_sample in ((0.0, math.nan), (0.0, math.inf),
                              (math.nan, 20.0), (math.inf, 20.0)):
         with pytest.raises(DomainError):    # the run would never end
@@ -68,25 +70,44 @@ def test_exclusion_configuration_validation(thermo_identity):
                                   init=np.array(init))
 
 
+def assert_destinations_follow_rows(tables, kernel, N):
+    # the sampler against each site's dense row of in-range jump weights:
+    # a draw at the midpoint of y's interval lands on y, for every y != x,
+    # and q_x is the row's total
+    ys = np.arange(1, N, dtype=float)
+    q = tables.in_range_mass()
+    for x in range(1, N):
+        row = np.cumsum(np.asarray(jump_prob(kernel, ys - x)))
+        assert q[x - 1] == pytest.approx(row[-1], rel=1e-14, abs=0.0)
+        lo = np.concatenate(([0.0], row[:-1]))
+        for y in range(1, N):
+            if y != x:
+                mid = 0.5 * (lo[y - 1] + row[y - 1])
+                assert tables.destination(x - 1, mid) == y - 1, (x, y)
+
+
 def test_event_tables_conservative_limit(thermo_identity):
-    system = assemble(make_params(1.2, 0.0, 32, kappa=0.0), thermo_identity)
+    params = make_params(1.2, 0.0, 32, kappa=0.0)
+    system = assemble(params, thermo_identity)
     tables = mc.build_event_tables(system)
     assert np.all(system.rhs == 0.0)                 # no births
     assert np.all(system.dominance_margin() == 0.0)  # no deaths
-    assert np.all(tables.dest_cdf[:, -1] > 0.0)
+    assert min(tables.in_range_mass()) > 0.0
+    assert_destinations_follow_rows(tables, params.kernel_params(), 32)
 
 
 def test_event_tables_destination_weights(thermo_identity):
     params = make_params(1.0, 0.0, 256)
     tables = tables_for(params, thermo_identity)
     kernel = params.kernel_params()
-    # relative weight of the nearest destination from the edge site
-    w12 = tables.dest_cdf[0][1] - tables.dest_cdf[0][0]
-    assert abs(w12 - jump_prob(kernel, 1)) < 1e-15
+    # weight of the nearest destination, and the empty self-jump
+    assert tables.cum[0] == 0.0
+    assert abs(tables.cum[1] - tables.cum[0] - jump_prob(kernel, 1)) < 1e-15
     # destination mass equals the in-range kernel mass (direct-sum oracle)
     x = 128
     direct = sum(jump_prob(kernel, y - x) for y in range(1, 256))
-    assert abs(tables.dest_cdf[x - 1, -1] - direct) < 1e-12
+    assert abs(tables.in_range_mass()[x - 1] - direct) < 1e-12
+    assert_destinations_follow_rows(tables, kernel, 256)
 
 
 @settings(max_examples=25, deadline=None)
@@ -103,15 +124,12 @@ def test_event_tables_read_the_generator(gamma, theta, kappa, N, indicator,
     thermo = params.make_thermo()
     tables = tables_for(params, thermo)
     kernel = params.kernel_params()
-    ys = np.arange(1, N, dtype=float)
-    for x in range(1, N):
-        row = np.cumsum(np.asarray(jump_prob(kernel, ys - x)))
-        assert np.array_equal(tables.dest_cdf[x - 1], row)
+    assert_destinations_follow_rows(tables, kernel, N)
 
     rr = reservoir_rates(kernel, N)
     scale = kappa * float(N) ** (-theta)
     phi_a, phi_b = thermo.fugacity(0.4), thermo.fugacity(1.6)
-    q = tables.dest_cdf[:, -1]
+    q = np.array(tables.in_range_mass())
     counts = np.random.default_rng(seed).poisson(2.0, size=N - 1)
     g = np.concatenate([[0.0], rate.values(int(counts.max()) + 1)])[counts]
     expected = (g * (q + scale * (rr.right + rr.left))
@@ -130,9 +148,22 @@ def test_event_tables_read_the_generator(gamma, theta, kappa, N, indicator,
     assert np.allclose(got, 0.5 * q + scale * flips, rtol=1e-14, atol=0.0)
 
 
-def test_event_tables_cap(thermo_identity):
-    with pytest.raises(DomainError):
-        tables_for(make_params(1.0, 0.0, 8192), thermo_identity)
+def test_event_tables_large_lattice(thermo_identity, monkeypatch):
+    # the tables are one kernel row, so no lattice size is refused; a
+    # short exclusion run from alternating occupancies keeps them in {0, 1}
+    N = 65536
+    params = make_params(1.0, 0.0, N)
+    tables = tables_for(params, thermo_identity)
+    assert len(tables.cum) == N - 1
+    chains = []
+    build = mc._exclusion_chain
+    monkeypatch.setattr(mc, "_exclusion_chain",
+                        lambda *args: chains.append(build(*args)) or chains[0])
+    est = mc.simulate_exclusion(params, tables, 0.0, 0.05, seed=1,
+                                init=np.arange(N - 1) % 2)
+    assert est.event_count > 0
+    assert set(chains[0].state) == {0, 1}
+    assert np.all((est.mean_counts >= 0.0) & (est.mean_counts <= 1.0))
 
 
 def test_fenwick_tree(monkeypatch):
@@ -408,3 +439,18 @@ def test_estimate_csv(tmp_path, thermo_identity):
     cols = [l for l in lines if not l.startswith("#")]
     assert cols[0] == "x,mean_xi,se_xi,mean_g,se_g,exact_phi,z_score"
     assert len(cols) == 16
+
+
+def test_estimate_csv_z_scores_are_the_mapping_checks(tmp_path,
+                                                      thermo_identity):
+    params = make_params(1.2, 0.0, 16)
+    prof = solve_direct(assemble(params, thermo_identity))
+    report = mc.mapping_check(params, prof, seeds=(1, 2), t_burn=50.0,
+                              t_sample=300.0, thermo=thermo_identity)
+    for est, z in ((report.est_zr, report.z_g), (report.est_ex, report.z_eta)):
+        path = tmp_path / "est.csv"
+        mc.write_estimate_csv(est, prof, path)
+        rows = [l for l in path.read_text().splitlines()
+                if not l.startswith(("#", "x,"))]
+        column = np.array([float(l.split(",")[-1]) for l in rows])
+        assert column.tobytes() == z.tobytes()
