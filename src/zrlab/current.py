@@ -15,15 +15,14 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .hydrostatic import ContinuumProfile, _fit_power_limit, tilde_densities
+from .hydrostatic import (ContinuumProfile, _fit_power_limit, pchip,
+                          tilde_densities)
 from .kernel import KernelParams, continuum_rate
 from .quadrature import geometric_edges, integrate_panels, panel_nodes
 from .thermo import ThermoTables
-from .traffic import (FugacityProfile, ModelParams, TrafficSystem,
+from .traffic import (FugacityProfile, ModelParams, TrafficSystem, fast_len,
                       solve_lattices)
 
 
@@ -50,13 +49,13 @@ def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
     scale = system.params.boundary_scale()
     level = 0.5 * (bc_left + bc_right)
     d, a, b = dens - level, bc_left - level, bc_right - level
-    L = scipy.fft.next_fast_len(2 * N - 3, real=True)  # linear, not circular
-    d_f = scipy.fft.rfft(d, n=L)
-    t_f = scipy.fft.rfft(tails, n=L)
+    L = fast_len(2 * N - 3)  # linear, not circular
+    d_f = np.fft.rfft(d, n=L)
+    t_f = np.fft.rfft(tails, n=L)
     # [x-2] for x = 2..N: sum_{y<x} d_y T[x-y]
-    conv = scipy.fft.irfft(d_f * t_f, n=L)[:N - 1]
+    conv = np.fft.irfft(d_f * t_f, n=L)[:N - 1]
     # [x-1] for x = 1..N-1: sum_{z>=x} d_z T[z-x+1]
-    corr = scipy.fft.irfft(d_f * np.conj(t_f), n=L)[:N - 1]
+    corr = np.fft.irfft(d_f * np.conj(t_f), n=L)[:N - 1]
     # the y < x terms with T[N-y] and the z >= x terms with T[z], bulk
     # and reservoir together
     prefix = np.cumsum(right * ((scale - 1.0) * d - scale * b))
@@ -194,7 +193,7 @@ def _dense_rho(profile: ContinuumProfile) -> Callable:
         [0.0], np.geomspace(1e-8, 2e-3, 40),
         np.linspace(2e-3, 1.0 - 2e-3, 2001),
         1.0 - np.geomspace(2e-3, 1e-8, 40), [1.0]]))
-    interp = PchipInterpolator(us, profile.rho_at()(us), extrapolate=False)
+    interp = pchip(us, profile.rho_at()(us), extrapolate=False)
 
     def evaluate(u):
         return interp(np.clip(np.asarray(u, dtype=float), 0.0, 1.0))

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 from .kernel import (KernelParams, continuum_rate, first_moment_half,
@@ -196,6 +195,66 @@ def default_grid(n: int = 257) -> np.ndarray:
     """Uniform interior grid; endpoints excluded (profiles may be
     non-differentiable there)."""
     return np.linspace(1.0 / 256.0, 255.0 / 256.0, n)
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point slope, kept shape-preserving."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y, extrapolate: bool) -> Callable:
+    """The monotone piecewise-cubic Hermite interpolant of y at the nodes x
+    (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 1984; ends by
+    Moler, Numerical Computing with MATLAB, 2004).
+
+    The result maps u to an array of u's shape (0-d for a scalar); outside
+    [x[0], x[-1]] it extends the end cubics, or gives NaN if not
+    ``extrapolate``.  Every operation and its order follow the reference
+    PCHIP that the tests compare against bit for bit, so the profiles and
+    currents built on it keep their last digits."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or len(x) < 2 or y.shape != x.shape:
+        raise DomainError(f"pchip needs x and y of one length >= 2, got "
+                          f"shapes {x.shape} and {y.shape}")
+    h = x[1:] - x[:-1]
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and (h > 0).all()):
+        raise DomainError("pchip needs finite values at finite, strictly "
+                          "increasing nodes")
+    m = (y[1:] - y[:-1]) / h
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        # interior: weighted harmonic mean of the adjacent secants, 0 at
+        # a sign change or a flat secant
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = ((np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0)
+                | (m[:-1] == 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(flat, 0.0,
+                         1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate(([_pchip_end_slope(h[0], h[1], m[0], m[1])], d,
+                            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])]))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    # per interval: c0 s^3 + c1 s^2 + c2 s + c3, s = u - x[i]; the sum
+    # starts from 0.0, as the reference's does (it turns y = -0.0 to +0.0)
+    coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1]), 1)
+
+    def evaluate(u):
+        u = np.asarray(u, dtype=float)
+        i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(h) - 1)
+        c0, c1, c2, c3 = np.moveaxis(coef[i], -1, 0)
+        s = u - x[i]
+        s2 = s * s
+        out = ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+        inside = extrapolate | ((u >= x[0]) & (u <= x[-1]))
+        return np.where(inside, out, np.nan)
+
+    return evaluate
 
 
 @dataclass
@@ -455,13 +514,15 @@ def read_continuum_csv(path) -> ContinuumProfile:
         raise DomainError(
             f"{path} lacks the edge values or the fallback column of a "
             "continuum profile; write it again")
+    if not rows:
+        raise DomainError(f"{path} has a continuum profile header but no "
+                          "grid rows")
     data = np.array(rows)
     grid, rho = data[:, 0], data[:, 1]
     r0 = float(header["rho_boundary_left"])
     r1 = float(header["rho_boundary_right"])
-    interp = PchipInterpolator(np.concatenate([[0.0], grid, [1.0]]),
-                               np.concatenate([[r0], rho, [r1]]),
-                               extrapolate=False)
+    interp = pchip(np.concatenate([[0.0], grid, [1.0]]),
+                   np.concatenate([[r0], rho, [r1]]), extrapolate=False)
 
     def evaluate(u):
         out = interp(np.clip(u, 0.0, 1.0))

@@ -12,10 +12,9 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
-from .hydrostatic import ContinuumProfile
+from .hydrostatic import ContinuumProfile, pchip
 from .kernel import vectorized
 from .quadrature import integrate_panels
 from .thermo import ThermoTables
@@ -80,8 +79,7 @@ def _as_density_callable(pi, m_bar: ContinuumProfile) -> Callable:
     values = np.asarray(pi, dtype=float)
     if values.shape != m_bar.grid.shape:
         raise DomainError("density array must match the profile grid")
-    interp = PchipInterpolator(m_bar.grid, values, extrapolate=True)
-    return lambda us: interp(np.asarray(us, dtype=float))
+    return pchip(m_bar.grid, values, extrapolate=True)
 
 
 def rate_function(pi, m_bar: ContinuumProfile,

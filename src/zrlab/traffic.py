@@ -23,8 +23,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
 
 from .errors import ConvergenceError, DomainError
 from .kernel import KernelParams, ReservoirRates, jump_prob, reservoir_rates
@@ -127,12 +125,27 @@ class ModelParams:
         return d
 
 
+def fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length at which a real FFT is fast."""
+    # each 3^b 5^c below the best so far, times the least power of two
+    # that lifts it to n
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _padded_circulant(spectrum: np.ndarray,
                       length: int) -> Callable[[np.ndarray], np.ndarray]:
     """v -> the first len(v) entries of C [v; 0], for the circulant C of
     size ``length`` with real-FFT eigenvalues ``spectrum``."""
-    return lambda v: scipy.fft.irfft(scipy.fft.rfft(v, n=length) * spectrum,
-                                     n=length)[:len(v)]
+    return lambda v: np.fft.irfft(np.fft.rfft(v, n=length) * spectrum,
+                                  n=length)[:len(v)]
 
 
 @dataclass
@@ -153,9 +166,9 @@ class TrafficSystem:
         """P v in the precision of v (double, or long double)."""
         if v.dtype not in self._toeplitz:
             t = self.kernel_row.astype(v.dtype)
-            L = scipy.fft.next_fast_len(2 * len(t) - 1, real=True)  # no wrap
+            L = fast_len(2 * len(t) - 1)  # no wrap
             col = np.concatenate((t, np.zeros(L + 1 - 2 * len(t)), t[:0:-1]))
-            self._toeplitz[v.dtype] = _padded_circulant(scipy.fft.rfft(col), L)
+            self._toeplitz[v.dtype] = _padded_circulant(np.fft.rfft(col), L)
         return self._toeplitz[v.dtype](v)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -179,11 +192,11 @@ class TrafficSystem:
         n = 13, m <= 4n/3 beyond.  The reservoir margin then lifts d above
         it: every eigenvalue is positive."""
         n = self.N - 1
-        m = scipy.fft.next_fast_len(n, real=True)
+        m = fast_len(n)
         t = np.concatenate((self.kernel_row, np.zeros(m - n)))
         k = np.arange(m)
         c = ((m - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / m
-        return self.diag[n // 2] - scipy.fft.rfft(c).real
+        return self.diag[n // 2] - np.fft.rfft(c).real
 
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
         """v -> M^-1 v = S^-1 [(dI - C)^-1]_n S^-1 v, S = diag(sqrt(diag / d)).
@@ -195,7 +208,7 @@ class TrafficSystem:
         circulant cannot see."""
         n = self.N - 1
         circulant = _padded_circulant(1.0 / self.preconditioner_spectrum(),
-                                      scipy.fft.next_fast_len(n, real=True))
+                                      fast_len(n))
         s_inv = np.sqrt(self.diag[n // 2] / self.diag)
         return lambda v: s_inv * circulant(s_inv * v)
 
@@ -269,11 +282,10 @@ def solve_direct(system: TrafficSystem) -> FugacityProfile:
     """Dense LU with partial pivoting, O(N^3): the reference solution that
     tests and the exact-generator check compare against."""
     _require_margin(system)
-    A = scipy.linalg.toeplitz(-system.kernel_row)
     idx = np.arange(system.N - 1)
+    A = -system.kernel_row[np.abs(idx[:, None] - idx)]
     A[idx, idx] += system.diag
-    phi = scipy.linalg.solve(A, system.rhs, assume_a="gen",
-                             check_finite=False)
+    phi = np.linalg.solve(A, system.rhs)
     return _profile(system, phi, "direct")
 
 

@@ -1,3 +1,6 @@
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -22,6 +25,24 @@ def test_thermo_command_and_outputs(tmp_path):
     assert body[0] == "# zrlab_version = 0.1.0"
     assert "check:roundtrip = PASS" in read_report(out)
     assert (out / "thermo_density.csv").exists()
+
+
+def test_fresh_process_imports_no_scipy(tmp_path):
+    # importing scipy.fft and scipy.interpolate took most of a desk-scale
+    # run's wall time; the package runs on numpy alone
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "import zrlab.cli; "
+            "code = zrlab.cli.main(['thermo', '--g', 'identity', "
+            "'--out', sys.argv[2]]); "
+            "print(json.dumps([code, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')]))")
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src,
+                           str(tmp_path / "t")], capture_output=True,
+                          text=True, timeout=120, check=True)
+    code, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert scipy_modules == []
 
 
 def test_thermo_identity_has_R_equal_phi(tmp_path):

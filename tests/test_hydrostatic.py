@@ -256,6 +256,68 @@ def test_continuum_csv_without_edges_refused(rd_profile, tmp_path):
             H.read_continuum_csv(path)
 
 
+
+def test_continuum_csv_without_rows_or_with_a_repeated_row_refused(
+        rd_profile, tmp_path):
+    path = tmp_path / "cont.csv"
+    H.write_continuum_csv(rd_profile, path)
+    lines = path.read_text().splitlines()
+    header = [l for l in lines if l.startswith(("#", "u,"))]
+    rows = lines[len(header):]
+    for kept in (header, header + rows[:5] + rows[4:]):
+        path.write_text("\n".join(kept) + "\n")
+        with pytest.raises(DomainError):
+            H.read_continuum_csv(path)
+
+
+# -- the PCHIP interpolant -----------------------------------------------------
+
+
+def _pchip_cases():
+    rng = np.random.default_rng(7)
+    for trial in range(240):
+        n = 2 + trial % 30
+        x = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+        kind = trial % 3
+        if kind == 0:                           # monotone
+            y = np.cumsum(rng.uniform(0.0, 1.0, n))
+        elif kind == 1:                         # oscillating
+            y = rng.standard_normal(n)
+        else:                                   # flat segments
+            y = np.round(rng.standard_normal(n))
+        yield x, y
+
+
+@pytest.mark.parametrize("extrapolate", (False, True))
+def test_pchip_equals_scipys_bit_for_bit(extrapolate):
+    from scipy.interpolate import PchipInterpolator
+    rng = np.random.default_rng(11)
+    for x, y in _pchip_cases():
+        ref = PchipInterpolator(x, y, extrapolate=extrapolate)
+        mine = H.pchip(x, y, extrapolate)
+        us = np.concatenate((rng.uniform(x[0] - 1.0, x[-1] + 1.0, 100), x,
+                             [np.nan, x[0], x[-1], -np.inf, np.inf]))
+        with np.errstate(invalid="ignore"):     # inf - inf at u = +-inf
+            assert mine(us).tobytes() == ref(us).tobytes()
+        for u in (float(x[0]), float(x[-1]), 0.5 * float(x[0] + x[-1])):
+            got = mine(u)
+            assert got.shape == () and got.tobytes() == ref(u).tobytes()
+
+
+@pytest.mark.parametrize("x, y", (
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]),     # repeated node
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0]),               # not increasing
+    ([0.0, np.nan, 1.0], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, np.inf], [0.0, 1.0, 2.0]),
+    ([0.0, 1.0, 2.0], [0.0, np.nan, 2.0]),
+    ([0.0], [1.0]),                                   # one point
+    ([0.0, 1.0, 2.0], [0.0, 1.0]),                    # lengths differ
+))
+def test_pchip_refuses_a_bad_grid(x, y):
+    with pytest.raises(DomainError):
+        H.pchip(x, y, extrapolate=False)
+
+
 # -- weak formulations -------------------------------------------------------------
 
 SMOOTH_BASIS = (

@@ -13,7 +13,7 @@ from zrlab.errors import ConvergenceError, DomainError
 from zrlab.kernel import riemann_zeta
 from zrlab.thermo import RateFunction, ThermoTables
 from zrlab.traffic import (EPS, ModelParams, assemble, density_profile,
-                           residual, solve_direct, solve_iterative,
+                           fast_len, residual, solve_direct, solve_iterative,
                            write_profile_csv)
 
 from conftest import make_params
@@ -231,6 +231,28 @@ def test_preconditioner_is_spd(N, thermo_identity):
             s = np.sqrt(system.diag / d)
             M = s[:, None] * (d * np.eye(n) - scipy.linalg.circulant(c)) * s
             assert np.max(np.abs(M_inv - np.linalg.inv(M))) <= 1e-13 * scale
+
+
+def test_fast_len_is_scipys():
+    assert all(fast_len(n) == scipy.fft.next_fast_len(n, real=True)
+               for n in range(1, 2 ** 17 + 1))
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.longdouble))
+@pytest.mark.parametrize("n", (100, 1023, 4097, 8191, 65536))
+def test_numpy_fft_equals_scipys(dtype, n):
+    # the solver's transforms, in both precisions it runs them in: numpy
+    # keeps long double (it cast to double before numpy 2) and rounds as
+    # scipy does
+    v = np.random.default_rng(n).standard_normal(n).astype(dtype)
+    L = fast_len(2 * n - 1)
+    f = np.fft.rfft(v, n=L)
+    assert f.dtype == scipy.fft.rfft(v, n=L).dtype == np.result_type(
+        dtype, np.complex64)
+    assert np.array_equal(f, scipy.fft.rfft(v, n=L))
+    back = np.fft.irfft(f, n=L)
+    assert back.dtype == dtype
+    assert np.array_equal(back, scipy.fft.irfft(f, n=L))
 
 
 def test_circulant_row_sum_below_middle_mass(thermo_identity):
