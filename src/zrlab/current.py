@@ -93,7 +93,6 @@ def stationary_current(profile: FugacityProfile, system: TrafficSystem,
 class CurrentReport:
     per_x: np.ndarray            # E[W_x], x = 1..N
     rescaled: float              # E[W_1] / B_N(theta)
-    params: ModelParams
 
     def relative_spread(self) -> float:
         mean = float(np.mean(self.per_x))
@@ -106,8 +105,7 @@ def current_report(profile: FugacityProfile,
                    system: TrafficSystem) -> CurrentReport:
     per_x = bond_currents(profile, system)
     B = scaling_B(system.N, system.params.theta, system.params.gamma)
-    return CurrentReport(per_x=per_x, rescaled=float(per_x[0]) / B,
-                         params=system.params)
+    return CurrentReport(per_x=per_x, rescaled=float(per_x[0]) / B)
 
 
 def scaling_B(N: int, theta: float, gamma: float) -> float:
@@ -247,8 +245,7 @@ class FickLimit:
 FICK_CUTS = (0.2, 0.35, 0.5, 0.65, 0.8)     # where fick_limit cuts [0, 1]
 
 
-def fick_limit(profile: ContinuumProfile, params: ModelParams,
-               kernel: Optional[KernelParams] = None) -> FickLimit:
+def fick_limit(profile: ContinuumProfile, params: ModelParams) -> FickLimit:
     """Macroscopic current limit at the cut points ``FICK_CUTS``.
 
     theta < 0 uses the reservoir integrals (plus the closed form as a
@@ -256,7 +253,7 @@ def fick_limit(profile: ContinuumProfile, params: ModelParams,
     the double integral alone.  The result must be u-independent; the
     spread over the cut points is reported.
     """
-    kernel = kernel or params.kernel_params()
+    kernel = params.kernel_params()
     gamma, theta, kappa = params.gamma, params.theta, params.kappa
     phi_sum = profile.phi_sum
     phi_a = profile.alpha_tilde * phi_sum
@@ -285,6 +282,7 @@ class SweepResult:
     """Observable vs N records with the extrapolated limit."""
 
     N_values: tuple
+    B_values: np.ndarray     # the Fick rescaling B_N of each N
     currents: np.ndarray
     rescaled: np.ndarray
     extrapolated: float
@@ -297,18 +295,18 @@ class SweepResult:
         lines = list(header_lines)
         lines.append("N,B_N,current,rescaled,extrapolated_limit,"
                      "closed_form,rel_err")
-        for N, cur, res in zip(self.N_values, self.currents, self.rescaled):
-            B = float(cur / res) if res != 0.0 else float("nan")
+        for N, B, cur, res in zip(self.N_values, self.B_values,
+                                  self.currents, self.rescaled):
             cf = "" if self.closed_form is None else repr(float(self.closed_form))
             re_ = "" if self.rel_err is None else repr(float(self.rel_err))
-            lines.append(f"{N},{B!r},{float(cur)!r},{float(res)!r},"
+            lines.append(f"{N},{float(B)!r},{float(cur)!r},{float(res)!r},"
                          f"{float(self.extrapolated)!r},{cf},{re_}")
         Path(path).parent.mkdir(parents=True, exist_ok=True)
         Path(path).write_text("\n".join(lines) + "\n")
 
 
 def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
-               thermo: Optional[ThermoTables] = None,
+               thermo: ThermoTables,
                lattices: Optional[list[tuple[TrafficSystem, FugacityProfile]]]
                = None) -> SweepResult:
     """Rescaled current E[W_1]/B_N along N_sequence, Richardson limit, and
@@ -324,8 +322,9 @@ def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
     theta, gamma = params_base.theta, params_base.gamma
     currents = np.array([stationary_current(profile, system, 1)
                          for system, profile in lattices])
-    rescaled_arr = np.array([w1 / scaling_B(int(N), theta, gamma)
-                             for N, w1 in zip(N_sequence, currents)])
+    B_values = np.array([scaling_B(int(N), theta, gamma)
+                         for N in N_sequence])
+    rescaled_arr = currents / B_values
     limit, err, fallback = _fit_power_limit(rescaled_arr, N_sequence)
     closed = None
     rel = None
@@ -337,6 +336,7 @@ def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
         if closed != 0.0:
             rel = abs(limit - closed) / abs(closed)
     return SweepResult(N_values=tuple(int(n) for n in N_sequence),
-                       currents=currents, rescaled=rescaled_arr,
-                       extrapolated=limit, err_estimate=err,
-                       fallback=fallback, closed_form=closed, rel_err=rel)
+                       B_values=B_values, currents=currents,
+                       rescaled=rescaled_arr, extrapolated=limit,
+                       err_estimate=err, fallback=fallback,
+                       closed_form=closed, rel_err=rel)

@@ -19,8 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .kernel import (KernelParams, continuum_rate, first_moment_half,
-                     regional_frac_laplacian, vectorized)
+from .kernel import (KernelParams, first_moment_half,
+                     regional_frac_laplacian, v_potentials, vectorized)
 from .quadrature import integrate_panels
 from .thermo import ThermoTables
 from .traffic import FugacityProfile, ModelParams, solve_lattices
@@ -157,8 +157,7 @@ class DiscreteProfileFamily:
 
     @classmethod
     def solve(cls, params_base: ModelParams, N_values: Sequence[int],
-              thermo: Optional[ThermoTables] = None
-              ) -> "DiscreteProfileFamily":
+              thermo: ThermoTables) -> "DiscreteProfileFamily":
         if len(N_values) < 3:
             raise DomainError("need at least 3 lattice sizes to extrapolate")
         if any(b <= a for a, b in zip(N_values[:-1], N_values[1:])):
@@ -298,9 +297,8 @@ def _continuum_from_values(grid, rho, err, warn, regime, provenance,
 
 
 def rho_closed_form(params: ModelParams, regime: Regime,
-                    thermo: Optional[ThermoTables] = None,
+                    thermo: ThermoTables,
                     grid: Optional[np.ndarray] = None) -> ContinuumProfile:
-    thermo = thermo or params.make_thermo()
     grid = default_grid() if grid is None else grid
     phi_a, phi_b = params.boundary_fugacities(thermo)
     a_t, b_t = tilde_densities(phi_a, phi_b)
@@ -312,8 +310,7 @@ def rho_closed_form(params: ModelParams, regime: Regime,
 
 
 def rho_extrapolated(params_base: ModelParams, regime: Regime,
-                     N_sequence: Sequence[int],
-                     thermo: Optional[ThermoTables] = None,
+                     N_sequence: Sequence[int], thermo: ThermoTables,
                      grid: Optional[np.ndarray] = None,
                      family: Optional[DiscreteProfileFamily] = None
                      ) -> ContinuumProfile:
@@ -321,7 +318,6 @@ def rho_extrapolated(params_base: ModelParams, regime: Regime,
     if regime.tag not in EXTRAPOLATED_REGIMES:
         raise DomainError(
             f"regime {regime.tag} has a closed form; use rho_closed_form")
-    thermo = thermo or params_base.make_thermo()
     grid = default_grid() if grid is None else grid
     if family is None:
         family = DiscreteProfileFamily.solve(params_base, N_sequence, thermo)
@@ -395,10 +391,7 @@ def _reaction_pairing(rho_at: Callable, G: Callable, kernel: KernelParams,
         idx = g != 0.0
         if np.any(idx):
             u = us[idx]
-            rm = continuum_rate(kernel, u, "left")
-            rp = continuum_rate(kernel, u, "right")
-            v0 = a_t * rm + b_t * rp
-            v1 = rm + rp
+            v0, v1 = v_potentials(kernel, u, a_t, b_t)
             out[idx] = g[idx] * (v0 - rho_at(u) * v1)
         return out
 

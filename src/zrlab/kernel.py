@@ -117,9 +117,6 @@ class ReservoirRates:
     N: int
     total_mass: float
 
-    def left_at(self, x: int) -> float:
-        return float(self.left[x - 1])
-
     def in_range_mass(self) -> np.ndarray:
         """sum_{y in Lambda_N} p(y-x), as the exact complement of the tails."""
         return self.total_mass - self.left - self.right
@@ -173,16 +170,17 @@ def continuum_rate(params: KernelParams, u, side: str):
 
 
 class BoundaryPotentials(NamedTuple):
-    weighted: float  # V0 = alpha~ r^- + beta~ r^+
-    total: float     # V1 = r^- + r^+
+    weighted: float | np.ndarray  # V0 = alpha~ r^- + beta~ r^+
+    total: float | np.ndarray     # V1 = r^- + r^+
 
 
-def v_potentials(params: KernelParams, u: float, alpha_tilde: float,
+def v_potentials(params: KernelParams, u, alpha_tilde: float,
                  beta_tilde: float) -> BoundaryPotentials:
-    """The pair (V0, V1) entering the reaction term of the limit equations."""
-    if not (0.0 < alpha_tilde <= beta_tilde < 1.0):
-        raise DomainError(
-            f"need 0 < alpha~ <= beta~ < 1, got ({alpha_tilde}, {beta_tilde})")
+    """The pair (V0, V1) entering the reaction term of the limit equations,
+    at a float ``u`` or at every point of an array."""
+    if not (0.0 < alpha_tilde < 1.0 and 0.0 < beta_tilde < 1.0):
+        raise DomainError(f"need alpha~ and beta~ in (0, 1), got "
+                          f"({alpha_tilde}, {beta_tilde})")
     rm = continuum_rate(params, u, "left")
     rp = continuum_rate(params, u, "right")
     return BoundaryPotentials(weighted=alpha_tilde * rm + beta_tilde * rp,

@@ -50,6 +50,7 @@ from .traffic import (FugacityProfile, ModelParams, TrafficSystem, assemble,
                       solve_direct)
 
 N_BATCHES = 25                  # batch means per sampling window
+ORACLE_BYTES = 1 << 30          # the exact oracle's dense generator, at most
 
 
 @dataclass
@@ -410,22 +411,24 @@ def empirical_pairing(counts: np.ndarray, G, N: int) -> float:
 
 # -- brute-force oracle -----------------------------------------------------
 
-def exact_stationary_distribution(params: ModelParams,
-                                  thermo: Optional[ThermoTables] = None,
+def exact_stationary_distribution(params: ModelParams, thermo: ThermoTables,
                                   kmax: int = 40):
     """Stationary law of the truncated chain (counts <= kmax) by linear
     algebra, from the assembled system the simulator reads its rates off.
 
     Returns (pi, product_pmf, tv_distance, leakage): leakage is the
-    product-measure mass outside the truncation box.
+    product-measure mass outside the truncation box.  The dense S x S
+    generator of the S = (kmax + 1)^(N-1) states is refused, before
+    anything is built, when it would take more than ORACLE_BYTES.
     """
-    thermo = thermo or params.make_thermo()
-    system = assemble(params, thermo)
     n = params.N - 1
     S = (kmax + 1) ** n
-    if S > 250_000:
+    if 8 * S * S > ORACLE_BYTES:
         raise DomainError(
-            f"truncated state space too large ({S} states)")
+            f"truncated state space too large: {S} states need a "
+            f"{8 * S * S / 2 ** 30:.3g} GiB dense generator "
+            f"(limit {ORACLE_BYTES / 2 ** 30:g} GiB)")
+    system = assemble(params, thermo)
     g_vals = np.concatenate([[0.0], params.rate.values(kmax + 1)])
     p, birth = system.kernel_row, system.rhs
     death_base = system.dominance_margin()
@@ -522,8 +525,8 @@ def _z_scores(est: SimEstimate, phi: np.ndarray, s: float) -> np.ndarray:
 
 def mapping_check(params: ModelParams, profile: FugacityProfile,
                   seeds: tuple = (1234, 5678),
-                  t_burn: float = 50.0, t_sample: float = 500.0,
-                  thermo: Optional[ThermoTables] = None,
+                  t_burn: float = 50.0, t_sample: float = 500.0, *,
+                  thermo: ThermoTables,
                   tables_ex: Optional[EventTables] = None) -> MappingReport:
     """Statistical verification of the static zero-range/exclusion mapping:
     (phi_a+phi_b) E[eta(x)] = E[g(xi(x))] = phi_N(x) site by site.

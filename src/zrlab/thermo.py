@@ -145,18 +145,6 @@ def read_rate_table(path) -> RateFunction:
                                    tail=tail, tail_value=tail_value)
 
 
-def write_rate_table(rate: RateFunction, path) -> None:
-    if rate.kind != "table":
-        raise DomainError("only table rate functions are serializable")
-    lines = [f"{k + 1} {v!r}" for k, v in enumerate(rate.table)]
-    if rate.tail == "identity":
-        lines.append("tail: identity")
-    else:
-        lines.append(f"tail: constant {rate.tail_value!r}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 class ThermoTables:
     """Evaluators for Z, R, Phi for one rate function.
 

@@ -68,10 +68,9 @@ class ModelParams:
 
     @classmethod
     def from_fugacities(cls, gamma, theta, kappa, phi_alpha, phi_beta, N,
-                        rate, normalization_mode="normalized",
-                        thermo: Optional[ThermoTables] = None):
+                        rate, normalization_mode="normalized", *,
+                        thermo: ThermoTables):
         """Boundary data given as fugacities; densities filled in via R."""
-        thermo = thermo or ThermoTables.create(rate)
         return cls(gamma=gamma, theta=theta, kappa=kappa,
                    alpha=thermo.mean_density(phi_alpha),
                    beta=thermo.mean_density(phi_beta),
@@ -81,24 +80,23 @@ class ModelParams:
     def kernel_params(self) -> KernelParams:
         return KernelParams.create(self.gamma, self.normalization_mode)
 
-    def make_thermo(self) -> ThermoTables:
-        return ThermoTables.create(self.rate)
-
-    def validate(self, thermo: ThermoTables) -> None:
+    def boundary_fugacities(self, thermo: ThermoTables) -> tuple[float, float]:
+        """(phi_alpha, phi_beta), checked against the tables of the run's
+        rate: the one place the boundary data meets the thermodynamics."""
+        if thermo.rate != self.rate:
+            raise DomainError(f"thermodynamic tables of rate "
+                              f"{thermo.rate.kind!r} do not match the model's "
+                              f"rate {self.rate.kind!r}")
         if self.phi_alpha is not None:
             for phi in (self.phi_alpha, self.phi_beta):
                 if not 0.0 < phi <= thermo.phi_max():
                     raise DomainError(
                         f"boundary fugacity {phi} outside (0, {thermo.phi_max():g}]")
-            return
+            return self.phi_alpha, self.phi_beta
         for dens in (self.alpha, self.beta):
             if not 0.0 < dens < thermo.m_star:
                 raise DomainError(
                     f"reservoir density {dens} outside (0, m*={thermo.m_star:g})")
-
-    def boundary_fugacities(self, thermo: ThermoTables) -> tuple[float, float]:
-        if self.phi_alpha is not None:
-            return self.phi_alpha, self.phi_beta
         return thermo.fugacity(self.alpha), thermo.fugacity(self.beta)
 
     def boundary_scale(self) -> float:
@@ -241,15 +239,12 @@ class FugacityProfile:
                     and self.values.max() <= hi + slack)
 
 
-def assemble(params: ModelParams,
-             thermo: Optional[ThermoTables] = None) -> TrafficSystem:
+def assemble(params: ModelParams, thermo: ThermoTables) -> TrafficSystem:
     """Build diag, kernel row and right-hand side for the given parameters
     (kappa = 0 included; see ``_require_margin``)."""
-    thermo = thermo or params.make_thermo()
-    params.validate(thermo)
+    phi_a, phi_b = params.boundary_fugacities(thermo)
     kernel = params.kernel_params()
     rr = reservoir_rates(kernel, params.N)
-    phi_a, phi_b = params.boundary_fugacities(thermo)
     scale = params.boundary_scale()
     in_range = rr.in_range_mass()
     diag = in_range + scale * (rr.left + rr.right)
@@ -382,11 +377,10 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
 
 
 def solve_lattices(params: ModelParams, N_values: Sequence[int],
-                   thermo: Optional[ThermoTables] = None
+                   thermo: ThermoTables
                    ) -> list[tuple[TrafficSystem, FugacityProfile]]:
     """Assemble and solve each lattice size once; the systems differ from
     ``params`` only in N."""
-    thermo = thermo or params.make_thermo()
     solved = []
     for N in N_values:
         system = assemble(dataclasses.replace(params, N=int(N)), thermo)

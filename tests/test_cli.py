@@ -95,6 +95,32 @@ def test_simulate_refuses_several_N(tmp_path, monkeypatch):
     assert not solves and not chains and not out.exists()
 
 
+def test_current_refuses_two_N(tmp_path, monkeypatch):
+    # one N gives the bond currents and three or more add the Fick sweep;
+    # with two, the smaller would be ignored
+    solves, _ = _count_work(monkeypatch)
+    out = tmp_path / "c"
+    assert run(["current", "--gamma", "0.5", "--theta", "-0.5", "--N", "128",
+                "--N", "256", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not solves and not out.exists()
+
+
+def test_current_at_equilibrium_with_theta_negative(tmp_path):
+    # alpha = beta: the closed-form limit is 0, so no relative error
+    # exists; the limit is measured against the one-way flux instead.
+    # cli.main runs in this process, so a crash would raise here
+    out = tmp_path / "c"
+    code = run(["current", "--gamma", "0.5", "--theta", "-0.5", "--alpha",
+                "0.7", "--beta", "0.7", "--N", "128", "--N", "256", "--N",
+                "512", "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_STATISTICAL)
+    lines = read_report(out).splitlines()
+    assert "sweep_closed_form = 0.0" in lines
+    assert not any(l.startswith("sweep_rel_err") for l in lines)
+    [check] = [l for l in lines if l.startswith("check:fick_closed_form")]
+    assert check.startswith("check:fick_closed_form = PASS (|limit| ")
+
+
 def test_current_command(tmp_path):
     out = tmp_path / "c"
     assert run(["current", "--gamma", "0.5", "--theta", "-0.5", "--N", "128",
@@ -213,6 +239,26 @@ def test_table_rate_spec(tmp_path):
     out = tmp_path / "t"
     assert run(["thermo", "--g", f"table:{table}", "--out", str(out)]) == 0
     assert "phi_star = 1.0" in read_report(out)
+
+
+def test_table_rate_read_once(tmp_path, monkeypatch):
+    # the run's tables are built from the file once; every model of the
+    # run, the negative control's swapped one too, takes its rate from them
+    table = tmp_path / "g.txt"
+    table.write_text("1 1.0\n2 2.0\ntail: identity\n")
+    reads = []
+
+    def counting_read(path, _read=cli.read_rate_table):
+        reads.append(path)
+        return _read(path)
+
+    monkeypatch.setattr(cli, "read_rate_table", counting_read)
+    out = tmp_path / "s"
+    run(["simulate", "--g", f"table:{table}", "--gamma", "1.2", "--theta",
+         "0", "--N", "8", "--t-sample", "50", "--seed", "3",
+         "--negative-control", "--out", str(out)])
+    assert "negative_control = True" in read_report(out).splitlines()
+    assert reads == [str(table)]
 
 
 def test_exit_code_config_error(tmp_path):

@@ -236,7 +236,7 @@ def test_fick_limit_theta_negative(thermo_identity):
     kp = KernelParams.create(0.5)
     reg = H.classify_regime(0.5, -0.5)
     prof = H.rho_closed_form(params, reg, thermo_identity)
-    fl = C.fick_limit(prof, params, kp)
+    fl = C.fick_limit(prof, params)
     assert fl.spread < 1e-6
     assert abs(fl.mean - fl.closed_form) < 1e-6 * abs(fl.closed_form)
     # cross-check against the h-weighted form
@@ -305,3 +305,15 @@ def test_sweep_csv(tmp_path, thermo_identity):
     assert lines[0] == "# demo = 1"
     assert lines[1].startswith("N,B_N,current,rescaled")
     assert len(lines) == 5
+
+
+def test_sweep_csv_writes_the_rescaling(tmp_path, thermo_identity):
+    # B_N is the rescaling itself, also where the current is exactly 0
+    base = make_params(0.5, -0.5, 2, alpha=0.7, beta=0.7)
+    sweep = C.fick_sweep(base, (64, 128, 256), thermo_identity)
+    sweep.currents[0] = sweep.rescaled[0] = 0.0   # an exactly zero row
+    path = tmp_path / "sweep.csv"
+    sweep.to_csv(path, header_lines=[])
+    rows = [l.split(",") for l in path.read_text().splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == [
+        C.scaling_B(N, -0.5, 0.5) for N in (64, 128, 256)]

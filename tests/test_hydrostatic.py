@@ -136,6 +136,19 @@ def test_default_grid_contains_exact_midpoint():
 
 # -- extrapolated profiles --------------------------------------------------------
 
+def test_rho_closed_form_checks_the_boundary_data(thermo_identity,
+                                                  thermo_indicator):
+    # the checks assemble makes: tables of the model's rate, and reservoir
+    # densities inside (0, m*)
+    regime = H.classify_regime(1.5, -1.0)
+    with pytest.raises(DomainError, match="do not match"):
+        H.rho_closed_form(make_params(1.5, -1.0, 2), regime,
+                          thermo_indicator)
+    with pytest.raises(DomainError, match="reservoir density"):
+        H.rho_closed_form(make_params(1.5, -1.0, 2, alpha=0.0), regime,
+                          thermo_identity)
+
+
 def test_extrapolated_requires_enough_sizes(thermo_identity):
     reg = H.classify_regime(1.5, 0.0)
     with pytest.raises(DomainError):
@@ -353,6 +366,22 @@ def test_robin_weak_form_of_read_back_profile(thermo_figure3, tmp_path):
         lambda u: np.cos(2.0 * np.pi * np.asarray(u, dtype=float)))
     assert max(H.weak_form_residual(back, G, regime, kernel)
                for G in basis) < 5e-3
+
+
+def test_rd_weak_form_of_the_reflected_boundary_data(thermo_identity):
+    # alpha > beta reflects the profile: its residual against G is the
+    # alpha < beta residual against G(1 - u), reaction term included
+    G = H.compact_bump(modulation=lambda u: np.asarray(u, dtype=float) ** 2)
+    regime = H.classify_regime(1.5, 0.0)
+    kernel = KernelParams.create(1.5)
+    residuals = []
+    for (alpha, beta), test_fn in (((1.6, 0.4), G),
+                                   ((0.4, 1.6), lambda u: G(1.0 - u))):
+        prof = H.rho_extrapolated(
+            make_params(1.5, 0.0, 2, alpha=alpha, beta=beta), regime,
+            (512, 1024, 2048), thermo_identity)
+        residuals.append(H.weak_form_residual(prof, test_fn, regime, kernel))
+    assert residuals[0] == pytest.approx(residuals[1], abs=1e-10)
 
 
 def test_rd_weak_form_residual(rd_profile):

@@ -126,7 +126,7 @@ def test_first_moment_diverges_toward_one():
 def test_reservoir_left_edge_is_half():
     for gamma in (0.5, 1.5):
         rr = K.reservoir_rates(K.KernelParams.create(gamma), 64)
-        assert abs(rr.left_at(1) - 0.5) < 1e-12
+        assert abs(rr.left[0] - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("N", (7, 97, 256))
@@ -147,7 +147,7 @@ def test_reservoir_matches_scalar_tail_sum():
     kp = K.KernelParams.create(1.5)
     rr = K.reservoir_rates(kp, 200)
     for x in (1, 7, 100, 199):
-        assert abs(rr.left_at(x)
+        assert abs(rr.left[x - 1]
                    - kp.c_gamma * K.tail_sum(x, 2.5)) < 1e-12
 
 
@@ -158,7 +158,7 @@ def test_reservoir_scaling_limit(gamma, u):
     errors = []
     for N in (256, 512, 1024, 2048):
         rr = K.reservoir_rates(kp, N)
-        errors.append(abs(N ** gamma * rr.left_at(int(u * N)) - target))
+        errors.append(abs(N ** gamma * rr.left[int(u * N) - 1] - target))
     assert all(b < a for a, b in zip(errors[:-1], errors[1:]))
     assert errors[-1] < 5e-3
 
@@ -212,14 +212,26 @@ def test_v_potentials_quarter_point_closed_form():
 
 
 @given(st.floats(min_value=0.01, max_value=0.99),
-       st.floats(min_value=0.05, max_value=0.5),
-       st.floats(min_value=0.5, max_value=0.95))
+       st.floats(min_value=0.05, max_value=0.95),
+       st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=40)
 def test_v_potentials_ratio_bounds(u, a_t, b_t):
+    # either order of the tilde densities: alpha > beta reflects the profile
     kp = K.KernelParams.create(1.4)
     v = K.v_potentials(kp, u, a_t, b_t)
     ratio = v.weighted / v.total
-    assert a_t - 1e-12 <= ratio <= b_t + 1e-12
+    assert min(a_t, b_t) - 1e-12 <= ratio <= max(a_t, b_t) + 1e-12
+
+
+def test_v_potentials_domain():
+    kp = K.KernelParams.create(1.4)
+    us = np.array([0.1, 0.5, 0.9])
+    v = K.v_potentials(kp, us, 0.8, 0.2)
+    for i, u in enumerate(us):
+        assert v.weighted[i] == K.v_potentials(kp, float(u), 0.8, 0.2).weighted
+    for a_t, b_t in ((0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (0.5, 1.2)):
+        with pytest.raises(DomainError):
+            K.v_potentials(kp, 0.5, a_t, b_t)
 
 
 # -- fractional Laplacians ----------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from zrlab.errors import DomainError
 from zrlab import mc
 from zrlab.hydrostatic import tilde_densities
 from zrlab.kernel import jump_prob, reservoir_rates
-from zrlab.thermo import RateFunction
+from zrlab.thermo import RateFunction, ThermoTables
 from zrlab.traffic import assemble, solve_direct
 
 from conftest import make_params
@@ -121,7 +122,7 @@ def test_event_tables_read_the_generator(gamma, theta, kappa, N, indicator,
     # computed directly from the kernel and the reservoir rates
     rate = RateFunction.indicator() if indicator else RateFunction.identity()
     params = make_params(gamma, theta, N, kappa=kappa, rate=rate)
-    thermo = params.make_thermo()
+    thermo = ThermoTables.create(rate)
     tables = tables_for(params, thermo)
     kernel = params.kernel_params()
     assert_destinations_follow_rows(tables, kernel, N)
@@ -222,6 +223,28 @@ def test_state_space_guard(thermo_identity):
     with pytest.raises(DomainError):
         mc.exact_stationary_distribution(make_params(1.2, 0.0, 6),
                                          thermo_identity, kmax=40)
+
+
+def test_state_space_guard_bounds_the_generator_memory(thermo_identity,
+                                                      monkeypatch):
+    # N = 4, kmax = 40 has S = 41^3 = 68,921 states, a 38 GB dense
+    # generator: refused before anything of that size is allocated.  The
+    # oracle may not even assemble, so a guard that came too late could
+    # never reach the allocation here
+    def too_late(*args):
+        raise AssertionError("assembled before the state space was refused")
+
+    monkeypatch.setattr(mc, "assemble", too_late)
+    params = make_params(1.2, 0.0, 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="GiB"):
+            mc.exact_stationary_distribution(params, thermo_identity,
+                                             kmax=40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- zero-range simulator ----------------------------------------------------------

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zrlab.errors import DomainError
-from zrlab.thermo import (RateFunction, ThermoTables, read_rate_table,
-                          write_rate_table)
+from zrlab.thermo import RateFunction, ThermoTables, read_rate_table
 
 ALL_KINDS = ("identity", "indicator", "figure3")
 
@@ -155,14 +154,14 @@ def test_pmf_normalization_and_mean(thermo_identity, thermo_figure3):
 
 # -- rate function table files --------------------------------------------------
 
-def test_rate_table_round_trip(tmp_path):
-    rate = RateFunction.from_table([0.5, 1.0, 1.25], tail="constant",
-                                   tail_value=1.25)
+def test_rate_table_constant_tail(tmp_path):
     path = tmp_path / "rate.txt"
-    write_rate_table(rate, path)
-    back = read_rate_table(path)
-    assert back.table == rate.table
-    assert back.tail == "constant" and back.tail_value == 1.25
+    path.write_text("# g(k) for k = 1..3\n1 0.5\n2 1.0\n3 1.25\n\n"
+                    "tail: constant 1.25\n")
+    rate = read_rate_table(path)
+    assert rate == RateFunction.from_table([0.5, 1.0, 1.25], tail="constant",
+                                           tail_value=1.25)
+    assert rate.values(5).tolist() == [0.5, 1.0, 1.25, 1.25, 1.25]
 
 
 def test_rate_table_identity_tail(tmp_path):

@@ -31,9 +31,22 @@ def test_model_params_validation(thermo_identity):
         with pytest.raises(DomainError):
             make_params(1.0, theta, 64, kappa=kappa)
     with pytest.raises(DomainError):
-        make_params(1.0, 0.0, 64, alpha=-0.5).validate(thermo_identity)
+        make_params(1.0, 0.0, 64, alpha=-0.5).boundary_fugacities(
+            thermo_identity)
     # alpha > beta is allowed (bounds use the sorted pair)
-    make_params(1.0, 0.0, 64, alpha=1.6, beta=0.4).validate(thermo_identity)
+    make_params(1.0, 0.0, 64, alpha=1.6, beta=0.4).boundary_fugacities(
+        thermo_identity)
+
+
+def test_assemble_refuses_tables_of_another_rate(thermo_identity,
+                                                 thermo_indicator):
+    # the indicator tables would turn alpha = 0.4, beta = 1.6 into the
+    # fugacities 0.2857, 0.6154 instead of the identity rate's 0.4, 1.6
+    params = make_params(1.5, 0.0, 64)
+    with pytest.raises(DomainError, match="do not match"):
+        assemble(params, thermo_indicator)
+    system = assemble(params, thermo_identity)
+    assert (system.phi_alpha, system.phi_beta) == pytest.approx((0.4, 1.6))
 
 
 def test_kappa_zero_assembled_but_not_solved(thermo_identity):
