@@ -21,7 +21,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -173,23 +173,17 @@ class RunConfig:
             return read_rate_table(self.g_spec[len("table:"):])
         raise ConfigError(f"unknown rate function spec {self.g_spec!r}")
 
-    def model(self, N: int, thermo: ThermoTables,
-              swap_boundaries: bool = False) -> ModelParams:
+    def model(self, N: int, thermo: ThermoTables) -> ModelParams:
         """The model on N sites, with the rate of the run's ``thermo``."""
         rate = thermo.rate
         if self.phi_alpha is not None:
-            pa, pb = self.phi_alpha, self.phi_beta
-            if swap_boundaries:
-                pa, pb = pb, pa
             return ModelParams.from_fugacities(
-                self.gamma, self.theta, self.kappa, pa, pb, N, rate,
-                self.normalization, thermo=thermo)
-        a, b = self.alpha, self.beta
-        if swap_boundaries:
-            a, b = b, a
+                self.gamma, self.theta, self.kappa, self.phi_alpha,
+                self.phi_beta, N, rate, self.normalization, thermo=thermo)
         return ModelParams(gamma=self.gamma, theta=self.theta,
-                           kappa=self.kappa, alpha=a, beta=b, N=N,
-                           rate=rate, normalization_mode=self.normalization)
+                           kappa=self.kappa, alpha=self.alpha, beta=self.beta,
+                           N=N, rate=rate,
+                           normalization_mode=self.normalization)
 
     def header_lines(self) -> list[str]:
         lines = [f"# zrlab_version = {__version__}",
@@ -460,8 +454,10 @@ def cmd_simulate(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     [(_, profile)] = solve_lattices(params, (N,), thermo)
     tables_ex = None
     if cfg.negative_control:
-        tables_ex = mc.build_event_tables(assemble(
-            cfg.model(N, thermo, swap_boundaries=True), thermo))
+        swapped = replace(
+            params, alpha=params.beta, beta=params.alpha,
+            phi_alpha=params.phi_beta, phi_beta=params.phi_alpha)
+        tables_ex = mc.build_event_tables(assemble(swapped, thermo))
         report.add("negative_control", True)
     t_burn = cfg.t_burn if cfg.t_burn is not None else 0.05 * cfg.t_sample
     mapping = mc.mapping_check(params, profile,

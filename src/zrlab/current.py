@@ -81,23 +81,19 @@ def exclusion_bond_currents(profile: FugacityProfile,
     return _bond_currents_generic(profile.values / phi_sum, a_t, b_t, system)
 
 
-def stationary_current(profile: FugacityProfile, system: TrafficSystem,
-                       x: int) -> float:
-    """E[W_x] through the bond x - 1/2 (zero-range units)."""
-    if not 1 <= x <= system.N:
-        raise DomainError(f"bond index x={x} outside 1..N={system.N}")
-    return float(bond_currents(profile, system)[x - 1])
-
-
 @dataclass
 class CurrentReport:
     per_x: np.ndarray            # E[W_x], x = 1..N
     rescaled: float              # E[W_1] / B_N(theta)
+    gross_flux: Optional[float] = None  # sum R_N, set at equilibrium only
 
     def relative_spread(self) -> float:
+        """The bond-to-bond range of W over |mean W|.  At equilibrium
+        (phi_alpha = phi_beta) W vanishes exactly, so max |W| is measured
+        against the gross boundary flux instead."""
+        if self.gross_flux is not None:
+            return float(np.max(np.abs(self.per_x)) / self.gross_flux)
         mean = float(np.mean(self.per_x))
-        if mean == 0.0:
-            return float(np.max(np.abs(self.per_x)))
         return float((self.per_x.max() - self.per_x.min()) / abs(mean))
 
 
@@ -105,7 +101,10 @@ def current_report(profile: FugacityProfile,
                    system: TrafficSystem) -> CurrentReport:
     per_x = bond_currents(profile, system)
     B = scaling_B(system.N, system.params.theta, system.params.gamma)
-    return CurrentReport(per_x=per_x, rescaled=float(per_x[0]) / B)
+    gross = (float(system.rhs.sum())
+             if profile.phi_alpha == profile.phi_beta else None)
+    return CurrentReport(per_x=per_x, rescaled=float(per_x[0]) / B,
+                         gross_flux=gross)
 
 
 def scaling_B(N: int, theta: float, gamma: float) -> float:
@@ -320,7 +319,7 @@ def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
     if lattices is None:
         lattices = solve_lattices(params_base, N_sequence, thermo)
     theta, gamma = params_base.theta, params_base.gamma
-    currents = np.array([stationary_current(profile, system, 1)
+    currents = np.array([bond_currents(profile, system)[0]
                          for system, profile in lattices])
     B_values = np.array([scaling_B(int(N), theta, gamma)
                          for N in N_sequence])

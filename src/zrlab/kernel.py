@@ -3,7 +3,10 @@
 Holds the power-law jump probabilities, the infinitely-extended reservoir
 rate arrays r_N^+/-, their continuum limits r^+/-, the boundary potentials
 (V0, V1), and the discrete and regional fractional Laplacians built from
-the same kernel.
+the same kernel.  zeta, hence c_gamma, the reservoir rates and each row's
+in-range mass are all read off one evaluator of the tail sums T[k] =
+sum_{j>=k} j^(-1-gamma): a row's in-range mass and its reservoir rates
+share their rounding, so the rows of D_N - P_N leak no mass between them.
 
 Normalization: the package default makes p a probability (c_gamma =
 1/(2 zeta(1+gamma)), so the kernel mass is 1).  The alternative
@@ -35,31 +38,13 @@ def _em_tail(M: float, s: float) -> float:
             - (s * (s + 1.0) * (s + 2.0) / 720.0) * M ** (-s - 3.0))
 
 
-def tail_sum(m: int, s: float) -> float:
-    """sum_{k>=m} k^(-s) to absolute accuracy ~1e-13.
-
-    Direct summation up to max(1e4, 10 m) terms, then an Euler-Maclaurin
-    correction for the remainder.
-    """
-    if s <= 1.0:
-        raise DomainError(f"tail_sum requires s > 1, got s={s}")
-    if m < 1:
-        raise DomainError(f"tail_sum requires m >= 1, got m={m}")
-    cutoff = max(10_000, 10 * m)
-    total = 0.0
-    chunk = 1 << 20
-    for start in range(m, cutoff, chunk):
-        ks = np.arange(start, min(start + chunk, cutoff), dtype=float)
-        total += float(np.sum(ks ** (-s)))
-    return total + _em_tail(float(cutoff), s)
-
-
 @lru_cache(maxsize=None)
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for s > 1 via partial sum plus Euler-Maclaurin tail."""
+    """zeta(s) = T[1] for s > 1, from the tail sums the reservoir rates
+    read."""
     if s <= 1.0:
         raise DomainError(f"zeta(s) diverges for s <= 1, got s={s}")
-    return tail_sum(1, s)
+    return float(_tail_array(1, s)[0])
 
 
 @dataclass(frozen=True)
@@ -87,10 +72,6 @@ class KernelParams:
             raise DomainError(f"unknown normalization mode {mode!r}")
         return cls(gamma=gamma, c_gamma=c, normalization_mode=mode)
 
-    def total_mass(self) -> float:
-        """sum_z p(z) over all of Z (1 in normalized mode)."""
-        return 2.0 * self.c_gamma * riemann_zeta(1.0 + self.gamma)
-
 
 def jump_prob(params: KernelParams, z) -> float | np.ndarray:
     """p(z) = c_gamma |z|^(-1-gamma) for z != 0, p(0) = 0.  Accepts arrays."""
@@ -115,11 +96,11 @@ class ReservoirRates:
     left: np.ndarray
     right: np.ndarray
     N: int
-    total_mass: float
 
     def in_range_mass(self) -> np.ndarray:
-        """sum_{y in Lambda_N} p(y-x), as the exact complement of the tails."""
-        return self.total_mass - self.left - self.right
+        """sum_{y in Lambda_N} p(y-x) = 2 c T[1] - c T[x] - c T[N-x]: the
+        kernel mass less both tails, all read off the same tail sums."""
+        return 2.0 * self.left[0] - self.left - self.right
 
 
 def _tail_array(n_terms: int, s: float) -> np.ndarray:
@@ -149,8 +130,7 @@ def reservoir_rates(params: KernelParams, N: int) -> ReservoirRates:
     scaled = params.c_gamma * T
     left = scaled.copy()                       # left[x-1]  = c T[x]
     right = scaled[::-1].copy()                # right[x-1] = c T[N-x]
-    return ReservoirRates(left=left, right=right, N=N,
-                          total_mass=params.total_mass())
+    return ReservoirRates(left=left, right=right, N=N)
 
 
 def continuum_rate(params: KernelParams, u, side: str):

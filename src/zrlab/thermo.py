@@ -260,15 +260,6 @@ class ThermoTables:
         """R(phi) = phi Z'(phi)/Z(phi), the mean occupation per site."""
         return _shaped(phi, self._series(phi)[1])
 
-    def mean_density_derivative(self, phi):
-        """R'(phi) = (S2/S0 - R^2)/phi, strictly positive on (0, phi*)."""
-        flat = np.asarray(phi, dtype=float).ravel()
-        _, r1, r2 = self._series(flat)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.where(flat == 0.0, 1.0 / self.rate.g(1),
-                             (r2 - r1 * r1) / flat)
-        return _shaped(phi, slope)
-
     def fugacity(self, m):
         """Phi(m): the unique phi with R(phi) = m.
 

@@ -121,6 +121,16 @@ def test_current_at_equilibrium_with_theta_negative(tmp_path):
     assert check.startswith("check:fick_closed_form = PASS (|limit| ")
 
 
+@pytest.mark.parametrize("N", ["128", "256", "512"])
+def test_bond_independence_at_equilibrium(tmp_path, N):
+    # at alpha = beta W vanishes exactly: max |W| is measured against the
+    # gross boundary flux, not against a mean that rounding may leave 0
+    out = tmp_path / "c"
+    assert run(["current", "--gamma", "0.5", "--theta", "-0.5", "--alpha",
+                "0.7", "--beta", "0.7", "--N", N, "--out", str(out)]) == 0
+    assert "check:bond_independence = PASS" in read_report(out)
+
+
 def test_current_command(tmp_path):
     out = tmp_path / "c"
     assert run(["current", "--gamma", "0.5", "--theta", "-0.5", "--N", "128",

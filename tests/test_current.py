@@ -37,7 +37,7 @@ def test_current_sign_regression(thermo_identity):
     params = make_params(1.5, 0.0, 1024)
     system = assemble(params, thermo_identity)
     prof = solve_direct(system)
-    w1 = C.stationary_current(prof, system, 1)
+    w1 = C.bond_currents(prof, system)[0]
     assert w1 < 0.0
     assert w1 == pytest.approx(-0.029527470327, rel=1e-6)
 
@@ -128,24 +128,20 @@ def test_bond_independence_at_16384(thermo_identity):
     assert C.current_report(prof, system).relative_spread() < 1e-10
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "known defect: at gamma = 1.9 the spread crosses 1e-10 by N = 4096 "
-    "(1.15e-10; residual 1.4e-15), from rounding in the differences of "
-    "the kernel tail sums, not from the solve (ROADMAP item 1)"))
 def test_bond_independence_gamma_19_at_4096(thermo_identity):
+    # 1.15e-10 while the rows' in-range mass and the reservoir rates came
+    # from two tail-sum evaluators, so the rows of D - P leaked mass
     (system, prof), = solve_lattices(make_params(1.9, 1.0, 2), (4096,),
                                      thermo_identity)
     assert C.current_report(prof, system).relative_spread() < 1e-10
 
 
-def test_stationary_current_bond_range(solved_256):
-    system, prof = solved_256
-    C.stationary_current(prof, system, 1)
-    C.stationary_current(prof, system, system.N)
-    with pytest.raises(DomainError):
-        C.stationary_current(prof, system, 0)
-    with pytest.raises(DomainError):
-        C.stationary_current(prof, system, system.N + 1)
+@pytest.mark.parametrize("theta,N", [(1.0, 2048), (0.5, 4096)])
+def test_bond_independence_gamma_19_pinned(thermo_identity, theta, N):
+    # 1.29e-10 and 1.08e-10 with the two tail-sum evaluators
+    (system, prof), = solve_lattices(make_params(1.9, theta, 2), (N,),
+                                     thermo_identity)
+    assert C.current_report(prof, system).relative_spread() < 1e-10
 
 
 # -- rescalings ---------------------------------------------------------------

@@ -26,6 +26,11 @@ def test_zeta_apery_against_independent_oracles():
     assert abs(K.riemann_zeta(3.0) - direct) < 1e-8
 
 
+def test_zeta_correctly_rounded():
+    for s in (2.0, 3.0):
+        assert K.riemann_zeta(s) == float(mpmath.zeta(s))
+
+
 def test_zeta_large_s_monotone_to_one():
     vals = [K.riemann_zeta(s) for s in (5.0, 10.0, 20.0, 40.0)]
     assert all(v > 1.0 for v in vals)
@@ -39,33 +44,42 @@ def test_zeta_domain():
             K.riemann_zeta(s)
 
 
+def _tails(m, s):
+    """T[1..m] = sum_{k>=j} k^(-s), j = 1..m: the reservoir rates at c = 1."""
+    kp = K.KernelParams.create(s - 1.0, "paper_literal")
+    return K.reservoir_rates(kp, m + 1).left
+
+
 def test_tail_sum_full_series_is_zeta():
     for gamma in (0.5, 1.5):
         s = 1.0 + gamma
-        assert abs(K.tail_sum(1, s) - K.riemann_zeta(s)) < 1e-13
+        for m in (1, 64, 4096):
+            assert abs(_tails(m, s)[0] - K.riemann_zeta(s)) < 1e-13
 
 
 def test_tail_sum_first_term_removed():
-    assert abs(K.tail_sum(2, 2.0) - (math.pi ** 2 / 6.0 - 1.0)) < 1e-12
+    assert abs(_tails(2, 2.0)[1] - (math.pi ** 2 / 6.0 - 1.0)) < 1e-12
 
 
 def test_tail_sum_against_hurwitz():
     for m, s in ((3, 1.3), (17, 2.5), (101, 1.01 + 1e-9), (1000, 2.9)):
-        assert abs(K.tail_sum(m, s) - scipy_zeta(s, m)) < 1e-12
+        assert abs(_tails(m, s)[m - 1] - scipy_zeta(s, m)) < 1e-12
 
 
 def test_tail_sum_large_m_integral_sandwich():
-    m = 10 ** 6
-    val = K.tail_sum(m, 2.0)
+    # 10^5, not 10^6: the tails to m are summed from an anchor at 10 m
+    m = 10 ** 5
+    val = _tails(m, 2.0)[m - 1]
     assert 1.0 / m < val < 1.0 / (m - 1)       # integral bounds
-    assert abs(val - 1e-6) < 0.01e-6
+    assert abs(val - 1e-5) < 0.01e-5
 
 
 def test_tail_sum_domain():
+    # s = 1 + gamma > 1 and a tail index m >= 1 (a lattice N >= 2)
     with pytest.raises(DomainError):
-        K.tail_sum(5, 1.0)
+        K.KernelParams.create(0.0, "paper_literal")
     with pytest.raises(DomainError):
-        K.tail_sum(0, 2.0)
+        K.reservoir_rates(K.KernelParams.create(1.0, "paper_literal"), 1)
 
 
 # -- kernel params / jump probabilities -------------------------------------
@@ -81,7 +95,10 @@ def test_kernel_params_domain():
 def test_paper_literal_mode():
     kp = K.KernelParams.create(1.5, "paper_literal")
     assert kp.c_gamma == 1.0
-    assert abs(kp.total_mass() - 2.0 * K.riemann_zeta(2.5)) < 1e-12
+    # in-range mass plus both tails is the whole kernel mass 2 zeta(2.5)
+    rr = K.reservoir_rates(kp, 64)
+    total = rr.in_range_mass() + rr.left + rr.right
+    assert np.max(np.abs(total - 2.0 * K.riemann_zeta(2.5))) < 1e-12
 
 
 def test_jump_prob_zero_and_unit():
@@ -101,7 +118,7 @@ def test_jump_prob_symmetry(z):
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_normalization(gamma):
     kp = K.KernelParams.create(gamma)
-    total = 2.0 * kp.c_gamma * K.tail_sum(1, 1.0 + gamma)
+    total = 2.0 * kp.c_gamma * K.riemann_zeta(1.0 + gamma)
     assert abs(total - 1.0) < 1e-10
 
 
@@ -147,8 +164,7 @@ def test_reservoir_matches_scalar_tail_sum():
     kp = K.KernelParams.create(1.5)
     rr = K.reservoir_rates(kp, 200)
     for x in (1, 7, 100, 199):
-        assert abs(rr.left[x - 1]
-                   - kp.c_gamma * K.tail_sum(x, 2.5)) < 1e-12
+        assert abs(rr.left[x - 1] - kp.c_gamma * scipy_zeta(2.5, x)) < 1e-12
 
 
 @pytest.mark.parametrize("gamma,u", [(0.5, 0.5), (1.5, 0.3)])

@@ -263,18 +263,20 @@ def test_zr_reproducible(thermo_identity):
 
 @pytest.mark.parametrize("chain, from_init, events, digest", [
     ("zr", False, 9881,
-     "1821610064b9b802bc171f756e613de3bf6039a7fd02c3dbcff4525c7109c210"),
+     "1c43ccaadb60b2a0d9120893802f521a5a5627cae9df12e5458e57ad25a6e3f7"),
     ("ex", False, 5178,
-     "6fc58045b9f488eaf6c4185bd9ecc63e50ce8e63b2c1eba7e3e6f2c7b904cb58"),
+     "3427048084c19716a4eab76ca15001ce313409007012013cf4a725411b2f81aa"),
     ("zr", True, 11383,
-     "ccbd5ef691e7e43d6c78bdcf698fac920f9cc4f1f51e56d7399b521fde601af8"),
+     "8dfe87ec6067f204998a7acb3f8ebb84ac8782e6d9c4c1c1bb89d71c03eb36f8"),
     ("ex", True, 5135,
-     "b2109f2691bb3368fc3c05400492b362b716bd8caae247c24eb50186df0dfe85"),
+     "c7ed926e8289cb0829683ddc5f5b0fa2f88878af943871dbc846f7e1e3210fdb"),
 ])
 def test_chains_bit_identical_at_fixed_seed(thermo_identity, chain, from_init,
                                             events, digest):
     # event counts and estimate bytes recorded with the numpy-scalar event
-    # loop; a faster loop must draw, add and divide in the same order
+    # loop; a faster loop must draw, add and divide in the same order.  The
+    # estimate bytes were re-recorded when c_gamma moved by an ulp (zeta read
+    # off the reservoir tails); the event counts did not move
     params = make_params(1.2, 0.0, 24)
     tables = tables_for(params, thermo_identity)
     if chain == "zr":

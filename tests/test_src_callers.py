@@ -1,7 +1,9 @@
-"""Every top-level function and class of ``src/zrlab`` is named by code in
-``src/`` outside its own definition, or is listed below with the reason it
-stays.  A name counts where the parsed source uses it (a name, an
-attribute or an import), not where a comment or docstring mentions it.
+"""Every top-level function and class of ``src/zrlab``, and every method of
+its classes, is named by code in ``src/`` outside its own definition, or is
+listed below with the reason it stays.  A name counts where the parsed
+source uses it (a name, an attribute or an import), not where a comment or
+docstring mentions it; a method counts by its bare name, whatever class
+defines it.  Dunder methods are called by Python itself and are skipped.
 """
 
 import ast
@@ -18,6 +20,11 @@ NO_SRC_CALLER = {
                                "fractional Laplacian",
     "empirical_pairing": "the Monte Carlo hydrostatic test's estimator",
     "exact_stationary_distribution": "acceptance-02's brute-force oracle",
+    "FugacityProfile.phi_at": "acceptance-04 reads the profile at a "
+                              "macroscopic point with it",
+    "FugacityProfile.symmetry_gap": "acceptance-01 and the benchmark's "
+                                    "solve tracer read it",
+    "FugacityProfile.within_bounds": "acceptance-01's maximum principle",
     "exclusion_bond_currents": "traced by the benchmark; the simulated "
                                "exclusion currents (ROADMAP item 3) are "
                                "checked against it",
@@ -36,23 +43,39 @@ NO_SRC_CALLER = {
 
 
 def _definitions_and_uses():
-    """{name: module} of the top-level defs and classes, and {name: set of
-    the top-level definitions (None: module level) that use it}."""
+    """{name: module} of the top-level defs and classes and of the methods
+    (as ``Class.method``), and {bare name: set of the definitions (None:
+    module level) that use it}."""
     defined, used_by = {}, defaultdict(set)
+
+    def record(node, owner):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                used_by[sub.id].add(owner)
+            elif isinstance(sub, ast.Attribute):
+                used_by[sub.attr].add(owner)
+            elif isinstance(sub, ast.alias):
+                used_by[sub.asname or sub.name].add(owner)
+
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
-            owner = None
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(top, ast.FunctionDef):
                 defined[top.name] = path.name
-                owner = top.name
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    used_by[node.id].add(owner)
-                elif isinstance(node, ast.Attribute):
-                    used_by[node.attr].add(owner)
-                elif isinstance(node, ast.alias):
-                    used_by[node.asname or node.name].add(owner)
+                record(top, top.name)
+            elif isinstance(top, ast.ClassDef):
+                defined[top.name] = path.name
+                for part in top.decorator_list + top.bases + top.keywords:
+                    record(part, top.name)
+                for item in top.body:
+                    owner = top.name
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")):
+                        owner = f"{top.name}.{item.name}"
+                        defined[owner] = path.name
+                    record(item, owner)
+            else:
+                record(top, None)
     return defined, used_by
 
 
@@ -60,7 +83,10 @@ DEFINED, USED_BY = _definitions_and_uses()
 
 
 def _has_src_caller(name):
-    return bool(USED_BY[name] - {name})
+    """Used outside its own definition; for a class, outside its methods
+    too."""
+    return any(owner != name and not str(owner).startswith(name + ".")
+               for owner in USED_BY[name.rsplit(".", 1)[-1]])
 
 
 def test_every_object_has_a_caller_or_a_reason():

@@ -66,28 +66,19 @@ def test_mean_density_closed_forms(thermo_identity, thermo_indicator):
     assert thermo_identity.mean_density(0.0) == 0.0
 
 
-def test_mean_density_derivative_closed_forms(thermo_identity,
-                                              thermo_indicator):
-    assert abs(thermo_identity.mean_density_derivative(0.7) - 1.0) < 1e-12
-    assert abs(thermo_indicator.mean_density_derivative(0.2)
-               - 1.0 / 0.8 ** 2) < 1e-12
-
-
 @pytest.mark.parametrize("kind,phi", [("identity", 0.9), ("indicator", 0.4),
                                       ("figure3", 0.6)])
 def test_derivative_matches_central_difference(kind, phi):
+    # R'(phi) = Var(xi)/phi, the slope of fugacity's Newton step, from the
+    # occupation marginal
     thermo = tables_for(kind)
     h = 1e-5
     fd = (thermo.mean_density(phi + h) - thermo.mean_density(phi - h)) / (2 * h)
-    assert abs(thermo.mean_density_derivative(phi) - fd) < 1e-6
-
-
-def test_derivative_positive_on_grid():
-    for kind in ALL_KINDS:
-        thermo = tables_for(kind)
-        hi = 2.0 if math.isinf(thermo.phi_star) else thermo.phi_max()
-        for phi in np.linspace(0.01, hi * 0.99, 25):
-            assert thermo.mean_density_derivative(float(phi)) > 0.0
+    ks = np.arange(400)
+    pmf = thermo.occupation_pmf(phi, ks)
+    mean = float(ks @ pmf)
+    var = float((ks - mean) ** 2 @ pmf)
+    assert abs(var / phi - fd) < 1e-6
 
 
 # -- fugacity (inverse map) -----------------------------------------------------
@@ -239,8 +230,7 @@ def _indicator_twin():
 def test_mixed_array_equals_elementwise(kind):
     thermo = _indicator_twin() if kind == "table" else tables_for(kind)
     phis = _mixed_phis(thermo)
-    for name in ("log_partition", "partition_function", "mean_density",
-                 "mean_density_derivative"):
+    for name in ("log_partition", "partition_function", "mean_density"):
         evaluate = getattr(thermo, name)
         whole = evaluate(phis)
         assert isinstance(whole, np.ndarray) and whole.shape == phis.shape
