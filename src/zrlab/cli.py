@@ -8,8 +8,9 @@ header carrying the resolved configuration and the package version.  The
 dumps of the objects a run builds carry their own header: profile_N*.csv
 the model parameters and solve summary, continuum_profile.csv the regime,
 tilde densities and edge values, zr_/ex_estimates.csv the chain's seed,
-times and event count.  Given the same config and seed, re-running a
-command produces byte-identical files.
+times and event count.  Every file is written through ``zrlab.table``,
+which owns the format (header lines, column line, cells).  Given the same
+config and seed, re-running a command produces byte-identical files.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 convergence
 failure, 5 statistical-check failure.
@@ -33,6 +34,7 @@ from . import current as current_mod
 from . import hydrostatic as hydro
 from . import ldp as ldp_mod
 from . import mc
+from .table import header_lines, write_lines, write_table
 from .thermo import RateFunction, ThermoTables, read_rate_table
 from .traffic import ModelParams, assemble, solve_lattices, write_profile_csv
 from .traffic import solve_direct  # noqa: F401  (re-export)
@@ -161,6 +163,9 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.grid_points < 9:
             raise ConfigError("grid must have at least 9 points")
+        nearest = next(p for p in (self.out, *self.out.parents) if p.exists())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out: {nearest} is not a directory")
 
     def rate(self) -> RateFunction:
         if self.g_spec == "identity":
@@ -186,15 +191,14 @@ class RunConfig:
                            normalization_mode=self.normalization)
 
     def header_lines(self) -> list[str]:
-        lines = [f"# zrlab_version = {__version__}",
-                 f"# command = {self.command}"]
+        header = {"zrlab_version": __version__, "command": self.command}
         for opt in OPTIONS:
             if opt.header is not None:
                 value = getattr(self, opt.field)
                 if opt.repeat:
                     value = ",".join(str(v) for v in value)
-                lines.append(f"# {opt.header} = {value}")
-        return lines
+                header[opt.header] = value
+        return header_lines(header)
 
 
 def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
@@ -272,11 +276,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _write(path: Path, header: list[str], body_lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(header + body_lines) + "\n")
-
-
 class Report:
     """Structured-text run report: key = value lines plus check lines."""
 
@@ -293,10 +292,6 @@ class Report:
         self.lines.append(f"check:{name} = {status}{suffix}")
         if not ok:
             self.failures.append(name)
-
-    def write(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(self.lines) + "\n")
 
 
 def _regime(cfg: RunConfig, params: ModelParams) -> hydro.Regime:
@@ -344,16 +339,13 @@ def cmd_thermo(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     R = thermo.mean_density(phis)
     rt = np.abs(thermo.fugacity(R) - phis)
     max_rt = float(rt.max())
-    rows = [",".join(map(repr, row))
-            for row in np.column_stack([phis, Z, R, rt]).tolist()]
-    _write(cfg.out / "thermo_phi.csv", cfg.header_lines(),
-           ["phi,Z,R,roundtrip_error"] + rows)
+    write_table(cfg.out / "thermo_phi.csv", cfg.header_lines(),
+                ("phi", "Z", "R", "roundtrip_error"),
+                zip(phis.tolist(), Z.tolist(), R.tolist(), rt.tolist()))
     m_hi = thermo.mean_density(float(0.98 * phis[-1]))
     ms = np.linspace(0.0, m_hi, 51)
-    rows = [f"{m!r},{phi!r}"
-            for m, phi in zip(ms.tolist(), thermo.fugacity(ms).tolist())]
-    _write(cfg.out / "thermo_density.csv", cfg.header_lines(),
-           ["m,Phi"] + rows)
+    write_table(cfg.out / "thermo_density.csv", cfg.header_lines(),
+                ("m", "Phi"), zip(ms.tolist(), thermo.fugacity(ms).tolist()))
     report.add("phi_star", thermo.phi_star)
     report.add("m_star", thermo.m_star)
     report.add("max_roundtrip_error", max_rt)
@@ -380,9 +372,9 @@ def cmd_profile(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
         N = system.N
         sites = np.clip((interior * N).astype(int), 1, N - 1)
         vals = pr.values[sites - 1] / cont.phi_sum
-        rows.append(f"{N},{float(np.max(np.abs(vals - rho_ref)))!r}")
-    _write(cfg.out / "convergence_gaps.csv", cfg.header_lines(),
-           ["N,sup_gap"] + rows)
+        rows.append((N, float(np.max(np.abs(vals - rho_ref)))))
+    write_table(cfg.out / "convergence_gaps.csv", cfg.header_lines(),
+                ("N", "sup_gap"), rows)
     mid_idx = len(grid) // 2
     mid_val = cont.m[mid_idx]
     mid_expected = thermo.mean_density(0.5 * cont.phi_sum)
@@ -409,9 +401,8 @@ def cmd_current(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     solved = solve_lattices(params, sweep_Ns, thermo)
     system, prof = solved[-1]
     rep = current_mod.current_report(prof, system)
-    rows = [f"{x + 1},{float(w)!r}" for x, w in enumerate(rep.per_x)]
-    _write(cfg.out / "bond_currents.csv", cfg.header_lines(),
-           ["x,current"] + rows)
+    write_table(cfg.out / "bond_currents.csv", cfg.header_lines(),
+                ("x", "current"), enumerate(rep.per_x.tolist(), start=1))
     report.add("current", float(rep.per_x[0]))
     report.add("rescaled", rep.rescaled)
     report.add("bond_spread", rep.relative_spread())
@@ -510,11 +501,10 @@ def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
         monotone = all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
         monotone_all = monotone_all and monotone
         rate_val = ldp_mod.rate_function(tilted(G), cont, thermo)
-        cells = ",".join(repr(v) for v in per_n)
-        rows.append(f"{label},{cells},{lam!r},{rate_val!r}")
-    n_cols = ",".join(f"Lambda_N_over_N_{N}" for N in cfg.N_list)
-    _write(cfg.out / "ldp_scan.csv", cfg.header_lines(),
-           [f"label,{n_cols},Lambda_limit,rate_value"] + rows)
+        rows.append((label, *per_n, lam, rate_val))
+    write_table(cfg.out / "ldp_scan.csv", cfg.header_lines(),
+                ("label", *(f"Lambda_N_over_N_{N}" for N in cfg.N_list),
+                 "Lambda_limit", "rate_value"), rows)
     zero = ldp_mod.rate_function(tilted(np.zeros_like), cont, thermo)
     report.add("rate_at_typical_profile", zero)
     report.check("rate_vanishes_at_typical", abs(zero) < 1e-8, f"{zero:g}")
@@ -548,7 +538,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    report.write(cfg.out / "report.txt")
+    write_lines(cfg.out / "report.txt", report.lines)
     return EXIT_STATISTICAL if report.failures else EXIT_OK
 
 

@@ -11,7 +11,6 @@ a one-line check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -21,6 +20,7 @@ from .hydrostatic import (ContinuumProfile, _fit_power_limit, pchip,
                           tilde_densities)
 from .kernel import KernelParams, continuum_rate
 from .quadrature import geometric_edges, integrate_panels, panel_nodes
+from .table import write_table
 from .thermo import ThermoTables
 from .traffic import (FugacityProfile, ModelParams, TrafficSystem, fast_len,
                       solve_lattices)
@@ -291,17 +291,15 @@ class SweepResult:
     rel_err: Optional[float]
 
     def to_csv(self, path, header_lines) -> None:
-        lines = list(header_lines)
-        lines.append("N,B_N,current,rescaled,extrapolated_limit,"
-                     "closed_form,rel_err")
-        for N, B, cur, res in zip(self.N_values, self.B_values,
-                                  self.currents, self.rescaled):
-            cf = "" if self.closed_form is None else repr(float(self.closed_form))
-            re_ = "" if self.rel_err is None else repr(float(self.rel_err))
-            lines.append(f"{N},{float(B)!r},{float(cur)!r},{float(res)!r},"
-                         f"{float(self.extrapolated)!r},{cf},{re_}")
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text("\n".join(lines) + "\n")
+        cf = "" if self.closed_form is None else float(self.closed_form)
+        re_ = "" if self.rel_err is None else float(self.rel_err)
+        rows = zip(self.N_values, self.B_values.tolist(),
+                   self.currents.tolist(), self.rescaled.tolist())
+        write_table(path, header_lines,
+                    ("N", "B_N", "current", "rescaled", "extrapolated_limit",
+                     "closed_form", "rel_err"),
+                    [(*row, float(self.extrapolated), cf, re_)
+                     for row in rows])
 
 
 def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import DomainError
 from .kernel import (KernelParams, first_moment_half,
                      regional_frac_laplacian, v_potentials, vectorized)
 from .quadrature import integrate_panels
+from .table import header_lines, read_table, write_table
 from .thermo import ThermoTables
 from .traffic import FugacityProfile, ModelParams, solve_lattices
 from .traffic import solve_direct  # noqa: F401  (re-export)
@@ -464,7 +464,7 @@ def hydrostatic_average(discrete: FugacityProfile, continuum: ContinuumProfile,
 
 # -- serialization ---------------------------------------------------------
 
-_CSV_COLUMNS = "u,rho,m,err_estimate,fallback"
+_CSV_COLUMNS = ["u", "rho", "m", "err_estimate", "fallback"]
 
 
 def write_continuum_csv(profile: ContinuumProfile, path) -> None:
@@ -472,37 +472,23 @@ def write_continuum_csv(profile: ContinuumProfile, path) -> None:
     and the points where the fit fell back, so the file reads back as the
     same profile."""
     r0, r1 = profile.boundary_values()
-    lines = [
-        f"# regime = {profile.regime.tag}",
-        f"# kappa_hat = {profile.regime.kappa_hat!r}",
-        f"# provenance = {profile.provenance}",
-        f"# alpha_tilde = {profile.alpha_tilde!r}",
-        f"# beta_tilde = {profile.beta_tilde!r}",
-        f"# phi_sum = {profile.phi_sum!r}",
-        f"# rho_boundary_left = {r0!r}",
-        f"# rho_boundary_right = {r1!r}",
-        _CSV_COLUMNS,
-    ]
-    for u, r, m, e, w in zip(profile.grid, profile.rho, profile.m,
-                             profile.err_estimate, profile.warn):
-        lines.append(f"{float(u)!r},{float(r)!r},{float(m)!r},{float(e)!r},"
-                     f"{int(w)}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = {"regime": profile.regime.tag,
+              "kappa_hat": profile.regime.kappa_hat,
+              "provenance": profile.provenance,
+              "alpha_tilde": profile.alpha_tilde,
+              "beta_tilde": profile.beta_tilde, "phi_sum": profile.phi_sum,
+              "rho_boundary_left": r0, "rho_boundary_right": r1}
+    write_table(path, header_lines(header), _CSV_COLUMNS,
+                zip(profile.grid.tolist(), profile.rho.tolist(),
+                    profile.m.tolist(), profile.err_estimate.tolist(),
+                    profile.warn.astype(int).tolist()))
 
 
 def read_continuum_csv(path) -> ContinuumProfile:
     """The profile ``write_continuum_csv`` wrote; between the grid points
     and the ends, rho is the monotone (PCHIP) interpolant of the values."""
-    lines = Path(path).read_text().splitlines()
-    header, rows = {}, []
-    for raw in lines:
-        if raw.startswith("#"):
-            key, _, val = raw[1:].partition("=")
-            header[key.strip()] = val.strip()
-        elif raw and not raw.startswith("u,"):
-            rows.append([float(v) for v in raw.split(",")])
-    if _CSV_COLUMNS not in lines or not {
+    header, columns, rows = read_table(path)
+    if columns != _CSV_COLUMNS or not {
             "rho_boundary_left", "rho_boundary_right"} <= header.keys():
         raise DomainError(
             f"{path} lacks the edge values or the fallback column of a "
@@ -510,7 +496,7 @@ def read_continuum_csv(path) -> ContinuumProfile:
     if not rows:
         raise DomainError(f"{path} has a continuum profile header but no "
                           "grid rows")
-    data = np.array(rows)
+    data = np.array([[float(v) for v in row] for row in rows])
     grid, rho = data[:, 0], data[:, 1]
     r0 = float(header["rho_boundary_left"])
     r1 = float(header["rho_boundary_right"])

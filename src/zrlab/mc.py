@@ -37,7 +37,6 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,6 +44,7 @@ import numpy as np
 from .errors import DomainError
 from .hydrostatic import tilde_densities
 from .kernel import vectorized
+from .table import header_lines, write_table
 from .thermo import ThermoTables
 from .traffic import (FugacityProfile, ModelParams, TrafficSystem, assemble,
                       solve_direct)
@@ -557,21 +557,16 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
 def write_estimate_csv(est: SimEstimate, profile: FugacityProfile,
                        path) -> None:
     """Estimate dump with z-scores against the exact fugacity profile."""
-    lines = [
-        f"# seed = {est.seed}",
-        f"# t_burn = {est.burn_in_time!r}",
-        f"# t_sample = {est.sample_time!r}",
-        f"# event_count = {est.event_count}",
-        f"# time_scale = {est.time_scale!r}",
-        "x,mean_xi,se_xi,mean_g,se_g,exact_phi,z_score",
-    ]
-    phi = profile.values
-    z = _z_scores(est, phi, profile.phi_alpha + profile.phi_beta)
-    for x in range(len(est.mean_counts)):
-        mg, sg = "", ""
-        if est.mean_g is not None:
-            mg, sg = repr(float(est.mean_g[x])), repr(float(est.se_g[x]))
-        lines.append(f"{x + 1},{float(est.mean_counts[x])!r},{float(est.se_counts[x])!r},"
-                     f"{mg},{sg},{float(phi[x])!r},{float(z[x])!r}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = {"seed": est.seed, "t_burn": est.burn_in_time,
+              "t_sample": est.sample_time, "event_count": est.event_count,
+              "time_scale": est.time_scale}
+    z = _z_scores(est, profile.values, profile.phi_alpha + profile.phi_beta)
+    mean_g = se_g = [""] * len(z)
+    if est.mean_g is not None:
+        mean_g, se_g = est.mean_g.tolist(), est.se_g.tolist()
+    write_table(path, header_lines(header),
+                ("x", "mean_xi", "se_xi", "mean_g", "se_g", "exact_phi",
+                 "z_score"),
+                zip(itertools.count(1), est.mean_counts.tolist(),
+                    est.se_counts.tolist(), mean_g, se_g,
+                    profile.values.tolist(), z.tolist()))

@@ -19,13 +19,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .kernel import KernelParams, ReservoirRates, jump_prob, reservoir_rates
+from .table import header_lines, write_table
 from .thermo import RateFunction, ThermoTables
 
 EPS = float(np.finfo(float).eps)
@@ -112,15 +112,12 @@ class ModelParams:
         return float(self.N) ** expo
 
     def as_dict(self) -> dict:
-        d = {
+        return {
             "gamma": self.gamma, "theta": self.theta, "kappa": self.kappa,
             "alpha": self.alpha, "beta": self.beta, "N": self.N,
             "rate": self.rate.kind, "normalization": self.normalization_mode,
+            "phi_alpha": self.phi_alpha, "phi_beta": self.phi_beta,
         }
-        if self.phi_alpha is not None:
-            d["phi_alpha"] = self.phi_alpha
-            d["phi_beta"] = self.phi_beta
-        return d
 
 
 def fast_len(n: int) -> int:
@@ -388,24 +385,15 @@ def solve_lattices(params: ModelParams, N_values: Sequence[int],
     return solved
 
 
-def density_profile(profile: FugacityProfile,
-                    thermo: ThermoTables) -> np.ndarray:
-    """m_N[x] = R(phi_N[x]) site-wise."""
-    return thermo.mean_density_array(profile.values)
-
-
 def write_profile_csv(profile: FugacityProfile, thermo: ThermoTables,
                       path) -> None:
-    """Profile dump: x, x/N, phi, m with a parameter header block."""
-    m = density_profile(profile, thermo)
-    lines = [f"# {k} = {v}" for k, v in profile.params.as_dict().items()]
-    lines.append(f"# phi_alpha = {profile.phi_alpha!r}")
-    lines.append(f"# phi_beta = {profile.phi_beta!r}")
-    lines.append(f"# residual = {profile.residual_norm!r}")
-    lines.append(f"# method = {profile.method}")
-    lines.append("x,x_over_N,phi,m")
+    """Profile dump: x, x/N, phi, m under a parameter and solve header."""
+    header = {**profile.params.as_dict(), "phi_alpha": profile.phi_alpha,
+              "phi_beta": profile.phi_beta,
+              "residual": profile.residual_norm, "method": profile.method}
+    m = thermo.mean_density_array(profile.values)
     N = profile.params.N
-    for i, (phi, dens) in enumerate(zip(profile.values, m), start=1):
-        lines.append(f"{i},{i / N!r},{float(phi)!r},{float(dens)!r}")
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text("\n".join(lines) + "\n")
+    x = np.arange(1, N)
+    write_table(path, header_lines(header), ("x", "x_over_N", "phi", "m"),
+                zip(x.tolist(), (x / N).tolist(), profile.values.tolist(),
+                    m.tolist()))

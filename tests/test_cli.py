@@ -65,6 +65,50 @@ def test_byte_identical_reruns(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+FORMAT_JOBS = (
+    ["thermo"],
+    ["profile", "--figure3", "--gamma", "1.5", "--theta", "-1", "--N", "64"],
+    ["current", "--gamma", "0.5", "--theta", "-0.5", "--N", "64", "--N",
+     "128", "--N", "256"],
+    ["simulate", "--gamma", "1.2", "--theta", "0", "--N", "24", "--t-burn",
+     "20", "--t-sample", "100", "--seed", "3"],
+    ["ldp", "--gamma", "0.5", "--theta", "1", "--alpha", "0.5", "--beta",
+     "1.5", "--N", "64", "--N", "128", "--N", "256"],
+)
+
+
+@pytest.mark.parametrize("argv", FORMAT_JOBS, ids=lambda argv: argv[0])
+def test_every_output_file_keeps_the_format(tmp_path, argv):
+    # header lines first, each key once; a table then has one column line
+    # and rows as wide as it, and a float cell is its own shortest repr
+    assert run(argv + ["--out", str(tmp_path)]) in (0, cli.EXIT_STATISTICAL)
+    files = sorted(tmp_path.iterdir())
+    assert len(files) >= 2
+    for path in files:
+        lines = path.read_text().splitlines()
+        n_header = next(i for i, l in enumerate(lines)
+                        if not l.startswith("#"))
+        if path.suffix == ".txt":
+            n_header = len(lines)   # the report's lines are keys too
+        keys = Counter(l.lstrip("# ").partition(" = ")[0]
+                       for l in lines[:n_header])
+        assert [k for k, n in keys.items() if n > 1] == [], path.name
+        if path.suffix != ".csv":
+            continue
+        columns, *rows = (l.split(",") for l in lines[n_header:])
+        assert rows, path.name
+        for cells in rows:
+            assert len(cells) == len(columns), path.name
+            assert not set(cells) & set(columns), path.name
+            for cell in cells:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue        # a label or an empty cell
+                if not cell.lstrip("-").isdigit():
+                    assert repr(value) == cell, (path.name, cell)
+
+
 def test_profile_figure3_preset(tmp_path):
     out = tmp_path / "f3"
     assert run(["profile", "--figure3", "--gamma", "1.5", "--theta", "-1",
@@ -271,7 +315,7 @@ def test_table_rate_read_once(tmp_path, monkeypatch):
     assert reads == [str(table)]
 
 
-def test_exit_code_config_error(tmp_path):
+def test_exit_code_config_error(tmp_path, monkeypatch):
     # decreasing N list
     assert run(["profile", "--N", "256", "--N", "128",
                 "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
@@ -305,6 +349,14 @@ def test_exit_code_config_error(tmp_path):
             run(argv + ["--out", str(tmp_path / "n")])
         assert exc.value.code == cli.EXIT_CONFIG, argv
         assert not (tmp_path / "n").exists()
+    # an --out that cannot be a directory is refused before the run
+    solves, _ = _count_work(monkeypatch)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    assert run(["thermo", "--out", str(taken)]) == cli.EXIT_CONFIG
+    assert run(["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
+                "--out", str(taken / "sub")]) == cli.EXIT_CONFIG
+    assert not solves and taken.read_text() == "kept\n"
 
 
 def test_exit_code_domain_error(tmp_path):

@@ -12,9 +12,8 @@ from zrlab.current import current_report
 from zrlab.errors import ConvergenceError, DomainError
 from zrlab.kernel import riemann_zeta
 from zrlab.thermo import RateFunction, ThermoTables
-from zrlab.traffic import (EPS, ModelParams, assemble, density_profile,
-                           fast_len, residual, solve_direct, solve_iterative,
-                           write_profile_csv)
+from zrlab.traffic import (EPS, ModelParams, assemble, fast_len, residual,
+                           solve_direct, solve_iterative, write_profile_csv)
 
 from conftest import make_params
 
@@ -181,7 +180,7 @@ def test_residual_cases(thermo_identity):
 def test_density_profile(thermo_identity, thermo_figure3):
     flat = make_params(1.5, 0.0, 64, alpha=0.7, beta=0.7)
     prof = solve_direct(assemble(flat, thermo_identity))
-    dens = density_profile(prof, thermo_identity)
+    dens = thermo_identity.mean_density_array(prof.values)
     assert np.max(np.abs(dens - 0.7)) < 1e-12
 
     # figure-3 rate with fugacity boundary data: midpoint density identity
@@ -189,13 +188,13 @@ def test_density_profile(thermo_identity, thermo_figure3):
                                          RateFunction.figure3(),
                                          thermo=thermo_figure3)
     prof3 = solve_direct(assemble(params, thermo_figure3))
-    dens3 = density_profile(prof3, thermo_figure3)
+    dens3 = thermo_figure3.mean_density_array(prof3.values)
     assert abs(dens3[31] - thermo_figure3.mean_density(0.5)) < 1e-10
 
     # monotone in x for alpha < beta at theta = 0 (observed regression)
     mono = make_params(1.5, 0.0, 128)
-    densm = density_profile(solve_direct(assemble(mono, thermo_identity)),
-                            thermo_identity)
+    densm = thermo_identity.mean_density_array(
+        solve_direct(assemble(mono, thermo_identity)).values)
     assert np.all(np.diff(densm) > 0.0)
 
 
