@@ -123,13 +123,16 @@ def _fit_power_limit(vals: Sequence, scales: Sequence):
     with np.errstate(divide="ignore", invalid="ignore"):
         lo, hi = np.full(v3.shape, 0.2), np.full(v3.shape, 2.0)  # p range
         m_lo, m_hi = mismatch(lo), mismatch(hi)
+        # where the mismatch keeps its sign on the range: the closer end
+        no_root = m_lo * m_hi > 0.0
+        closer_end = np.where(np.abs(m_lo) < np.abs(m_hi), 0.2, 2.0)
         for _ in range(60):
             p = 0.5 * (lo + hi)
-            left = mismatch(lo) * mismatch(p) <= 0.0
+            m_p = mismatch(p)
+            left = m_lo * m_p <= 0.0
             lo, hi = np.where(left, lo, p), np.where(left, p, hi)
-        p = np.where(m_lo * m_hi > 0.0,
-                     np.where(np.abs(m_lo) < np.abs(m_hi), 0.2, 2.0),
-                     0.5 * (lo + hi))
+            m_lo = np.where(left, m_lo, m_p)    # mismatch(lo), carried
+        p = np.where(no_root, closer_end, 0.5 * (lo + hi))
         c1 = d2 / (s2 ** -p - s3 ** -p)
         c0 = v3 - c1 * s3 ** -p
     value = np.where(flat | warn, v3, c0)

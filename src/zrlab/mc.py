@@ -29,13 +29,23 @@ is valid here; only the stationary solve refuses it.
 A brute-force oracle for the whole stack is exact_stationary_distribution,
 which builds the truncated generator from the same system and solves for
 its stationary vector.
+
+The static-mapping check (``mapping_check``) runs its two chains at the
+same time in two processes: the exclusion chain in a forked child, the
+zero-range chain in the caller.  Each chain reads its own seed's stream,
+so the estimates are those of two calls in one process, bit for bit; the
+speed-up needs a second CPU.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -523,6 +533,86 @@ def _z_scores(est: SimEstimate, phi: np.ndarray, s: float) -> np.ndarray:
     return (s * est.mean_counts - phi) / (s * est.se_counts + 1e-300)
 
 
+def _serve(task: Callable[[], object], read_fd: int, write_fd: int) -> None:
+    """The forked child of ``_forked``: writes the pickled outcome of
+    ``task()`` to ``write_fd`` and exits without returning.  The outcome is
+    (True, result, None) or (False, exception, its formatted traceback)."""
+    code = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, task(), None)
+        except Exception as exc:
+            import traceback            # not loaded on the normal path
+            outcome = (False, exc, traceback.format_exc())
+        data = memoryview(pickle.dumps(outcome))
+        while data:
+            data = data[os.write(write_fd, data):]
+        code = 0
+    finally:
+        # the child must never unwind into the caller's frames (it would go
+        # on running the caller's program), nor flush buffers it shares
+        # with the parent
+        os._exit(code)
+
+
+@contextmanager
+def _forked(task: Callable[[], object]):
+    """Runs ``task()`` in a forked child while the with-block runs, and
+    yields ``result()``: it waits for the child's result and returns it, or
+    raises the child's exception (same type and message), or
+    ChildProcessError if the child ended without sending one.
+
+    fork, not spawn: the child starts with the parent's modules and
+    tables, so nothing but the outcome is pickled and numpy is not imported
+    again.  The child only runs ``task`` and exits; ``task`` must take no
+    lock that another thread of the parent could hold at the fork (the
+    chains take none).  The result is read before the child is reaped, so
+    a result larger than the pipe's buffer cannot block it.  Leaving the
+    block without a result (the caller's own work raised, or was
+    interrupted) kills the child; either way the child is reaped before
+    the block is left, so no process outlives it.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        _serve(task, read_fd, write_fd)
+    os.close(write_fd)
+    reaped = False
+
+    def wait() -> int:
+        nonlocal reaped
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        return os.waitstatus_to_exitcode(status)
+
+    def result():
+        try:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                ok, value, child_traceback = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"worker process ended with exit code "
+                                    f"{wait()} and no result") from None
+        wait()
+        if not ok:
+            raise value from ChildProcessError(
+                f"in the worker process:\n{child_traceback}")
+        return value
+
+    try:
+        yield result
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            wait()
+
+
 def mapping_check(params: ModelParams, profile: FugacityProfile,
                   seeds: tuple = (1234, 5678),
                   t_burn: float = 50.0, t_sample: float = 500.0, *,
@@ -533,13 +623,19 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
 
     ``tables_ex`` overrides the exclusion-side rates (negative-control
     hook for tests); pass requires >= 95% of sites within 3 sigma on all
-    three comparisons.  The report carries both chains' estimates.
+    three comparisons.  The report carries both chains' estimates.  The
+    exclusion chain runs in a forked child while the zero-range chain runs
+    here; each reads its own seed's stream, so the estimates are those of
+    two calls in this process.
     """
     system = assemble(params, thermo)
     tables = build_event_tables(system)
-    est_zr = simulate_zero_range(params, tables, t_burn, t_sample, seeds[0])
-    est_ex = simulate_exclusion(params, tables_ex or tables, t_burn,
-                                t_sample, seeds[1])
+    with _forked(lambda: simulate_exclusion(params, tables_ex or tables,
+                                            t_burn, t_sample, seeds[1])
+                 ) as exclusion:
+        est_zr = simulate_zero_range(params, tables, t_burn, t_sample,
+                                     seeds[0])
+        est_ex = exclusion()
     phi = profile.values
     s = system.phi_alpha + system.phi_beta
     z_eta = _z_scores(est_ex, phi, s)

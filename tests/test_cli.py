@@ -27,22 +27,33 @@ def test_thermo_command_and_outputs(tmp_path):
     assert (out / "thermo_density.csv").exists()
 
 
-def test_fresh_process_imports_no_scipy(tmp_path):
-    # importing scipy.fft and scipy.interpolate took most of a desk-scale
-    # run's wall time; the package runs on numpy alone
+def _fresh_thermo_imports(tmp_path, package):
+    """Exit code of ``thermo`` run in a fresh interpreter, and the modules
+    of ``package`` it loaded."""
     code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
             "import zrlab.cli; "
             "code = zrlab.cli.main(['thermo', '--g', 'identity', "
             "'--out', sys.argv[2]]); "
             "print(json.dumps([code, sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy')]))")
+            "if m.split('.')[0] == sys.argv[3])]))")
     src = str(Path(cli.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code, src,
-                           str(tmp_path / "t")], capture_output=True,
-                          text=True, timeout=120, check=True)
-    code, scipy_modules = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0
-    assert scipy_modules == []
+                           str(tmp_path / "t"), package],
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_fresh_process_imports_no_scipy(tmp_path):
+    # importing scipy.fft and scipy.interpolate took most of a desk-scale
+    # run's wall time; the package runs on numpy alone
+    assert _fresh_thermo_imports(tmp_path, "scipy") == [0, []]
+
+
+def test_fresh_process_imports_no_multiprocessing(tmp_path):
+    # the mapping check forks its worker with os.fork; multiprocessing
+    # takes about 11 ms to import, which every run's start-up would pay
+    assert _fresh_thermo_imports(tmp_path, "multiprocessing") == [0, []]
 
 
 def test_thermo_identity_has_R_equal_phi(tmp_path):
@@ -123,7 +134,7 @@ def test_profile_figure3_preset(tmp_path):
 
 @pytest.mark.parametrize("command", ["profile", "current"])
 def test_extrapolated_regime_needs_three_N(tmp_path, monkeypatch, command):
-    solves, _ = _count_work(monkeypatch)
+    solves, _ = _count_work(monkeypatch, tmp_path)
     out = tmp_path / "p"
     assert run([command, "--gamma", "1.5", "--theta", "0", "--N", "64",
                 "--out", str(out)]) == cli.EXIT_CONFIG
@@ -131,18 +142,18 @@ def test_extrapolated_regime_needs_three_N(tmp_path, monkeypatch, command):
 
 
 def test_simulate_refuses_several_N(tmp_path, monkeypatch):
-    solves, chains = _count_work(monkeypatch)
+    solves, chains = _count_work(monkeypatch, tmp_path)
     out = tmp_path / "s"
     assert run(["simulate", "--gamma", "1.2", "--theta", "0", "--N", "16",
                 "--N", "32", "--t-sample", "400", "--out", str(out)]
                ) == cli.EXIT_CONFIG
-    assert not solves and not chains and not out.exists()
+    assert not solves and not chains() and not out.exists()
 
 
 def test_current_refuses_two_N(tmp_path, monkeypatch):
     # one N gives the bond currents and three or more add the Fick sweep;
     # with two, the smaller would be ignored
-    solves, _ = _count_work(monkeypatch)
+    solves, _ = _count_work(monkeypatch, tmp_path)
     out = tmp_path / "c"
     assert run(["current", "--gamma", "0.5", "--theta", "-0.5", "--N", "128",
                 "--N", "256", "--out", str(out)]) == cli.EXIT_CONFIG
@@ -350,7 +361,7 @@ def test_exit_code_config_error(tmp_path, monkeypatch):
         assert exc.value.code == cli.EXIT_CONFIG, argv
         assert not (tmp_path / "n").exists()
     # an --out that cannot be a directory is refused before the run
-    solves, _ = _count_work(monkeypatch)
+    solves, _ = _count_work(monkeypatch, tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
     assert run(["thermo", "--out", str(taken)]) == cli.EXIT_CONFIG
@@ -392,9 +403,15 @@ def test_negative_control_fails_as_designed(tmp_path):
     assert "check:negative_control_fails = PASS" in read_report(out)
 
 
-def _count_work(monkeypatch):
-    """Count traffic solves per lattice size and Monte Carlo chain runs."""
-    solves, chains = Counter(), []
+def _count_work(monkeypatch, tmp_path):
+    """Count traffic solves per lattice size and Monte Carlo chain runs.
+
+    Returns the solve Counter and a function that reads the chain runs
+    back as a Counter of names.  Chain runs are logged to a file under
+    ``tmp_path``, so that a run in a forked worker process counts too."""
+    solves = Counter()
+    log = tmp_path / "chain_runs.log"
+    log.touch()
     solve = traffic.solve_iterative
 
     def counting_solve(system, **kw):
@@ -404,11 +421,12 @@ def _count_work(monkeypatch):
     monkeypatch.setattr(traffic, "solve_iterative", counting_solve)
     for name in ("simulate_zero_range", "simulate_exclusion"):
         def counting_chain(*args, _run=getattr(mc, name), _name=name, **kw):
-            chains.append(_name)
+            with log.open("a") as runs:
+                runs.write(_name + "\n")
             return _run(*args, **kw)
 
         monkeypatch.setattr(mc, name, counting_chain)
-    return solves, chains
+    return solves, lambda: Counter(log.read_text().split())
 
 
 THREE_N = ["--gamma", "1.5", "--theta", "0", "--N", "32", "--N", "64",
@@ -425,10 +443,11 @@ THREE_N = ["--gamma", "1.5", "--theta", "0", "--N", "32", "--N", "64",
 ], ids=["profile", "current", "ldp", "simulate"])
 def test_each_lattice_solved_once(tmp_path, monkeypatch, argv, lattices,
                                   chains):
-    solves, runs = _count_work(monkeypatch)
+    solves, runs = _count_work(monkeypatch, tmp_path)
     run(argv + ["--out", str(tmp_path / "o")])
     assert solves == {N: 1 for N in lattices}
-    assert runs == chains
+    # the two chains run at the same time, so their order is not fixed
+    assert runs() == Counter(chains)
 
 
 def test_tol_refused(tmp_path):
@@ -484,10 +503,10 @@ FUGACITIES = ["--phi-alpha", "0.2", "--phi-beta", "0.8"]
         "beta-and-fugacities", "figure3-and-g", "figure3-and-alpha"])
 def test_inert_flags_refused(tmp_path, monkeypatch, argv):
     # a flag that cannot act on the run is a config error, not ignored
-    solves, chains = _count_work(monkeypatch)
+    solves, chains = _count_work(monkeypatch, tmp_path)
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
-    assert not solves and not chains and not out.exists()
+    assert not solves and not chains() and not out.exists()
 
 
 def test_config_file_may_carry_other_commands_keys(tmp_path):

@@ -127,6 +127,54 @@ def test_fit_power_limit_array_equals_scalar_calls():
     assert list(warn) == [False, True, False, False, False]
 
 
+def _fit_power_limit_reference(vals, scales):
+    """The fit as first written: the bisection recomputes mismatch(lo) at
+    every step instead of carrying it."""
+    v1, v2, v3 = (np.asarray(v, dtype=float) for v in vals[-3:])
+    s1, s2, s3 = (np.asarray(s, dtype=float) for s in scales[-3:])
+    d1, d2 = v1 - v2, v2 - v3
+    tiny = 1e-13 * np.maximum(1.0, np.abs(v3))
+    flat = (np.abs(d1) < tiny) & (np.abs(d2) < tiny)
+    warn = ~flat & ((d1 * d2 <= 0.0) | (np.abs(d2) >= np.abs(d1)))
+
+    def mismatch(p):
+        return (d1 / d2) - (s1 ** -p - s2 ** -p) / (s2 ** -p - s3 ** -p)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lo, hi = np.full(v3.shape, 0.2), np.full(v3.shape, 2.0)
+        m_lo, m_hi = mismatch(lo), mismatch(hi)
+        for _ in range(60):
+            p = 0.5 * (lo + hi)
+            left = mismatch(lo) * mismatch(p) <= 0.0
+            lo, hi = np.where(left, lo, p), np.where(left, p, hi)
+        p = np.where(m_lo * m_hi > 0.0,
+                     np.where(np.abs(m_lo) < np.abs(m_hi), 0.2, 2.0),
+                     0.5 * (lo + hi))
+        c1 = d2 / (s2 ** -p - s3 ** -p)
+        c0 = v3 - c1 * s3 ** -p
+    value = np.where(flat | warn, v3, c0)
+    err = np.where(flat, np.abs(d2),
+                   np.where(warn, np.maximum(np.abs(d1), np.abs(d2)),
+                            np.abs(c0 - v3)))
+    return value, err, warn
+
+
+def test_fit_power_limit_matches_the_recomputing_reference():
+    # carrying mismatch(lo) through the bisection changes no bit
+    rng = np.random.default_rng(7)
+    Ns = (512, 1024, 2048)
+    n = 4000
+    p = rng.uniform(0.05, 3.0, n)
+    laws = [0.4 + rng.normal(0.0, 1.0, n) * N ** -p for N in Ns]
+    noise = [law + rng.normal(0.0, 1e-3, n) for law in laws]
+    vals = np.concatenate([laws, noise, rng.uniform(0.0, 1.0, (3, n))],
+                          axis=1)
+    vals[:, :50] = 0.3                                  # flat columns
+    for got, want in zip(H._fit_power_limit(vals, Ns),
+                         _fit_power_limit_reference(vals, Ns)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_default_grid_contains_exact_midpoint():
     grid = H.default_grid()
     assert len(grid) == 257

@@ -1,5 +1,9 @@
+import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -450,6 +454,98 @@ def test_mapping_check_negative_control(thermo_identity):
                               t_sample=6000.0, thermo=thermo_identity,
                               tables_ex=corrupted)
     assert not report.passed
+
+
+def _assert_same_estimate(a, b):
+    for field in dataclasses.fields(mc.SimEstimate):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape,
+                                                       y.tobytes()), field.name
+        else:
+            assert (type(x), x) == (type(y), y), field.name
+
+
+@pytest.mark.parametrize("control", [False, True],
+                         ids=["mapping", "negative-control"])
+def test_mapping_check_estimates_are_in_process_calls(thermo_identity,
+                                                      control):
+    # the exclusion chain runs in a forked worker: both estimates must be
+    # those of direct calls in this process, field by field, bit for bit
+    params = make_params(1.2, 0.0, 24)
+    prof = solve_direct(assemble(params, thermo_identity))
+    tables = tables_for(params, thermo_identity)
+    tables_ex = (tables_for(make_params(1.2, 0.0, 24, alpha=1.6, beta=0.4),
+                            thermo_identity) if control else None)
+    report = mc.mapping_check(params, prof, seeds=(3, 4), t_burn=50.0,
+                              t_sample=400.0, thermo=thermo_identity,
+                              tables_ex=tables_ex)
+    _assert_same_estimate(report.est_zr, mc.simulate_zero_range(
+        params, tables, 50.0, 400.0, seed=3))
+    _assert_same_estimate(report.est_ex, mc.simulate_exclusion(
+        params, tables_ex or tables, 50.0, 400.0, seed=4))
+
+
+def _mapping_check_small(thermo):
+    params = make_params(1.2, 0.0, 16)
+    prof = solve_direct(assemble(params, thermo))
+    return mc.mapping_check(params, prof, seeds=(1, 2), t_burn=50.0,
+                            t_sample=300.0, thermo=thermo)
+
+
+def _assert_no_child_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _refuse(*args, **kw):
+    raise DomainError("refused inside the chain")
+
+
+def test_mapping_check_reraises_the_workers_error(thermo_identity,
+                                                   monkeypatch):
+    # the forked worker runs the patched exclusion chain
+    monkeypatch.setattr(mc, "simulate_exclusion", _refuse)
+    with pytest.raises(DomainError, match="^refused inside the chain$") as exc:
+        _mapping_check_small(thermo_identity)
+    assert "in the worker process" in str(exc.value.__cause__)
+    _assert_no_child_left()
+
+
+def test_mapping_check_raises_when_the_worker_dies(thermo_identity,
+                                                   monkeypatch):
+    monkeypatch.setattr(mc, "simulate_exclusion", lambda *a, **k: os._exit(3))
+    with pytest.raises(ChildProcessError, match="exit code 3 and no result"):
+        _mapping_check_small(thermo_identity)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("stop", [DomainError, KeyboardInterrupt],
+                         ids=["error", "interrupt"])
+def test_mapping_check_kills_the_worker_when_its_own_chain_stops(
+        thermo_identity, monkeypatch, stop):
+    # the worker would sleep for a minute: it must be killed, not awaited
+    def stopped(*args, **kw):
+        raise stop()
+
+    monkeypatch.setattr(mc, "simulate_exclusion",
+                        lambda *a, **k: time.sleep(60))
+    monkeypatch.setattr(mc, "simulate_zero_range", stopped)
+    start = time.perf_counter()
+    with pytest.raises(stop):
+        _mapping_check_small(thermo_identity)
+    assert time.perf_counter() - start < 30.0
+    _assert_no_child_left()
+
+
+def test_worker_result_larger_than_the_pipe_buffer():
+    # the worker blocks in its write until the parent reads: reaping it
+    # before reading would wait forever
+    big = np.arange(1 << 20, dtype=float)
+    with mc._forked(lambda: big) as result:
+        assert result().tobytes() == big.tobytes()
+    _assert_no_child_left()
 
 
 def test_estimate_csv(tmp_path, thermo_identity):
