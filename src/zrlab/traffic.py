@@ -7,7 +7,10 @@ adds the reservoir coupling kappa N^(-theta)(r^+ + r^-), and R_N carries
 the reservoir fugacities.  Every lattice is solved by conjugate gradients
 with an FFT Toeplitz matvec and a Jacobi-scaled optimal circulant
 preconditioner (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988), zero-padded
-to a fast FFT length; dense LU is kept as the reference solution.
+to a fast FFT length; dense LU is kept as the reference solution.  Where
+kappa N^(-theta) > 1 the reservoirs dominate the edge rows, and a weight
+per site hands the preconditioner over to Jacobi there and scales the
+residual and rounding floor CG stops at; elsewhere the weight is exactly 1.
 
 ``assemble`` also serves kappa = 0, the conservative limit that the Monte
 Carlo chains read their rates from (rhs = 0); the system is then singular,
@@ -193,19 +196,42 @@ class TrafficSystem:
         c = ((m - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / m
         return self.diag[n // 2] - np.fft.rfft(c).real
 
+    def weight(self) -> np.ndarray:
+        """f = d / (d + e) in (0, 1] per site: the share of the row's
+        diagonal D that the circulant's middle diagonal d accounts for.
+
+        D = 2 T_1 + (kappa N^-theta - 1) rho, with 2 T_1 the kernel's whole
+        mass and rho = r^+ + r^- smallest at the middle, so where the
+        reservoirs outweigh the kernel (kappa N^-theta > 1) D exceeds d by
+        e = (kappa N^-theta - 1)(rho - rho_mid), and d + e = D in exact
+        arithmetic.  f is built from that excess, not as min(1, d / D),
+        whose ulp-level wobble on a flat diagonal would move f off 1: with
+        kappa N^-theta <= 1, e = 0 and f is exactly 1 on every site."""
+        rho = self.rates.left + self.rates.right
+        mid = (self.N - 1) // 2
+        excess = (max(self.params.boundary_scale() - 1.0, 0.0)
+                  * np.maximum(rho - rho[mid], 0.0))
+        d = self.diag[mid]
+        return d / (d + excess)
+
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> M^-1 v = S^-1 [(dI - C)^-1]_n S^-1 v, S = diag(sqrt(diag / d)).
+        """v -> M^-1 v = W [(dI - C)^-1]_n W v + diag((1 - f^2) / D) v, with
+        W = diag(f sqrt(d / D)) and f the ``weight``.
 
         v is zero-padded to C's length m and the product cut to its first n
-        entries: a principal block of the SPD (dI - C)^-1, so M is SPD (T.
-        Chan's own at m = n).  The Jacobi scaling S carries the diagonal's
-        edge growth (N^-theta u^-gamma at theta < 0, gamma > 1) that the
-        circulant cannot see."""
+        entries: a principal block of the SPD (dI - C)^-1.  A diagonal
+        congruence of an SPD block plus a non-negative diagonal is SPD, so M
+        is.  Where f = 1 it is T. Chan's circulant (his own at m = n) under
+        the Jacobi scaling S^-1 = diag(sqrt(d / D)); where the reservoirs
+        dominate the row (theta < 0, D ~ N^-theta u^-gamma at the edges) f
+        falls and it hands over to Jacobi, 1 / D."""
         n = self.N - 1
         circulant = _padded_circulant(1.0 / self.preconditioner_spectrum(),
                                       fast_len(n))
-        s_inv = np.sqrt(self.diag[n // 2] / self.diag)
-        return lambda v: s_inv * circulant(s_inv * v)
+        f = self.weight()
+        w = f * np.sqrt(self.diag[n // 2] / self.diag)
+        jacobi = (1.0 - f * f) / self.diag
+        return lambda v: w * circulant(w * v) + jacobi * v
 
 
 @dataclass
@@ -314,21 +340,27 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
     """Preconditioned conjugate gradients on the SPD matrix D - P, run to
     the rounding floor.
 
-    Each sweep restarts from the true residual and iterates until the
-    recurrence residual is below eps (||A|| ||x|| + ||R||) in max norm, the
-    backward error of a correctly rounded solution.  Sweeps repeat while
-    they halve the true residual; the best iterate is returned, and
-    ``ConvergenceError`` is raised only when ``max_iter`` is spent.  The
-    recorded history holds the max-norm residual at each sweep start and
-    after each iteration (for failure reports); ``record_iterates``
-    additionally keeps every iterate so the monotone decay of the error
-    energy norm can be checked against a reference solution.
+    Residuals are measured row by row in the ``weight`` f of the
+    preconditioner, max_x f_x |r_x|: a row the reservoirs dominate carries
+    its kernel part at only f of its diagonal.  Each sweep restarts from the
+    true residual and iterates until the recurrence residual is below
+    eps (max f (2D - margin) ||x|| + max f |R|), the weighted backward
+    error of a correctly rounded solution (the unweighted one where f = 1).
+    Sweeps repeat while they halve the true residual; the best iterate is
+    returned, and ``ConvergenceError`` is raised only when ``max_iter`` is
+    spent.  The recorded history holds the weighted max-norm residual at
+    each sweep start and after each iteration (for failure reports);
+    ``record_iterates`` additionally keeps every iterate so the monotone
+    decay of the error energy norm can be checked against a reference
+    solution.
     """
     _require_margin(system)
     b = system.rhs
     precondition = system.preconditioner()
-    a_norm = float(np.max(2.0 * system.diag - system.dominance_margin()))
-    b_norm = float(np.max(np.abs(b)))
+    f = system.weight()
+    a_norm = float(np.max(f * (2.0 * system.diag
+                               - system.dominance_margin())))
+    b_norm = float(np.max(f * np.abs(b)))
     x = _initial_guess(system)
     history = []
     iterates = [x.copy()] if record_iterates else None
@@ -339,7 +371,7 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
         # components barely move a double-precision residual, so without it
         # the forward error stalls near cond(A) eps instead of eps
         r = (b - system.matvec(x.astype(np.longdouble))).astype(float)
-        res = float(np.max(np.abs(r)))
+        res = float(np.max(f * np.abs(r)))
         history.append(res)
         if res < best_res:
             best, best_res = x.copy(), res
@@ -361,7 +393,7 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
             x += a * p
             r -= a * Ap
             iterations += 1
-            res = float(np.max(np.abs(r)))
+            res = float(np.max(f * np.abs(r)))
             history.append(res)
             if record_iterates:
                 iterates.append(x.copy())

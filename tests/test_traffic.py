@@ -219,17 +219,31 @@ def test_bounds_and_symmetry_property(gamma, theta, kappa, N):
         assert prof.residual_norm <= 8.0 * floor
         assert current_report(prof, system).relative_spread() < 1e-10
     direct, iterative = profiles
+    # the solver's own stopping measure: the same, row-weighted by f
+    f = system.weight()
+    weighted_floor = EPS * (
+        float(np.max(f * (2.0 * system.diag - system.dominance_margin())))
+        * float(np.max(np.abs(iterative.values)))
+        + float(np.max(f * np.abs(system.rhs))))
+    r = system.matvec(iterative.values) - system.rhs
+    assert float(np.max(f * np.abs(r))) <= 8.0 * weighted_floor
     assert np.max(np.abs(iterative.values - direct.values)) < 1e-9
 
 
 @pytest.mark.parametrize("N", (2, 3, 17, 64, 65, 100, 257))
 def test_preconditioner_is_spd(N, thermo_identity):
-    # M^-1 = S^-1 [(dI - C)^-1]_n S^-1 is SPD at padded and unpadded
-    # lengths; where n = N - 1 is itself a fast length it is T. Chan's
-    # length-n preconditioner, built here densely
+    # M^-1 = W [(dI - C)^-1]_n W + diag((1 - f^2) / D) is SPD at padded and
+    # unpadded lengths; where n = N - 1 is itself a fast length the block is
+    # T. Chan's length-n inverse, and M^-1 is built here densely.  kappa = 4
+    # at theta = 0 turns the Jacobi blend on (kappa N^-theta > 1), as
+    # theta = -1 does
     n = N - 1
-    for gamma, theta in itertools.product((0.3, 1.8), (-1.0, 0.0, 1.0)):
-        system = assemble(make_params(gamma, theta, N), thermo_identity)
+    cases = [(*gt, 1.0) for gt in itertools.product((0.3, 1.8),
+                                                    (-1.0, 0.0, 1.0))]
+    cases += [(gamma, 0.0, 4.0) for gamma in (0.3, 1.8)]
+    for gamma, theta, kappa in cases:
+        system = assemble(make_params(gamma, theta, N, kappa=kappa),
+                          thermo_identity)
         precondition = system.preconditioner()
         M_inv = np.column_stack([precondition(e) for e in np.eye(n)])
         scale = float(np.max(np.abs(M_inv)))
@@ -240,9 +254,37 @@ def test_preconditioner_is_spd(N, thermo_identity):
             k = np.arange(n)
             c = ((n - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / n
             d = system.diag[n // 2]
-            s = np.sqrt(system.diag / d)
-            M = s[:, None] * (d * np.eye(n) - scipy.linalg.circulant(c)) * s
-            assert np.max(np.abs(M_inv - np.linalg.inv(M))) <= 1e-13 * scale
+            f = system.weight()
+            w = f * np.sqrt(d / system.diag)
+            core = np.linalg.inv(d * np.eye(n) - scipy.linalg.circulant(c))
+            M_inv_ref = (w[:, None] * core * w
+                         + np.diag((1.0 - f * f) / system.diag))
+            assert np.max(np.abs(M_inv - M_inv_ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("gamma", (0.5, 1.5))
+@pytest.mark.parametrize("theta, kappa, N", (
+    (0.0, 1.0, 64), (0.0, 1.0, 4096), (0.2, 1.0, 64), (0.2, 1.0, 4096),
+    (1.0, 1.0, 64), (1.0, 1.0, 4096), (-0.5, 0.01, 64)))
+def test_preconditioner_unblended_where_reservoirs_are_weak(
+        gamma, theta, kappa, N, thermo_identity):
+    # kappa N^-theta <= 1: the weight is exactly 1 and the preconditioner is
+    # the Jacobi-scaled circulant bit for bit, so these solves do not move.
+    # At (1.5, 0, 4096) D is flat only to an ulp, and min(1, d / D) would
+    # fall below 1 on thousands of sites
+    system = assemble(make_params(gamma, theta, N, kappa=kappa),
+                      thermo_identity)
+    assert np.all(system.weight() == 1.0)
+    n = N - 1
+    L = fast_len(n)
+    spectrum = 1.0 / system.preconditioner_spectrum()
+    s_inv = np.sqrt(system.diag[n // 2] / system.diag)
+    precondition = system.preconditioner()
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        v = rng.standard_normal(n)
+        circ = np.fft.irfft(np.fft.rfft(s_inv * v, n=L) * spectrum, n=L)[:n]
+        assert np.array_equal(precondition(v), s_inv * circ)
 
 
 def test_fast_len_is_scipys():
@@ -278,17 +320,41 @@ def test_circulant_row_sum_below_middle_mass(thermo_identity):
 
 
 @pytest.mark.parametrize("rate, theta, recorded", (("identity", 0.5, 50),
-                                                   ("figure3", -1.0, 80)))
+                                                   ("figure3", -1.0, 44)))
 def test_cg_work_at_prime_length(rate, theta, recorded):
     # N - 1 = 8191 is prime, the length the preconditioner is padded from;
-    # the counts were recorded with the unpadded length-(N - 1) circulant
-    # (scipy 1.17.1, numpy 2.4.6, x86-64)
+    # the theta = 0.5 count was recorded with the unpadded length-(N - 1)
+    # circulant (scipy 1.17.1, numpy 2.4.6, x86-64), the theta = -1 count
+    # with the padded circulant blended into Jacobi and the weighted floor
     rate = getattr(RateFunction, rate)()
     thermo = ThermoTables.create(rate)
     params = ModelParams.from_fugacities(1.5, theta, 1.0, 0.2, 0.8, 8192,
                                          rate, thermo=thermo)
     prof = solve_iterative(assemble(params, thermo))
     assert len(prof.cg_history) <= 1.05 * recorded
+
+
+@pytest.mark.parametrize("gamma, rate", ((1.5, "figure3"), (1.9, "identity")))
+def test_forward_error_at_negative_theta(gamma, rate):
+    # against dense LU refined with long-double residuals, max_x of
+    # |phi - phi_ref| / phi_ref; the Jacobi-scaled circulant and the
+    # unweighted floor left 4.5e-14 (figure3) and 9.1e-14 (identity)
+    rate = getattr(RateFunction, rate)()
+    thermo = ThermoTables.create(rate)
+    params = ModelParams.from_fugacities(gamma, -1.0, 1.0, 0.2, 0.8, 1024,
+                                         rate, thermo=thermo)
+    system = assemble(params, thermo)
+    n = system.N - 1
+    idx = np.arange(n)
+    A = -system.kernel_row[np.abs(idx[:, None] - idx)]
+    A[idx, idx] += system.diag
+    lu = scipy.linalg.lu_factor(A)
+    ref = scipy.linalg.lu_solve(lu, system.rhs).astype(np.longdouble)
+    for _ in range(3):
+        r = system.rhs - A.astype(np.longdouble) @ ref
+        ref += scipy.linalg.lu_solve(lu, r.astype(float))
+    phi = solve_iterative(system).values
+    assert float(np.max(np.abs(phi - ref) / ref)) < 2e-14
 
 
 def test_profile_csv(tmp_path, solved_256, thermo_identity):
