@@ -340,10 +340,13 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
     """Preconditioned conjugate gradients on the SPD matrix D - P, run to
     the rounding floor.
 
-    Residuals are measured row by row in the ``weight`` f of the
-    preconditioner, max_x f_x |r_x|: a row the reservoirs dominate carries
-    its kernel part at only f of its diagonal.  Each sweep restarts from the
-    true residual and iterates until the recurrence residual is below
+    Residuals are measured row by row in the preconditioner's ``weight``
+    f, max_x f_x |r_x|.  Where the reservoirs dominate, f_x = d / D_x: each
+    row's residual is read against its own diagonal, in units of the bulk
+    one.  Unweighted, the floor would be set by the edge rows, whose
+    diagonal is ~N^-theta larger, and be that much looser than the bulk
+    rows need.  Each sweep restarts from the true residual and iterates
+    until the recurrence residual is below
     eps (max f (2D - margin) ||x|| + max f |R|), the weighted backward
     error of a correctly rounded solution (the unweighted one where f = 1).
     Sweeps repeat while they halve the true residual; the best iterate is
