@@ -367,7 +367,7 @@ def cmd_profile(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     # convergence gaps of raw lattice ratio toward rho on interior points
     rows = []
     interior = grid[(grid >= 0.1) & (grid <= 0.9)]
-    rho_ref = cont.rho_at()(interior)
+    rho_ref = cont.evaluate(interior)
     for system, pr in solved:
         N = system.N
         sites = np.clip((interior * N).astype(int), 1, N - 1)
@@ -375,8 +375,9 @@ def cmd_profile(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
         rows.append((N, float(np.max(np.abs(vals - rho_ref)))))
     write_table(cfg.out / "convergence_gaps.csv", cfg.header_lines(),
                 ("N", "sup_gap"), rows)
-    mid_idx = len(grid) // 2
-    mid_val = cont.m[mid_idx]
+    # m(1/2), read off rho: a grid of even length has no point there
+    mid_val = thermo.mean_density_array(
+        cont.phi_sum * cont.evaluate(np.array([0.5])))[0]
     mid_expected = thermo.mean_density(0.5 * cont.phi_sum)
     report.add("midpoint_m", mid_val)
     report.add("midpoint_expected", mid_expected)
@@ -484,12 +485,11 @@ def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     regime = _regime(cfg, params)
     solved = solve_lattices(params, cfg.N_list, thermo)
     cont = _continuum(params, regime, solved, thermo, report)
-    rho_at = cont.rho_at()
 
     def tilted(G):
         """u -> R(e^G(u) Phi(m(u))), the typical density under the tilt G."""
         return lambda u: thermo.mean_density_array(
-            np.exp(G(u)) * cont.phi_sum * rho_at(u))
+            np.exp(G(u)) * cont.phi_sum * cont.evaluate(u))
 
     rows = []
     monotone_all = True

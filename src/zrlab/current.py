@@ -170,10 +170,9 @@ def h_weighted_limit(profile: ContinuumProfile, gamma: float, theta: float,
     h_theta ~ u^(1-gamma) at the ends is integrable for gamma in (0,2);
     panels shrink geometrically toward both endpoints.
     """
-    rho_at = profile.rho_at()
-
     def integrand(us):
-        return h_theta_fn(us, gamma, theta, kappa, kernel) * rho_at(us)
+        return (h_theta_fn(us, gamma, theta, kappa, kernel)
+                * profile.evaluate(us))
 
     edges = np.concatenate([
         np.geomspace(1e-12, 0.2, 30), np.linspace(0.2, 0.8, 13)[1:],
@@ -190,12 +189,7 @@ def _dense_rho(profile: ContinuumProfile) -> Callable:
         [0.0], np.geomspace(1e-8, 2e-3, 40),
         np.linspace(2e-3, 1.0 - 2e-3, 2001),
         1.0 - np.geomspace(2e-3, 1e-8, 40), [1.0]]))
-    interp = pchip(us, profile.rho_at()(us), extrapolate=False)
-
-    def evaluate(u):
-        return interp(np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
-
-    return evaluate
+    return pchip(us, profile.evaluate(us))
 
 
 def _double_integral(rho_fast: Callable, u: float, gamma: float,

@@ -209,16 +209,17 @@ def _pchip_end_slope(h0, h1, m0, m1):
     return d
 
 
-def pchip(x, y, extrapolate: bool) -> Callable:
+def pchip(x, y) -> Callable:
     """The monotone piecewise-cubic Hermite interpolant of y at the nodes x
     (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5, 1984; ends by
     Moler, Numerical Computing with MATLAB, 2004).
 
-    The result maps u to an array of u's shape (0-d for a scalar); outside
-    [x[0], x[-1]] it extends the end cubics, or gives NaN if not
-    ``extrapolate``.  Every operation and its order follow the reference
-    PCHIP that the tests compare against bit for bit, so the profiles and
-    currents built on it keep their last digits."""
+    The result maps u to a float for a float and to an array of u's shape
+    otherwise.  u is clamped to [x[0], x[-1]] first, so the end values
+    extend outward (to +-inf included); NaN stays NaN.  Every operation and
+    its order follow the reference PCHIP that the tests compare against bit
+    for bit, so the profiles and currents built on it keep their last
+    digits."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim != 1 or len(x) < 2 or y.shape != x.shape:
         raise DomainError(f"pchip needs x and y of one length >= 2, got "
@@ -247,14 +248,13 @@ def pchip(x, y, extrapolate: bool) -> Callable:
     coef = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], 0.0 + y[:-1]), 1)
 
     def evaluate(u):
-        u = np.asarray(u, dtype=float)
+        u = np.clip(np.asarray(u, dtype=float), x[0], x[-1])
         i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(h) - 1)
         c0, c1, c2, c3 = np.moveaxis(coef[i], -1, 0)
         s = u - x[i]
         s2 = s * s
         out = ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
-        inside = extrapolate | ((u >= x[0]) & (u <= x[-1]))
-        return np.where(inside, out, np.nan)
+        return float(out) if out.ndim == 0 else out
 
     return evaluate
 
@@ -283,10 +283,6 @@ class ContinuumProfile:
         """rho(0), rho(1)."""
         r0, r1 = self.evaluate(np.array([0.0, 1.0]))
         return float(r0), float(r1)
-
-    def rho_at(self) -> Callable:
-        """Callable rho(u) for arbitrary u in [0,1]."""
-        return self.evaluate
 
 
 def _continuum_from_values(grid, rho, err, warn, regime, provenance,
@@ -417,12 +413,11 @@ def weak_form_residual(profile: ContinuumProfile, G: Callable, regime: Regime,
             raise DomainError(
                 f"{regime.tag} weak form needs test functions supported "
                 "inside (0,1)")
-    rho_at = profile.rho_at()
-    pairing = _laplacian_pairing(rho_at, G, kernel, level)
+    pairing = _laplacian_pairing(profile.evaluate, G, kernel, level)
     if regime.tag == DIRICHLET or regime.tag == NEUMANN:
         return abs(pairing)
     if regime.tag == REACTION_DIFFUSION:
-        reaction = _reaction_pairing(rho_at, G, kernel,
+        reaction = _reaction_pairing(profile.evaluate, G, kernel,
                                      profile.alpha_tilde, profile.beta_tilde,
                                      level)
         return abs(pairing + regime.kappa_hat * reaction)
@@ -452,10 +447,9 @@ def hydrostatic_average(discrete: FugacityProfile, continuum: ContinuumProfile,
     N = discrete.params.N
     xs = np.arange(1, N, dtype=float) / N
     disc = float(np.mean(gv(xs) * F(discrete.values, xs)))
-    rho_at = continuum.rho_at()
 
     def integrand(us):
-        return gv(us) * F(continuum.phi_sum * rho_at(us), us)
+        return gv(us) * F(continuum.phi_sum * continuum.evaluate(us), us)
 
     edges = np.concatenate([
         np.geomspace(1e-12, 0.1, 24), np.linspace(0.1, 0.9, 33)[1:],
@@ -503,13 +497,8 @@ def read_continuum_csv(path) -> ContinuumProfile:
     grid, rho = data[:, 0], data[:, 1]
     r0 = float(header["rho_boundary_left"])
     r1 = float(header["rho_boundary_right"])
-    interp = pchip(np.concatenate([[0.0], grid, [1.0]]),
-                   np.concatenate([[r0], rho, [r1]]), extrapolate=False)
-
-    def evaluate(u):
-        out = interp(np.clip(u, 0.0, 1.0))
-        return float(out) if out.ndim == 0 else out
-
+    evaluate = pchip(np.concatenate([[0.0], grid, [1.0]]),
+                     np.concatenate([[r0], rho, [r1]]))
     return ContinuumProfile(
         grid=grid, rho=rho, m=data[:, 2],
         regime=Regime(header["regime"], float(header["kappa_hat"])),

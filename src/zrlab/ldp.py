@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .hydrostatic import ContinuumProfile, pchip
+from .hydrostatic import ContinuumProfile
 from .kernel import vectorized
 from .quadrature import integrate_panels
 from .thermo import ThermoTables
@@ -54,11 +54,10 @@ def lambda_limit(m_bar: ContinuumProfile, thermo: ThermoTables, G: Callable,
     """
     _require_unbounded(thermo, "the limiting log-MGF")
     gv = vectorized(G)
-    rho_at = m_bar.rho_at()
     phi_sum = m_bar.phi_sum
 
     def integrand(us):
-        phis = phi_sum * rho_at(us)
+        phis = phi_sum * m_bar.evaluate(us)
         return (thermo.log_partition(np.exp(gv(us)) * phis)
                 - thermo.log_partition(phis))
 
@@ -73,30 +72,20 @@ def lambda_limit_with_error(m_bar: ContinuumProfile, thermo: ThermoTables,
     return v2, abs(v2 - v1)
 
 
-def _as_density_callable(pi, m_bar: ContinuumProfile) -> Callable:
-    if callable(pi):
-        return vectorized(pi)
-    values = np.asarray(pi, dtype=float)
-    if values.shape != m_bar.grid.shape:
-        raise DomainError("density array must match the profile grid")
-    return pchip(m_bar.grid, values, extrapolate=True)
-
-
-def rate_function(pi, m_bar: ContinuumProfile,
+def rate_function(pi: Callable, m_bar: ContinuumProfile,
                   thermo: ThermoTables) -> float:
     """Lambda*(pi) = int [ pi log(Phi(pi)/Phi(m)) - log(Z(Phi(pi))/Z(Phi(m))) ] du.
 
-    ``pi`` is a density profile (callable on [0,1] or array on the grid),
-    required to stay inside [0, m*).
+    ``pi`` is a density profile, a callable on [0,1] (applied to arrays
+    through ``kernel.vectorized``) whose values stay inside [0, m*).
     """
     _require_unbounded(thermo, "the rate function")
-    pi_at = _as_density_callable(pi, m_bar)
-    rho_at = m_bar.rho_at()
+    pi_at = vectorized(pi)
     phi_sum = m_bar.phi_sum
 
     def integrand(us):
         pis = np.asarray(pi_at(us), dtype=float)
-        phi_m = phi_sum * rho_at(us)
+        phi_m = phi_sum * m_bar.evaluate(us)
         phi_p = thermo.fugacity(pis)
         ent = np.zeros_like(pis)
         occupied = pis != 0.0
@@ -108,9 +97,11 @@ def rate_function(pi, m_bar: ContinuumProfile,
     return integrate_panels(integrand, _quad_edges(), n=8)
 
 
-def continuum_pairing(pi, m_bar: ContinuumProfile, G: Callable) -> float:
-    """<pi, G> = int pi(u) G(u) du on the same quadrature grid."""
-    pi_at = _as_density_callable(pi, m_bar)
+def continuum_pairing(pi: Callable, m_bar: ContinuumProfile,
+                      G: Callable) -> float:
+    """<pi, G> = int pi(u) G(u) du on the same quadrature grid as
+    ``rate_function``; ``m_bar`` only keeps the two signatures alike."""
+    pi_at = vectorized(pi)
     gv = vectorized(G)
 
     def integrand(us):
@@ -129,11 +120,10 @@ def gateaux_derivative(m_bar: ContinuumProfile, thermo: ThermoTables,
     _require_unbounded(thermo, "the Gateaux derivative")
     gv = vectorized(G)
     hv = vectorized(H)
-    rho_at = m_bar.rho_at()
     phi_sum = m_bar.phi_sum
 
     def integrand(us):
-        phis = phi_sum * rho_at(us)
+        phis = phi_sum * m_bar.evaluate(us)
         return thermo.mean_density(np.exp(gv(us)) * phis) * hv(us)
 
     return integrate_panels(integrand, _quad_edges(), n=8)

@@ -22,7 +22,7 @@ RATE_KINDS = ("identity", "indicator", "figure3", "table")
 MAX_SERIES_TERMS = 1_000_000
 FIRST_TERMS = 32           # series terms of the first pass; doubled per retry
 TAIL_TOL = 1e-16           # bound on a dropped series tail, relative to its sum
-SERIES_BLOCK = 1 << 20     # (sites x terms) entries of one block of weights
+SERIES_BLOCK = 1 << 17     # (sites x terms) entries of one block of weights
 NEWTON_STEPS = 220         # iteration cap of the fugacity inversion
 PHI_STAR_SCAN = 10_000     # values of g inspected for the radius estimate
 WORKING_MARGIN = 0.999     # evaluations require phi <= margin * phi_star

@@ -32,6 +32,7 @@ from .table import header_lines, write_table
 from .thermo import RateFunction, ThermoTables
 
 EPS = float(np.finfo(float).eps)
+MAX_CG_ITERATIONS = 200_000    # CG steps solve_iterative may spend in all
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,6 @@ class FugacityProfile:
     residual_norm: float
     method: str
     cg_history: Optional[np.ndarray] = None
-    iterates: Optional[list] = None     # CG iterates, when recorded
 
     def phi_at(self, x: int) -> float:
         return float(self.values[x - 1])
@@ -308,13 +308,13 @@ def solve_direct(system: TrafficSystem) -> FugacityProfile:
 
 
 def _profile(system: TrafficSystem, phi: np.ndarray, method: str,
-             **extra) -> FugacityProfile:
+             cg_history: Optional[np.ndarray] = None) -> FugacityProfile:
     phi = _symmetrize(system, phi)
     return FugacityProfile(values=phi, params=system.params,
                            phi_alpha=system.phi_alpha,
                            phi_beta=system.phi_beta,
                            residual_norm=residual(system, phi),
-                           method=method, **extra)
+                           method=method, cg_history=cg_history)
 
 
 def _symmetrize(system: TrafficSystem, phi: np.ndarray) -> np.ndarray:
@@ -335,8 +335,7 @@ def _initial_guess(system: TrafficSystem) -> np.ndarray:
     return system.phi_alpha + (system.phi_beta - system.phi_alpha) * x
 
 
-def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
-                    record_iterates: bool = False) -> FugacityProfile:
+def solve_iterative(system: TrafficSystem) -> FugacityProfile:
     """Preconditioned conjugate gradients on the SPD matrix D - P, run to
     the rounding floor.
 
@@ -350,12 +349,12 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
     eps (max f (2D - margin) ||x|| + max f |R|), the weighted backward
     error of a correctly rounded solution (the unweighted one where f = 1).
     Sweeps repeat while they halve the true residual; the best iterate is
-    returned, and ``ConvergenceError`` is raised only when ``max_iter`` is
-    spent.  The recorded history holds the weighted max-norm residual at
-    each sweep start and after each iteration (for failure reports);
-    ``record_iterates`` additionally keeps every iterate so the monotone
-    decay of the error energy norm can be checked against a reference
-    solution.
+    returned, and ``ConvergenceError`` is raised only when
+    ``MAX_CG_ITERATIONS`` are spent.  The recorded history holds the
+    weighted max-norm residual at each sweep start and after each
+    iteration (for failure reports).  Every residual CG works with, the
+    true one at each sweep start and the recurrence one after each step,
+    passes through the ``preconditioner``.
     """
     _require_margin(system)
     b = system.rhs
@@ -366,7 +365,6 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
     b_norm = float(np.max(f * np.abs(b)))
     x = _initial_guess(system)
     history = []
-    iterates = [x.copy()] if record_iterates else None
     iterations = 0
     best, best_res, last = x.copy(), math.inf, math.inf
     while True:
@@ -386,9 +384,9 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
         p = z.copy()
         rz = float(r @ z)
         while res > floor:
-            if iterations >= max_iter:
+            if iterations >= MAX_CG_ITERATIONS:
                 raise ConvergenceError(
-                    f"preconditioned CG spent max_iter={max_iter} "
+                    f"preconditioned CG spent {MAX_CG_ITERATIONS} "
                     f"iterations at residual {res:g} (floor {floor:g})",
                     history=np.array(history))
             Ap = system.matvec(p)
@@ -398,14 +396,11 @@ def solve_iterative(system: TrafficSystem, max_iter: int = 200_000,
             iterations += 1
             res = float(np.max(f * np.abs(r)))
             history.append(res)
-            if record_iterates:
-                iterates.append(x.copy())
             z = precondition(r)
             rz_new = float(r @ z)
             p = z + (rz_new / rz) * p
             rz = rz_new
-    return _profile(system, best, "iterative", cg_history=np.array(history),
-                    iterates=iterates)
+    return _profile(system, best, "iterative", cg_history=np.array(history))
 
 
 def solve_lattices(params: ModelParams, N_values: Sequence[int],

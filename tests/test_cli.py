@@ -132,6 +132,15 @@ def test_profile_figure3_preset(tmp_path):
     assert (out / "convergence_gaps.csv").exists()
 
 
+@pytest.mark.parametrize("points", (10, 256))
+def test_midpoint_identity_on_an_even_grid(tmp_path, points):
+    # a grid of even length has no point at u = 1/2
+    out = tmp_path / "p"
+    assert run(["profile", "--gamma", "1.5", "--theta", "-1", "--N", "256",
+                "--grid-points", str(points), "--out", str(out)]) == 0
+    assert "check:midpoint_identity = PASS" in read_report(out)
+
+
 @pytest.mark.parametrize("command", ["profile", "current"])
 def test_extrapolated_regime_needs_three_N(tmp_path, monkeypatch, command):
     solves, _ = _count_work(monkeypatch, tmp_path)

@@ -242,7 +242,7 @@ def _profile_by_provenance(provenance, thermo, tmp_path):
 @pytest.mark.parametrize("provenance", ("closed_form", "extrapolated", "csv"))
 def test_rho_at_shape_contract(provenance, thermo_identity, tmp_path):
     rho = _profile_by_provenance(provenance, thermo_identity,
-                                 tmp_path).rho_at()
+                                 tmp_path).evaluate
     assert type(rho(0.3)) is float
     us = np.array([[0.0, 0.1, 0.3], [0.5, 0.77, 1.0]])
     got = rho(us)
@@ -297,7 +297,7 @@ def test_continuum_csv_reads_back_the_profile(gamma, theta, thermo_identity,
     for name in ("grid", "rho", "m", "err_estimate", "warn"):
         assert np.array_equal(getattr(back, name), getattr(prof, name)), name
     for profile in (prof, back):
-        assert np.array_equal(profile.rho_at()(profile.grid), prof.rho)
+        assert np.array_equal(profile.evaluate(profile.grid), prof.rho)
     (r0, r1), (b0, b1) = prof.boundary_values(), back.boundary_values()
     assert b0 == r0
     assert abs(b1 - r1) <= np.spacing(r1)   # PCHIP at its last knot
@@ -349,20 +349,27 @@ def _pchip_cases():
         yield x, y
 
 
-@pytest.mark.parametrize("extrapolate", (False, True))
-def test_pchip_equals_scipys_bit_for_bit(extrapolate):
+def test_pchip_equals_scipys_bit_for_bit():
     from scipy.interpolate import PchipInterpolator
     rng = np.random.default_rng(11)
     for x, y in _pchip_cases():
-        ref = PchipInterpolator(x, y, extrapolate=extrapolate)
-        mine = H.pchip(x, y, extrapolate)
-        us = np.concatenate((rng.uniform(x[0] - 1.0, x[-1] + 1.0, 100), x,
-                             [np.nan, x[0], x[-1], -np.inf, np.inf]))
-        with np.errstate(invalid="ignore"):     # inf - inf at u = +-inf
-            assert mine(us).tobytes() == ref(us).tobytes()
+        ref = PchipInterpolator(x, y)
+        mine = H.pchip(x, y)
+        inside = np.concatenate((rng.uniform(x[0], x[-1], 100), x))
+        assert mine(inside).tobytes() == ref(inside).tobytes()
         for u in (float(x[0]), float(x[-1]), 0.5 * float(x[0] + x[-1])):
             got = mine(u)
-            assert got.shape == () and got.tobytes() == ref(u).tobytes()
+            assert type(got) is float
+            assert np.float64(got).tobytes() == ref(u).tobytes()
+        # outside the nodes: the end values; NaN stays NaN
+        left = rng.uniform(x[0] - 1.0, x[0], 20)
+        right = rng.uniform(x[-1], x[-1] + 1.0, 20)
+        outside = np.concatenate((left, [-np.inf], right, [np.inf]))
+        ends = np.repeat(ref(np.array([x[0], x[-1]])), 21)
+        assert mine(outside).tobytes() == ends.tobytes()
+        assert np.isnan(mine(np.nan))
+        got = mine(np.array([np.nan, x[0]]))
+        assert np.isnan(got[0]) and got[1] == ref(x[0])
 
 
 @pytest.mark.parametrize("x, y", (
@@ -376,7 +383,7 @@ def test_pchip_equals_scipys_bit_for_bit(extrapolate):
 ))
 def test_pchip_refuses_a_bad_grid(x, y):
     with pytest.raises(DomainError):
-        H.pchip(x, y, extrapolate=False)
+        H.pchip(x, y)
 
 
 # -- weak formulations -------------------------------------------------------------
@@ -454,7 +461,7 @@ def test_explicit_ratio_reaction_balance(thermo_identity):
     reg = H.classify_regime(1.5, -1.0)
     prof = H.rho_closed_form(params, reg, thermo_identity)
     kp = KernelParams.create(1.5)
-    val = H._reaction_pairing(prof.rho_at(), H.compact_bump(), kp,
+    val = H._reaction_pairing(prof.evaluate, H.compact_bump(), kp,
                               prof.alpha_tilde, prof.beta_tilde)
     assert abs(val) < 1e-12
 

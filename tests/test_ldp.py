@@ -116,15 +116,6 @@ def test_rate_function_domain(thermo_identity, neumann_profile):
                         neumann_profile, thermo_identity)
 
 
-def test_rate_function_accepts_grid_array(thermo_identity, neumann_profile):
-    val = L.rate_function(neumann_profile.m.copy(), neumann_profile,
-                          thermo_identity)
-    assert abs(val) < 1e-8
-    with pytest.raises(DomainError):
-        L.rate_function(neumann_profile.m[:-1], neumann_profile,
-                        thermo_identity)
-
-
 def test_fenchel_young(thermo_identity, neumann_profile):
     rng = np.random.default_rng(3)
     base = m_bar_callable(neumann_profile)

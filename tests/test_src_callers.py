@@ -4,6 +4,9 @@ listed below with the reason it stays.  A name counts where the parsed
 source uses it (a name, an attribute or an import), not where a comment or
 docstring mentions it; a method counts by its bare name, whatever class
 defines it.  Dunder methods are called by Python itself and are skipped.
+
+Likewise every parameter with a default, of any function or method in
+``src/``, is passed by some call in ``src/`` or is listed with its reason.
 """
 
 import ast
@@ -102,3 +105,93 @@ def test_the_list_names_only_objects_without_a_caller():
     assert not gone, f"no longer defined; drop from the list: {gone}"
     called = sorted(name for name in NO_SRC_CALLER if _has_src_caller(name))
     assert not called, f"called in src/ now; drop from the list: {called}"
+
+
+# the defaulted parameters no src/ call passes, and why each stays
+NO_SRC_ARGUMENT = {
+    "main(argv)": "the tests and the benchmark run the CLI in process",
+    "compact_bump(a, b, modulation)": "acceptance-08 and the benchmark "
+                                      "modulate their test functions; no "
+                                      "caller moves the support [a, b]",
+    "weak_form_residual(level)": "the tests refine the quadrature with it",
+    "simulate_zero_range(init, track_histogram)": "the tests start chains "
+                                                  "from a given state and "
+                                                  "read occupation "
+                                                  "histograms",
+    "simulate_exclusion(init)": "the tests start chains from a given state",
+    "exact_stationary_distribution(kmax)": "the tests truncate the "
+                                           "brute-force oracle with it",
+    "FugacityProfile.within_bounds(slack)": "the tests allow rounding "
+                                            "slack with it",
+}
+
+
+def _defaulted_and_passed():
+    """{function: [(position, name)] of its defaulted parameters} over
+    every def in src/ (a method as ``Class.method``, positions counted after
+    its first parameter), and {called name: [(positional count, keywords)]}
+    over every call; a ``*args`` or ``**kwargs`` argument counts as passing
+    every parameter."""
+    defaulted, calls = {}, defaultdict(list)
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                visit(child, None)
+                a = child.args
+                positional = a.posonlyargs + a.args
+                offset = 1 if owner else 0
+                named = [(i - offset, arg.arg) for i, arg in enumerate(
+                    positional[len(positional) - len(a.defaults):],
+                    start=len(positional) - len(a.defaults))]
+                named += [(None, arg.arg) for arg, default in
+                          zip(a.kwonlyargs, a.kw_defaults) if default]
+                if named:
+                    name = (f"{owner}.{child.name}" if owner else child.name)
+                    defaulted[name] = named
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = getattr(func, "id", None) or getattr(func, "attr",
+                                                              None)
+                spread = (any(isinstance(x, ast.Starred) for x in child.args)
+                          or any(k.arg is None for k in child.keywords))
+                calls[called].append(
+                    (float("inf") if spread else len(child.args),
+                     None if spread else {k.arg for k in child.keywords}))
+            visit(child, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return defaulted, calls
+
+
+def _idle_parameters():
+    """``function(p, q)`` for each function with defaulted parameters that
+    no src/ call passes, by position or by keyword; a class call is the
+    call of its ``__init__``."""
+    defaulted, calls = _defaulted_and_passed()
+    idle = []
+    for name, params in sorted(defaulted.items()):
+        owner, _, bare = name.rpartition(".")
+        called = owner if bare == "__init__" else bare
+        unused = [param for index, param in params
+                  if not any((index is not None and index < count)
+                             or keywords is None or param in keywords
+                             for count, keywords in calls[called])]
+        if unused:
+            idle.append(f"{name}({', '.join(unused)})")
+    return idle
+
+
+def test_every_defaulted_parameter_is_passed_or_listed():
+    idle = _idle_parameters()
+    unlisted = [entry for entry in idle if entry not in NO_SRC_ARGUMENT]
+    assert not unlisted, ("passed by no call in src/; drop the parameter, "
+                          "pass it, or list it with the reason it stays: "
+                          f"{unlisted}")
+    stale = sorted(NO_SRC_ARGUMENT.keys() - set(idle))
+    assert not stale, f"not an idle parameter list now; update: {stale}"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,21 @@ def test_mixed_array_closed_forms(kind):
     assert np.all(np.abs(thermo.log_partition(phis) - log_z)
                   <= 1e-13 * np.maximum(log_z, 1e-300))
     assert np.all(np.abs(thermo.mean_density(phis) - dens) <= 1e-12 * scale)
+
+
+def test_mean_density_array_sums_in_small_blocks():
+    # 32768 sites at the fugacities of a large figure-3 solve: the weights
+    # are summed in blocks of SERIES_BLOCK entries, so the working memory
+    # stays a few MiB however many sites one call evaluates
+    thermo = tables_for("figure3")
+    phis = np.linspace(0.2, 0.8, 32768)
+    tracemalloc.start()
+    try:
+        thermo.mean_density_array(phis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_fugacity_array(thermo_indicator):

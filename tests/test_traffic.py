@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from zrlab.current import current_report
 from zrlab.errors import ConvergenceError, DomainError
 from zrlab.kernel import riemann_zeta
+from zrlab import traffic
 from zrlab.thermo import RateFunction, ThermoTables
 from zrlab.traffic import (EPS, ModelParams, assemble, fast_len, residual,
                            solve_direct, solve_iterative, write_profile_csv)
@@ -138,25 +139,43 @@ def test_iterative_constant_case_immediate(thermo_identity):
 
 
 def test_iterative_error_energy_norm_monotone(thermo_identity):
-    params = make_params(1.2, -0.5, 128)
-    system = assemble(params, thermo_identity)
-    ref = solve_direct(system).values
-    prof = solve_iterative(system, record_iterates=True)
-    A = scipy.linalg.toeplitz(-system.kernel_row)
-    A[np.arange(127), np.arange(127)] += system.diag
-    energies = [math.sqrt(float((x - ref) @ A @ (x - ref)))
-                for x in prof.iterates]
-    drops = np.diff(energies)
-    # strictly decreasing until the rounding floor
-    significant = np.array(energies[:-1]) > 1e-12
-    assert np.all(drops[significant] < 0.0)
+    # CG hands the preconditioner every residual it works with; the error
+    # e = A^-1 r of each has the energy norm ||e||_A = sqrt(r^T A^-1 r)
+    for gamma, theta, N in ((1.2, -0.5, 128), (1.5, 0.0, 256),
+                            (1.9, 1.0, 512)):
+        system = assemble(make_params(gamma, theta, N), thermo_identity)
+        residuals = []
+        preconditioner = system.preconditioner
+
+        def recording():
+            apply = preconditioner()
+
+            def recorded(r):
+                residuals.append(r.copy())
+                return apply(r)
+
+            return recorded
+
+        system.preconditioner = recording
+        solve_iterative(system)
+        A = scipy.linalg.toeplitz(-system.kernel_row)
+        A[np.arange(N - 1), np.arange(N - 1)] += system.diag
+        errors = scipy.linalg.solve(A, np.array(residuals).T, assume_a="pos")
+        energies = np.sqrt(np.einsum("ij,ij->j", np.array(residuals).T,
+                                     errors))
+        # strictly decreasing until the rounding floor
+        significant = energies[:-1] > 1e-12
+        assert significant.any()
+        assert np.all(np.diff(energies)[significant] < 0.0), (gamma, theta)
 
 
-def test_iterative_nonconvergence_reports_history(thermo_identity):
+def test_iterative_nonconvergence_reports_history(thermo_identity,
+                                                  monkeypatch):
     params = make_params(1.5, 0.0, 256)
     system = assemble(params, thermo_identity)
+    monkeypatch.setattr(traffic, "MAX_CG_ITERATIONS", 3)
     with pytest.raises(ConvergenceError) as err:
-        solve_iterative(system, max_iter=3)
+        solve_iterative(system)
     assert err.value.history is not None
     assert len(err.value.history) >= 3
 
