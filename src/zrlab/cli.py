@@ -312,9 +312,9 @@ def _continuum(params: ModelParams, regime: hydro.Regime, solved: list,
     extrapolated profile reports on how many grid points the power-law fit
     fell back to the largest lattice's value."""
     if regime.tag in hydro.EXTRAPOLATED_REGIMES:
-        family = hydro.DiscreteProfileFamily([prof for _, prof in solved])
-        cont = hydro.rho_extrapolated(params, regime, family.N_values,
-                                      thermo, grid, family=family)
+        cont = hydro.rho_extrapolated(
+            params, regime, [system.N for system, _ in solved], thermo, grid,
+            lattices=solved)
         report.add("extrapolation_fallbacks",
                    f"{int(cont.warn.sum())} of {len(cont.warn)}")
         return cont
@@ -397,9 +397,7 @@ def cmd_current(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
                           f"sweep), got N = {cfg.N_list}")
     params = cfg.model(cfg.N_list[-1], thermo)
     regime = _regime(cfg, params)
-    # the sweep and the extrapolated profile need every N; otherwise N_max
-    sweep_Ns = cfg.N_list if len(cfg.N_list) >= 3 else cfg.N_list[-1:]
-    solved = solve_lattices(params, sweep_Ns, thermo)
+    solved = solve_lattices(params, cfg.N_list, thermo)
     system, prof = solved[-1]
     rep = current_mod.current_report(prof, system)
     write_table(cfg.out / "bond_currents.csv", cfg.header_lines(),

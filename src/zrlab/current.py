@@ -22,8 +22,8 @@ from .kernel import KernelParams, continuum_rate
 from .quadrature import geometric_edges, integrate_panels, panel_nodes
 from .table import write_table
 from .thermo import ThermoTables
-from .traffic import (FugacityProfile, ModelParams, TrafficSystem, fast_len,
-                      solve_lattices)
+from .traffic import (FugacityProfile, Lattices, ModelParams, TrafficSystem,
+                      fast_len, lattices_for)
 
 
 def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
@@ -298,18 +298,14 @@ class SweepResult:
 
 def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
                thermo: ThermoTables,
-               lattices: Optional[list[tuple[TrafficSystem, FugacityProfile]]]
-               = None) -> SweepResult:
+               lattices: Optional[Lattices] = None) -> SweepResult:
     """Rescaled current E[W_1]/B_N along N_sequence, Richardson limit, and
     the closed-form comparison when theta < 0.
 
-    ``lattices`` are the (system, profile) pairs of N_sequence already
-    solved (``traffic.solve_lattices``); they are solved here when absent.
+    The lattices are those ``traffic.lattices_for`` gives (solved here when
+    None); the limit, its error and the fallback are ``_fit_power_limit``'s.
     """
-    if len(N_sequence) < 3:
-        raise DomainError("need at least 3 lattice sizes to extrapolate")
-    if lattices is None:
-        lattices = solve_lattices(params_base, N_sequence, thermo)
+    lattices = lattices_for(params_base, N_sequence, thermo, lattices)
     theta, gamma = params_base.theta, params_base.gamma
     currents = np.array([bond_currents(profile, system)[0]
                          for system, profile in lattices])

@@ -23,7 +23,7 @@ from .kernel import (KernelParams, first_moment_half,
 from .quadrature import integrate_panels
 from .table import header_lines, read_table, write_table
 from .thermo import ThermoTables
-from .traffic import FugacityProfile, ModelParams, solve_lattices
+from .traffic import FugacityProfile, Lattices, ModelParams, lattices_for
 from .traffic import solve_direct  # noqa: F401  (re-export)
 
 EXPLICIT_RATIO = "ExplicitRatio"
@@ -33,6 +33,7 @@ ROBIN = "Robin"
 NEUMANN = "Neumann"
 
 EXTRAPOLATED_REGIMES = (REACTION_DIFFUSION, DIRICHLET, ROBIN)
+BUMP_SUPPORT = (0.05, 0.95)     # where compact_bump is nonzero
 
 # Decimal inputs on the Robin line miss it in binary floating point by about
 # one ulp (fl(1.2) - 1 != fl(0.2)); |theta - (gamma - 1)| up to this counts
@@ -103,13 +104,19 @@ def rho_explicit(u, regime: Regime, alpha_tilde: float, beta_tilde: float,
 
 
 def _fit_power_limit(vals: Sequence, scales: Sequence):
-    """Extrapolate v_i = c0 + c1 * s_i^(-p) to s -> inf, free p clamped.
-
-    ``scales`` must be increasing (e.g. lattice sizes).  Each value is a
-    float or an array (one fit per element, one bisection for all).
-    Returns (c0, err_estimate, warn) where warn marks a non-monotone
-    fallback, shaped like the values.
+    """Extrapolate v_i = c0 + c1 * s_i^(-p) to s -> inf through the last
+    three values, free p clamped; the one owner of the Richardson rules:
+    three or more values at strictly increasing ``scales``, else
+    ``DomainError``.  Each value is a float or an array (one fit per
+    element, one bisection for all).  Returns (c0, err, warn) shaped like
+    the values; warn marks a fallback to the last value.  err is how far c0
+    moves when the largest scale is dropped, or with three values
+    |c0 - v_last| (the larger last step on a fallback, the last if flat).
     """
+    if len(vals) < 3:
+        raise DomainError(f"need at least 3 lattice sizes, got {len(vals)}")
+    if any(b <= a for a, b in zip(scales[:-1], scales[1:])):
+        raise DomainError(f"N must be strictly increasing, got {list(scales)}")
     v1, v2, v3 = (np.asarray(v, dtype=float) for v in vals[-3:])
     s1, s2, s3 = (np.asarray(s, dtype=float) for s in scales[-3:])
     d1, d2 = v1 - v2, v2 - v3
@@ -139,34 +146,21 @@ def _fit_power_limit(vals: Sequence, scales: Sequence):
     err = np.where(flat, np.abs(d2),
                    np.where(warn, np.maximum(np.abs(d1), np.abs(d2)),
                             np.abs(c0 - v3)))
+    if len(vals) >= 4:
+        prev, _, _ = _fit_power_limit(vals[-4:-1], scales[-4:-1])
+        err = np.maximum(np.abs(value - prev), 1e-16)
     if value.ndim == 0:
         return float(value), float(err), bool(warn)
     return value, err, warn
 
 
 class DiscreteProfileFamily:
-    """Traffic-equation solutions across an increasing N sequence.
+    """The profiles of solved lattices (``traffic.solve_lattices``'s pairs)
+    across increasing N; rho(u) Richardson-extrapolates phi_N(uN) /
+    (phi_alpha + phi_beta) with ``_fit_power_limit``."""
 
-    Point evaluations rho(u) Richardson-extrapolate phi_N(floor(uN)) /
-    (phi_alpha + phi_beta) over the last three N values.
-    """
-
-    def __init__(self, profiles: list[FugacityProfile]):
-        self.N_values = tuple(prof.params.N for prof in profiles)
-        self.profiles = profiles
-        self.phi_alpha = profiles[-1].phi_alpha
-        self.phi_beta = profiles[-1].phi_beta
-        self.phi_sum = self.phi_alpha + self.phi_beta
-
-    @classmethod
-    def solve(cls, params_base: ModelParams, N_values: Sequence[int],
-              thermo: ThermoTables) -> "DiscreteProfileFamily":
-        if len(N_values) < 3:
-            raise DomainError("need at least 3 lattice sizes to extrapolate")
-        if any(b <= a for a, b in zip(N_values[:-1], N_values[1:])):
-            raise DomainError("N sequence must be increasing")
-        solved = solve_lattices(params_base, N_values, thermo)
-        return cls([prof for _, prof in solved])
+    def __init__(self, lattices: Lattices):
+        self.profiles = [prof for _, prof in lattices]
 
     def rho_array(self, us):
         """(rho, err, warn) at every point of ``us``, shaped like ``us``.
@@ -176,21 +170,17 @@ class DiscreteProfileFamily:
         (u - floor(uN)/N), the same order as the convergence term itself,
         which destabilizes the extrapolation in N; interpolating between
         the two neighbouring sites removes the jitter at O(1/N^2) cost.
-        u = 0 and u = 1 read the edge sites alone.  With four or more N,
-        err is the move of the limit when the largest N is dropped.
+        u = 0 and u = 1 read the edge sites alone.
         """
-        vals = []
-        for N, prof in zip(self.N_values, self.profiles):
+        vals, Ns = [], [prof.params.N for prof in self.profiles]
+        for N, prof in zip(Ns, self.profiles):
             pos = np.asarray(us, dtype=float) * N
             x0 = np.clip(np.floor(pos), 1, N - 2).astype(int)
             w = np.clip(pos - x0, 0.0, 1.0)
+            phi_sum = prof.phi_alpha + prof.phi_beta
             vals.append(((1.0 - w) * prof.values[x0 - 1]
-                         + w * prof.values[x0]) / self.phi_sum)
-        rho, err, warn = _fit_power_limit(vals, self.N_values)
-        if len(vals) >= 4:
-            prev, _, _ = _fit_power_limit(vals[:-1], self.N_values[:-1])
-            err = np.maximum(np.abs(rho - prev), 1e-16)
-        return rho, err, warn
+                         + w * prof.values[x0]) / phi_sum)
+        return _fit_power_limit(vals, Ns)
 
 
 def default_grid(n: int = 257) -> np.ndarray:
@@ -311,28 +301,31 @@ def rho_closed_form(params: ModelParams, regime: Regime,
 def rho_extrapolated(params_base: ModelParams, regime: Regime,
                      N_sequence: Sequence[int], thermo: ThermoTables,
                      grid: Optional[np.ndarray] = None,
-                     family: Optional[DiscreteProfileFamily] = None
+                     lattices: Optional[Lattices] = None
                      ) -> ContinuumProfile:
-    """Large-N limit of phi_N / (phi_alpha + phi_beta) on the grid."""
+    """Large-N limit of phi_N / (phi_alpha + phi_beta) on the grid, from
+    the lattices ``traffic.lattices_for`` gives (solved here when None)."""
     if regime.tag not in EXTRAPOLATED_REGIMES:
         raise DomainError(
             f"regime {regime.tag} has a closed form; use rho_closed_form")
     grid = default_grid() if grid is None else grid
-    if family is None:
-        family = DiscreteProfileFamily.solve(params_base, N_sequence, thermo)
+    family = DiscreteProfileFamily(
+        lattices_for(params_base, N_sequence, thermo, lattices))
     rho, err, warn = family.rho_array(grid)
-    a_t, b_t = tilde_densities(family.phi_alpha, family.phi_beta)
+    last = family.profiles[-1]
+    a_t, b_t = tilde_densities(last.phi_alpha, last.phi_beta)
     return _continuum_from_values(grid, rho, err, warn, regime,
-                                  "extrapolated", a_t, b_t, family.phi_sum,
-                                  thermo, lambda us: family.rho_array(us)[0])
+                                  "extrapolated", a_t, b_t,
+                                  last.phi_alpha + last.phi_beta, thermo,
+                                  lambda us: family.rho_array(us)[0])
 
 
 # -- weak formulations ----------------------------------------------------
 
-def compact_bump(a: float = 0.05, b: float = 0.95,
-                 modulation: Optional[Callable] = None) -> Callable:
-    """Smooth test function supported in [a, b] (exp(-1/((u-a)(b-u))),
-    normalized to peak 1, optionally modulated)."""
+def compact_bump(modulation: Optional[Callable] = None) -> Callable:
+    """Smooth test function supported in [a, b] = ``BUMP_SUPPORT``
+    (exp(-1/((u-a)(b-u))), normalized to peak 1, optionally modulated)."""
+    a, b = BUMP_SUPPORT
     peak = math.exp(-1.0 / ((0.5 * (b - a)) ** 2))
 
     def G(u):

@@ -53,7 +53,6 @@ import numpy as np
 
 from .errors import DomainError
 from .hydrostatic import tilde_densities
-from .kernel import vectorized
 from .table import header_lines, write_table
 from .thermo import ThermoTables
 from .traffic import (FugacityProfile, ModelParams, TrafficSystem, assemble,
@@ -410,13 +409,6 @@ def simulate_exclusion(params: ModelParams, tables: EventTables,
     eta = _initial_state(init, params.N - 1, occupancy=True)
     return _run_chain(_exclusion_chain(tables, eta), t_burn, t_sample, seed,
                       params.time_scale())
-
-
-def empirical_pairing(counts: np.ndarray, G, N: int) -> float:
-    """<pi^N, G> = (1/#Lambda_N) sum_x G(x/N) xi(x)."""
-    gv = vectorized(G)
-    xs = np.arange(1, N, dtype=float) / N
-    return float(np.mean(gv(xs) * np.asarray(counts)))
 
 
 # -- brute-force oracle -----------------------------------------------------

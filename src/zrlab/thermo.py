@@ -48,12 +48,16 @@ class RateFunction:
         if self.kind == "table":
             if len(self.table) == 0:
                 raise DomainError("table rate needs at least one value")
-            if any(v <= 0.0 for v in self.table):
-                raise DomainError("rate values must be positive for k >= 1")
+            for k, v in enumerate(self.table, start=1):
+                if not 0.0 < v < math.inf:
+                    raise DomainError(f"rate value g({k}) = {v} must be "
+                                      "positive and finite")
             if self.tail not in ("constant", "identity"):
                 raise DomainError(f"unknown tail rule {self.tail!r}")
-            if self.tail == "constant" and self.tail_value <= 0.0:
-                raise DomainError("constant tail value must be positive")
+            if (self.tail == "constant"
+                    and not 0.0 < self.tail_value < math.inf):
+                raise DomainError(f"constant tail value {self.tail_value} "
+                                  "must be positive and finite")
 
     @classmethod
     def identity(cls):

@@ -403,9 +403,11 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
     return _profile(system, best, "iterative", cg_history=np.array(history))
 
 
+Lattices = list[tuple[TrafficSystem, FugacityProfile]]
+
+
 def solve_lattices(params: ModelParams, N_values: Sequence[int],
-                   thermo: ThermoTables
-                   ) -> list[tuple[TrafficSystem, FugacityProfile]]:
+                   thermo: ThermoTables) -> Lattices:
     """Assemble and solve each lattice size once; the systems differ from
     ``params`` only in N."""
     solved = []
@@ -413,6 +415,20 @@ def solve_lattices(params: ModelParams, N_values: Sequence[int],
         system = assemble(dataclasses.replace(params, N=int(N)), thermo)
         solved.append((system, solve_iterative(system)))
     return solved
+
+
+def lattices_for(params: ModelParams, N_values: Sequence[int],
+                 thermo: ThermoTables, lattices: Optional[Lattices]
+                 ) -> Lattices:
+    """``lattices``, refused unless they are ``params`` solved at each N of
+    ``N_values`` in that order; ``solve_lattices``'s pairs when None."""
+    if lattices is None:
+        return solve_lattices(params, N_values, thermo)
+    if [system.params for system, _ in lattices] != [
+            dataclasses.replace(params, N=int(N)) for N in N_values]:
+        raise DomainError(f"lattices at N = {[s.N for s, _ in lattices]} "
+                          f"are not the model's at N = {list(N_values)}")
+    return lattices
 
 
 def write_profile_csv(profile: FugacityProfile, thermo: ThermoTables,

@@ -2,7 +2,7 @@ import pytest
 
 from zrlab.hydrostatic import DiscreteProfileFamily, classify_regime, rho_extrapolated
 from zrlab.thermo import RateFunction, ThermoTables
-from zrlab.traffic import ModelParams, assemble, solve_direct
+from zrlab.traffic import ModelParams, assemble, solve_direct, solve_lattices
 
 
 @pytest.fixture(scope="session")
@@ -47,5 +47,5 @@ def rd_profile(thermo_identity):
 @pytest.fixture(scope="session")
 def rd_family(thermo_identity):
     base = make_params(1.5, 0.0, 2)
-    return DiscreteProfileFamily.solve(base, (1024, 2048, 4096),
-                                       thermo_identity)
+    return DiscreteProfileFamily(
+        solve_lattices(base, (1024, 2048, 4096), thermo_identity))

@@ -238,11 +238,9 @@ def test_extrapolation_fallbacks_reported(tmp_path, command):
     thermo = ThermoTables.create(cfg.rate())
     params = cfg.model(128, thermo)
     solved = traffic.solve_lattices(params, cfg.N_list, thermo)
-    family = hydrostatic.DiscreteProfileFamily(
-        [profile for _, profile in solved])
     warn = hydrostatic.rho_extrapolated(
         params, cli._regime(cfg, params), cfg.N_list, thermo,
-        family=family).warn
+        lattices=solved).warn
     lines = read_report(tmp_path / "x").splitlines()
     assert f"extrapolation_fallbacks = {warn.sum()} of {len(warn)}" in lines
     assert not any(l.startswith("check:extrapolation") for l in lines)
@@ -313,6 +311,22 @@ def test_table_rate_spec(tmp_path):
     out = tmp_path / "t"
     assert run(["thermo", "--g", f"table:{table}", "--out", str(out)]) == 0
     assert "phi_star = 1.0" in read_report(out)
+
+
+@pytest.mark.parametrize("table,named", (
+    ("1 0.5\n2 nan\n3 1.25\ntail: constant 1.25\n", "g(2) = nan"),
+    ("1 0.5\n2 inf\n3 1.25\ntail: constant 1.25\n", "g(2) = inf"),
+    ("1 0.5\n2 1.0\ntail: constant nan\n", "tail value nan")),
+    ids=["nan", "inf", "nan_tail"])
+def test_nonfinite_table_rate_is_a_domain_error(tmp_path, capsys, table,
+                                                named):
+    path = tmp_path / "g.txt"
+    path.write_text(table)
+    out = tmp_path / "p"
+    assert run(["profile", "--g", f"table:{path}", "--gamma", "1.5",
+                "--theta", "-1", "--N", "64",
+                "--out", str(out)]) == cli.EXIT_DOMAIN
+    assert named in capsys.readouterr().err
 
 
 def test_table_rate_read_once(tmp_path, monkeypatch):

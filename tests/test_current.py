@@ -292,6 +292,36 @@ def test_fick_sweep_reports_fallback(thermo_identity, theta, fallback):
     assert bool(sweep.extrapolated == sweep.rescaled[-1]) is fallback
 
 
+@pytest.mark.parametrize("Ns", ((1024, 512, 256), (256, 1024, 512)))
+def test_fick_sweep_refuses_unordered_sizes(thermo_identity, Ns):
+    with pytest.raises(DomainError, match="strictly increasing"):
+        C.fick_sweep(make_params(1.5, 0.0, 2), Ns, thermo_identity)
+
+
+def test_fick_sweep_refuses_lattices_of_another_model_or_N_list(
+        thermo_identity):
+    solved = solve_lattices(make_params(1.5, 0.0, 2), (256, 512, 1024),
+                            thermo_identity)
+    for params, Ns in ((make_params(1.5, -0.5, 2), (256, 512, 1024)),
+                       (make_params(1.5, 0.0, 2), (1024, 2048, 4096))):
+        with pytest.raises(DomainError, match="not the model's"):
+            C.fick_sweep(params, Ns, thermo_identity, lattices=solved)
+
+
+def test_fick_sweep_error_with_four_sizes_is_the_move_of_the_limit(
+        thermo_identity):
+    # the same rule as the extrapolated profiles: how far the limit moves
+    # when the largest N is dropped
+    base = make_params(1.5, 0.0, 2)
+    Ns = (512, 1024, 2048, 4096)
+    solved = solve_lattices(base, Ns, thermo_identity)
+    sweep = C.fick_sweep(base, Ns, thermo_identity, lattices=solved)
+    three = C.fick_sweep(base, Ns[:3], thermo_identity, lattices=solved[:3])
+    move = abs(sweep.extrapolated - three.extrapolated)
+    assert sweep.err_estimate == max(move, 1e-16)
+    assert sweep.err_estimate < 1e-3
+
+
 def test_sweep_csv(tmp_path, thermo_identity):
     base = make_params(0.5, -0.5, 2)
     sweep = C.fick_sweep(base, (64, 128, 256), thermo_identity)

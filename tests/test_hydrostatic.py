@@ -7,7 +7,7 @@ from zrlab.errors import DomainError
 from zrlab import hydrostatic as H
 from zrlab.kernel import KernelParams, first_moment_half
 from zrlab.thermo import RateFunction
-from zrlab.traffic import ModelParams, assemble, solve_direct
+from zrlab.traffic import ModelParams, assemble, solve_direct, solve_lattices
 
 from conftest import make_params
 
@@ -198,10 +198,17 @@ def test_rho_closed_form_checks_the_boundary_data(thermo_identity,
 
 
 def test_extrapolated_requires_enough_sizes(thermo_identity):
+    base = make_params(1.5, 0.0, 2)
     reg = H.classify_regime(1.5, 0.0)
-    with pytest.raises(DomainError):
-        H.DiscreteProfileFamily.solve(make_params(1.5, 0.0, 2), (64, 128),
-                                      thermo_identity)
+    for Ns, match in (((), "at least 3"), ((64, 128), "at least 3"),
+                      ((128, 64, 256), "strictly increasing"),
+                      ((64, 128, 128), "strictly increasing")):
+        with pytest.raises(DomainError, match=match):
+            H.rho_extrapolated(base, reg, Ns, thermo_identity)
+    family = H.DiscreteProfileFamily(
+        solve_lattices(base, (64, 128), thermo_identity))
+    with pytest.raises(DomainError, match="at least 3"):
+        family.rho_array(0.5)
     with pytest.raises(DomainError):
         H.rho_extrapolated(make_params(1.5, -1.0, 2),
                            H.classify_regime(1.5, -1.0), (64, 128, 256),
@@ -218,9 +225,28 @@ def test_rd_profile_basics(rd_profile):
     assert np.all(rd_profile.err_estimate >= 0.0)
 
 
+def test_extrapolated_refuses_lattices_of_another_model_or_N_list(
+        thermo_identity):
+    base = make_params(1.5, 0.0, 2)
+    reg = H.classify_regime(1.5, 0.0)
+    solved = solve_lattices(base, (64, 128, 256), thermo_identity)
+    prof = H.rho_extrapolated(base, reg, (64, 128, 256), thermo_identity,
+                              lattices=solved)
+    assert prof.provenance == "extrapolated"
+    for params, Ns in ((make_params(1.2, 0.0, 2), (64, 128, 256)),
+                       (make_params(1.2, 0.0, 2), (7,)),
+                       (make_params(1.5, 0.0, 2, alpha=0.5), (64, 128, 256)),
+                       (base, (128, 256, 512)),
+                       (base, (64, 128, 256, 512)),
+                       (base, (128, 256))):
+        with pytest.raises(DomainError, match="not the model's"):
+            H.rho_extrapolated(params, reg, Ns, thermo_identity,
+                               lattices=solved)
+
+
 def test_rd_point_stability_between_sequences(thermo_identity, rd_family):
-    fine = H.DiscreteProfileFamily.solve(make_params(1.5, 0.0, 2),
-                                         (2048, 4096, 8192), thermo_identity)
+    fine = H.DiscreteProfileFamily(solve_lattices(
+        make_params(1.5, 0.0, 2), (2048, 4096, 8192), thermo_identity))
     v1, _, _ = rd_family.rho_array(0.25)
     v2, _, _ = fine.rho_array(0.25)
     assert abs(v1 - v2) < 1e-3

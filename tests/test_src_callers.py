@@ -6,7 +6,9 @@ docstring mentions it; a method counts by its bare name, whatever class
 defines it.  Dunder methods are called by Python itself and are skipped.
 
 Likewise every parameter with a default, of any function or method in
-``src/``, is passed by some call in ``src/`` or is listed with its reason.
+``src/``, is passed by some call in ``src/`` or is listed with its reason,
+and every parameter of any function or method is read in its body or is
+listed with its reason.
 """
 
 import ast
@@ -21,7 +23,6 @@ NO_SRC_CALLER = {
     "continuum_pairing": "acceptance-09 pairs profiles with it",
     "discrete_frac_laplacian": "the tests' reference for the regional "
                                "fractional Laplacian",
-    "empirical_pairing": "the Monte Carlo hydrostatic test's estimator",
     "exact_stationary_distribution": "acceptance-02's brute-force oracle",
     "FugacityProfile.phi_at": "acceptance-04 reads the profile at a "
                               "macroscopic point with it",
@@ -29,19 +30,19 @@ NO_SRC_CALLER = {
                                     "solve tracer read it",
     "FugacityProfile.within_bounds": "acceptance-01's maximum principle",
     "exclusion_bond_currents": "traced by the benchmark; the simulated "
-                               "exclusion currents (ROADMAP item 3) are "
+                               "exclusion currents (ROADMAP item 5) are "
                                "checked against it",
     "gateaux_derivative": "acceptance-09 checks it against finite "
                           "differences",
     "h_weighted_limit": "the tests' reference for fick_limit: the current "
                         "limit as the h_theta-weighted integral of rho",
-    "hydrostatic_average": "the hydrostatic-limit check (ROADMAP item 4) "
+    "hydrostatic_average": "the hydrostatic-limit check (ROADMAP item 7) "
                            "reads it",
     "read_continuum_csv": "the reader of continuum_profile.csv; the "
                           "benchmark's weak-form job reads the CLI's file "
                           "with it",
     "weak_form_residual": "acceptance-08 and the benchmark's weak-form job; "
-                          "ROADMAP item 4 makes it a profile check",
+                          "ROADMAP item 7 makes it a profile check",
 }
 
 
@@ -110,9 +111,8 @@ def test_the_list_names_only_objects_without_a_caller():
 # the defaulted parameters no src/ call passes, and why each stays
 NO_SRC_ARGUMENT = {
     "main(argv)": "the tests and the benchmark run the CLI in process",
-    "compact_bump(a, b, modulation)": "acceptance-08 and the benchmark "
-                                      "modulate their test functions; no "
-                                      "caller moves the support [a, b]",
+    "compact_bump(modulation)": "acceptance-08 and the benchmark modulate "
+                                "their test functions",
     "weak_form_residual(level)": "the tests refine the quadrature with it",
     "simulate_zero_range(init, track_histogram)": "the tests start chains "
                                                   "from a given state and "
@@ -195,3 +195,53 @@ def test_every_defaulted_parameter_is_passed_or_listed():
                           f"{unlisted}")
     stale = sorted(NO_SRC_ARGUMENT.keys() - set(idle))
     assert not stale, f"not an idle parameter list now; update: {stale}"
+
+
+# the parameters no body reads, and why each stays
+NO_SRC_READ = {
+    "continuum_pairing(m_bar)": "acceptance-09 calls continuum_pairing(pi, "
+                                "cont, G); it keeps the signature alike "
+                                "to rate_function's",
+}
+
+
+def _unread_parameters():
+    """``function(p, q)`` for each def in src/ (a method as
+    ``Class.method``) whose parameters p, q are never loaded as a name in
+    its body, nested functions included."""
+    unread = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.FunctionDef):
+                a = child.args
+                params = [arg.arg for arg in a.posonlyargs + a.args
+                          + a.kwonlyargs + [a.vararg, a.kwarg] if arg]
+                read = {sub.id for stmt in child.body
+                        for sub in ast.walk(stmt)
+                        if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Load)}
+                idle = [p for p in params if p not in read]
+                if idle:
+                    name = (f"{owner}.{child.name}" if owner else child.name)
+                    unread.append(f"{name}({', '.join(idle)})")
+                visit(child, None)
+                continue
+            visit(child, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return unread
+
+
+def test_every_parameter_is_read_or_listed():
+    unread = _unread_parameters()
+    unlisted = [entry for entry in unread if entry not in NO_SRC_READ]
+    assert not unlisted, ("read nowhere in the body; drop the parameter, "
+                          "read it, or list it with the reason it stays: "
+                          f"{unlisted}")
+    stale = sorted(NO_SRC_READ.keys() - set(unread))
+    assert not stale, f"read in its body now; drop from the list: {stale}"

@@ -177,6 +177,21 @@ def test_rate_table_parse_errors(tmp_path):
         read_rate_table(bad)              # constant tail without value
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, 0.0))
+def test_table_rate_refuses_nonfinite_or_nonpositive_values(tmp_path, bad):
+    with pytest.raises(DomainError, match=rf"g\(2\) = {bad}"):
+        RateFunction.from_table([0.5, bad, 1.25])
+    with pytest.raises(DomainError, match=rf"tail value {bad}"):
+        RateFunction.from_table([0.5, 1.0], tail="constant", tail_value=bad)
+    path = tmp_path / "rate.txt"
+    path.write_text(f"1 0.5\n2 {bad}\n3 1.25\ntail: constant 1.25\n")
+    with pytest.raises(DomainError, match=rf"g\(2\) = {bad}"):
+        read_rate_table(path)
+    path.write_text(f"1 0.5\n2 1.0\ntail: constant {bad}\n")
+    with pytest.raises(DomainError, match=rf"tail value {bad}"):
+        read_rate_table(path)
+
+
 def test_table_rate_matches_indicator():
     table = ThermoTables.create(
         RateFunction.from_table([1.0], tail="constant", tail_value=1.0))
