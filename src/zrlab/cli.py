@@ -313,7 +313,7 @@ def _continuum(params: ModelParams, regime: hydro.Regime, solved: list,
     fell back to the largest lattice's value."""
     if regime.tag in hydro.EXTRAPOLATED_REGIMES:
         cont = hydro.rho_extrapolated(
-            params, regime, [system.N for system, _ in solved], thermo, grid,
+            params, regime, [prof.system.N for prof in solved], thermo, grid,
             lattices=solved)
         report.add("extrapolation_fallbacks",
                    f"{int(cont.warn.sum())} of {len(cont.warn)}")
@@ -358,9 +358,10 @@ def cmd_profile(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     report.add("regime", regime.tag)
     report.add("kappa_hat", regime.kappa_hat)
     solved = solve_lattices(params, cfg.N_list, thermo)
-    for system, prof in solved:
-        write_profile_csv(prof, thermo, cfg.out / f"profile_N{system.N}.csv")
-        report.add(f"residual_N{system.N}", prof.residual_norm)
+    for prof in solved:
+        N = prof.system.N
+        write_profile_csv(prof, thermo, cfg.out / f"profile_N{N}.csv")
+        report.add(f"residual_N{N}", prof.residual_norm)
     grid = hydro.default_grid(cfg.grid_points)
     cont = _continuum(params, regime, solved, thermo, report, grid)
     hydro.write_continuum_csv(cont, cfg.out / "continuum_profile.csv")
@@ -368,8 +369,8 @@ def cmd_profile(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     rows = []
     interior = grid[(grid >= 0.1) & (grid <= 0.9)]
     rho_ref = cont.evaluate(interior)
-    for system, pr in solved:
-        N = system.N
+    for pr in solved:
+        N = pr.system.N
         sites = np.clip((interior * N).astype(int), 1, N - 1)
         vals = pr.values[sites - 1] / cont.phi_sum
         rows.append((N, float(np.max(np.abs(vals - rho_ref)))))
@@ -398,8 +399,8 @@ def cmd_current(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     params = cfg.model(cfg.N_list[-1], thermo)
     regime = _regime(cfg, params)
     solved = solve_lattices(params, cfg.N_list, thermo)
-    system, prof = solved[-1]
-    rep = current_mod.current_report(prof, system)
+    prof = solved[-1]
+    rep = current_mod.current_report(prof, prof.system)
     write_table(cfg.out / "bond_currents.csv", cfg.header_lines(),
                 ("x", "current"), enumerate(rep.per_x.tolist(), start=1))
     report.add("current", float(rep.per_x[0]))
@@ -441,7 +442,7 @@ def cmd_simulate(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
         raise ConfigError(f"simulate runs one lattice, got N = {cfg.N_list}")
     [N] = cfg.N_list
     params = cfg.model(N, thermo)
-    [(_, profile)] = solve_lattices(params, (N,), thermo)
+    [profile] = solve_lattices(params, (N,), thermo)
     tables_ex = None
     if cfg.negative_control:
         swapped = replace(
@@ -479,6 +480,7 @@ _LDP_BASIS = (
 def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     if len(cfg.N_list) < 3:
         raise ConfigError("ldp needs at least 3 N values")
+    ldp_mod._require_unbounded(thermo, "the limiting log-MGF")
     params = cfg.model(cfg.N_list[-1], thermo)
     regime = _regime(cfg, params)
     solved = solve_lattices(params, cfg.N_list, thermo)
@@ -494,7 +496,7 @@ def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     for label, G in _LDP_BASIS:
         lam, lam_err = ldp_mod.lambda_limit_with_error(cont, thermo, G)
         per_n = [ldp_mod.log_mgf_scaled(profile, thermo, G)
-                 for _, profile in solved]
+                 for profile in solved]
         gaps = [abs(v - lam) for v in per_n]
         monotone = all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
         monotone_all = monotone_all and monotone

@@ -16,14 +16,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .hydrostatic import (ContinuumProfile, _fit_power_limit, pchip,
-                          tilde_densities)
+from .hydrostatic import (ContinuumProfile, _fit_power_limit, lattices_for,
+                          pchip, tilde_densities)
 from .kernel import KernelParams, continuum_rate
 from .quadrature import geometric_edges, integrate_panels, panel_nodes
 from .table import write_table
 from .thermo import ThermoTables
-from .traffic import (FugacityProfile, Lattices, ModelParams, TrafficSystem,
-                      fast_len, lattices_for)
+from .traffic import FugacityProfile, ModelParams, TrafficSystem, fast_len
 
 
 def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
@@ -298,17 +297,19 @@ class SweepResult:
 
 def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
                thermo: ThermoTables,
-               lattices: Optional[Lattices] = None) -> SweepResult:
+               lattices: Optional[list[FugacityProfile]] = None
+               ) -> SweepResult:
     """Rescaled current E[W_1]/B_N along N_sequence, Richardson limit, and
     the closed-form comparison when theta < 0.
 
-    The lattices are those ``traffic.lattices_for`` gives (solved here when
-    None); the limit, its error and the fallback are ``_fit_power_limit``'s.
+    The lattices are those ``hydrostatic.lattices_for`` gives (solved here
+    when None); the limit, its error and the fallback are
+    ``_fit_power_limit``'s.
     """
     lattices = lattices_for(params_base, N_sequence, thermo, lattices)
     theta, gamma = params_base.theta, params_base.gamma
-    currents = np.array([bond_currents(profile, system)[0]
-                         for system, profile in lattices])
+    currents = np.array([bond_currents(profile, profile.system)[0]
+                         for profile in lattices])
     B_values = np.array([scaling_B(int(N), theta, gamma)
                          for N in N_sequence])
     rescaled_arr = currents / B_values
@@ -316,7 +317,7 @@ def fick_sweep(params_base: ModelParams, N_sequence: Sequence[int],
     closed = None
     rel = None
     if theta < 0.0:
-        profile = lattices[-1][1]
+        profile = lattices[-1]
         closed = closed_form_limit_zr(profile.phi_alpha, profile.phi_beta,
                                       gamma, params_base.kappa,
                                       params_base.kernel_params())

@@ -12,7 +12,7 @@ independent PDE-side verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .kernel import (KernelParams, first_moment_half,
 from .quadrature import integrate_panels
 from .table import header_lines, read_table, write_table
 from .thermo import ThermoTables
-from .traffic import FugacityProfile, Lattices, ModelParams, lattices_for
+from .traffic import FugacityProfile, ModelParams, solve_lattices
 from .traffic import solve_direct  # noqa: F401  (re-export)
 
 EXPLICIT_RATIO = "ExplicitRatio"
@@ -103,20 +103,41 @@ def rho_explicit(u, regime: Regime, alpha_tilde: float, beta_tilde: float,
     return float(out) if out.ndim == 0 else out
 
 
-def _fit_power_limit(vals: Sequence, scales: Sequence):
-    """Extrapolate v_i = c0 + c1 * s_i^(-p) to s -> inf through the last
-    three values, free p clamped; the one owner of the Richardson rules:
-    three or more values at strictly increasing ``scales``, else
-    ``DomainError``.  Each value is a float or an array (one fit per
-    element, one bisection for all).  Returns (c0, err, warn) shaped like
-    the values; warn marks a fallback to the last value.  err is how far c0
-    moves when the largest scale is dropped, or with three values
-    |c0 - v_last| (the larger last step on a fallback, the last if flat).
-    """
-    if len(vals) < 3:
-        raise DomainError(f"need at least 3 lattice sizes, got {len(vals)}")
+def _require_fit_scales(scales: Sequence) -> None:
+    """A fit's scales (lattice sizes): three or more, strictly increasing."""
+    if len(scales) < 3:
+        raise DomainError(f"need at least 3 lattice sizes, got {len(scales)}")
     if any(b <= a for a, b in zip(scales[:-1], scales[1:])):
         raise DomainError(f"N must be strictly increasing, got {list(scales)}")
+
+
+def lattices_for(params: ModelParams, N_values: Sequence[int],
+                 thermo: ThermoTables,
+                 lattices: Optional[list[FugacityProfile]]
+                 ) -> list[FugacityProfile]:
+    """The lattices of a Richardson fit: ``lattices``, refused unless they
+    are ``params`` solved at each N of ``N_values`` in that order; when
+    None, solved once the fit's rule accepts ``N_values``."""
+    if lattices is None:
+        _require_fit_scales(N_values)
+        return solve_lattices(params, N_values, thermo)
+    if [p.system.params for p in lattices] != [
+            replace(params, N=int(N)) for N in N_values]:
+        raise DomainError(f"lattices at N = {[p.system.N for p in lattices]}"
+                          f" are not the model's at N = {list(N_values)}")
+    return lattices
+
+
+def _fit_power_limit(vals: Sequence, scales: Sequence):
+    """Extrapolate v_i = c0 + c1 * s_i^(-p) to s -> inf through the last
+    three values, free p clamped, at scales ``_require_fit_scales``
+    accepts.  Each value is a float or an array (one fit per element, one
+    bisection for all).  Returns (c0, err, warn) shaped like the values;
+    warn marks a fallback to the last value.  err is how far c0 moves when
+    the largest scale is dropped, or with three values |c0 - v_last| (the
+    larger last step on a fallback, the last if flat).
+    """
+    _require_fit_scales(scales)
     v1, v2, v3 = (np.asarray(v, dtype=float) for v in vals[-3:])
     s1, s2, s3 = (np.asarray(s, dtype=float) for s in scales[-3:])
     d1, d2 = v1 - v2, v2 - v3
@@ -155,12 +176,12 @@ def _fit_power_limit(vals: Sequence, scales: Sequence):
 
 
 class DiscreteProfileFamily:
-    """The profiles of solved lattices (``traffic.solve_lattices``'s pairs)
-    across increasing N; rho(u) Richardson-extrapolates phi_N(uN) /
+    """The profiles ``traffic.solve_lattices`` returns across increasing
+    N; rho(u) Richardson-extrapolates phi_N(uN) /
     (phi_alpha + phi_beta) with ``_fit_power_limit``."""
 
-    def __init__(self, lattices: Lattices):
-        self.profiles = [prof for _, prof in lattices]
+    def __init__(self, profiles: Sequence[FugacityProfile]):
+        self.profiles = list(profiles)
 
     def rho_array(self, us):
         """(rho, err, warn) at every point of ``us``, shaped like ``us``.
@@ -172,7 +193,7 @@ class DiscreteProfileFamily:
         the two neighbouring sites removes the jitter at O(1/N^2) cost.
         u = 0 and u = 1 read the edge sites alone.
         """
-        vals, Ns = [], [prof.params.N for prof in self.profiles]
+        vals, Ns = [], [prof.system.N for prof in self.profiles]
         for N, prof in zip(Ns, self.profiles):
             pos = np.asarray(us, dtype=float) * N
             x0 = np.clip(np.floor(pos), 1, N - 2).astype(int)
@@ -301,10 +322,10 @@ def rho_closed_form(params: ModelParams, regime: Regime,
 def rho_extrapolated(params_base: ModelParams, regime: Regime,
                      N_sequence: Sequence[int], thermo: ThermoTables,
                      grid: Optional[np.ndarray] = None,
-                     lattices: Optional[Lattices] = None
+                     lattices: Optional[list[FugacityProfile]] = None
                      ) -> ContinuumProfile:
     """Large-N limit of phi_N / (phi_alpha + phi_beta) on the grid, from
-    the lattices ``traffic.lattices_for`` gives (solved here when None)."""
+    the lattices ``lattices_for`` gives (solved here when None)."""
     if regime.tag not in EXTRAPOLATED_REGIMES:
         raise DomainError(
             f"regime {regime.tag} has a closed form; use rho_closed_form")
@@ -437,7 +458,7 @@ def hydrostatic_average(discrete: FugacityProfile, continuum: ContinuumProfile,
     F must be Lipschitz in its first argument on the fugacity range.
     """
     gv = vectorized(G)
-    N = discrete.params.N
+    N = discrete.system.N
     xs = np.arange(1, N, dtype=float) / N
     disc = float(np.mean(gv(xs) * F(discrete.values, xs)))
 

@@ -39,7 +39,7 @@ def log_mgf_scaled(profile: FugacityProfile, thermo: ThermoTables,
     """Lambda_N(G)/N = (1/N) sum_x log[ Z(e^G(x/N) phi_N(x)) / Z(phi_N(x)) ]."""
     _require_unbounded(thermo, "the scaled log-MGF")
     gv = vectorized(G)
-    N = profile.params.N
+    N = profile.system.N
     g_lat = gv(np.arange(1, N, dtype=float) / N)
     phis = profile.values
     return float(np.sum(thermo.log_partition(np.exp(g_lat) * phis)

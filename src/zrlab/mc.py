@@ -66,7 +66,7 @@ ORACLE_BYTES = 1 << 30          # the exact oracle's dense generator, at most
 class EventTables:
     """An assembled traffic system plus its cumulative kernel row
     ``cum[k]`` = p(1) + ... + p(k), ``cum[0]`` = 0, over the n = N - 1
-    sites.  Every rate is read off ``system``."""
+    sites.  Every rate, N, g and the time scale are read off ``system``."""
 
     system: TrafficSystem
     cum: list
@@ -266,14 +266,14 @@ def _run_chain(chain: _Chain, t_burn: float, t_sample: float,
                        seed=seed, time_scale=time_scale, histogram=hist_frac)
 
 
-def _zero_range_chain(params: ModelParams, tables: EventTables, counts: list,
+def _zero_range_chain(tables: EventTables, counts: list,
                       track_histogram: int, t_burn: float) -> _Chain:
     """Observables xi(x) and g(xi(x)); site x fires at
     g(xi(x)) (q_x + death_base_x) + birth_x and then jumps, dies or gives
     birth in proportion to those three terms.  The histogram, if tracked,
     covers the occupation times after ``t_burn``."""
     n = len(counts)
-    rate_fn = params.rate
+    rate_fn = tables.system.params.rate
     g_cache = [0.0] + rate_fn.values(256).tolist()
 
     def g_of(k: int) -> float:
@@ -381,34 +381,35 @@ def _exclusion_chain(tables: EventTables, eta: list) -> _Chain:
                   move=move)
 
 
-def simulate_zero_range(params: ModelParams, tables: EventTables,
-                        t_burn: float, t_sample: float, seed: int,
-                        init: Optional[np.ndarray] = None,
+def simulate_zero_range(tables: EventTables, t_burn: float, t_sample: float,
+                        seed: int, init: Optional[np.ndarray] = None,
                         track_histogram: int = 0) -> SimEstimate:
-    """Time-averaged xi(x) and g(xi(x)) over the sampling window.
+    """Time-averaged xi(x) and g(xi(x)) over the sampling window, for the
+    model of ``tables.system``.
 
     ``track_histogram=K`` also accrues occupation-time fractions for
     counts 0..K (last bin collects overflow) over the sampling window.
     ``init`` is the starting configuration (N-1 integers >= 0; empty by
     default).
     """
-    counts = _initial_state(init, params.N - 1, occupancy=False)
-    return _run_chain(_zero_range_chain(params, tables, counts,
-                                        track_histogram, t_burn),
-                      t_burn, t_sample, seed, params.time_scale())
+    counts = _initial_state(init, tables.system.N - 1, occupancy=False)
+    chain = _zero_range_chain(tables, counts, track_histogram, t_burn)
+    return _run_chain(chain, t_burn, t_sample, seed,
+                      tables.system.params.time_scale())
 
 
-def simulate_exclusion(params: ModelParams, tables: EventTables,
-                       t_burn: float, t_sample: float, seed: int,
-                       init: Optional[np.ndarray] = None) -> SimEstimate:
-    """Time-averaged eta(x) for the long-jump exclusion chain.
+def simulate_exclusion(tables: EventTables, t_burn: float, t_sample: float,
+                       seed: int, init: Optional[np.ndarray] = None
+                       ) -> SimEstimate:
+    """Time-averaged eta(x) for the long-jump exclusion chain of
+    ``tables.system``.
 
     ``init`` is the starting configuration (N-1 occupancies in {0, 1};
     empty by default).
     """
-    eta = _initial_state(init, params.N - 1, occupancy=True)
+    eta = _initial_state(init, tables.system.N - 1, occupancy=True)
     return _run_chain(_exclusion_chain(tables, eta), t_burn, t_sample, seed,
-                      params.time_scale())
+                      tables.system.params.time_scale())
 
 
 # -- brute-force oracle -----------------------------------------------------
@@ -613,23 +614,26 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
     """Statistical verification of the static zero-range/exclusion mapping:
     (phi_a+phi_b) E[eta(x)] = E[g(xi(x))] = phi_N(x) site by site.
 
-    ``tables_ex`` overrides the exclusion-side rates (negative-control
-    hook for tests); pass requires >= 95% of sites within 3 sigma on all
-    three comparisons.  The report carries both chains' estimates.  The
-    exclusion chain runs in a forked child while the zero-range chain runs
-    here; each reads its own seed's stream, so the estimates are those of
-    two calls in this process.
+    The chains read their rates off ``profile.system``, whose model
+    ``params`` must be, with ``thermo`` the tables of its rate (else
+    ``DomainError``).  ``tables_ex`` overrides the exclusion-side rates
+    (negative-control hook for tests); pass requires >= 95% of sites
+    within 3 sigma on all three comparisons.  The report carries both
+    chains' estimates.  The exclusion chain runs in a forked child while
+    the zero-range chain runs here; each reads its own seed's stream, so
+    the estimates are those of two calls in this process.
     """
-    system = assemble(params, thermo)
-    tables = build_event_tables(system)
-    with _forked(lambda: simulate_exclusion(params, tables_ex or tables,
-                                            t_burn, t_sample, seeds[1])
+    if params != profile.system.params:
+        raise DomainError("the profile solves another model than params")
+    params.boundary_fugacities(thermo)      # refuses tables of another rate
+    tables = build_event_tables(profile.system)
+    with _forked(lambda: simulate_exclusion(tables_ex or tables, t_burn,
+                                            t_sample, seeds[1])
                  ) as exclusion:
-        est_zr = simulate_zero_range(params, tables, t_burn, t_sample,
-                                     seeds[0])
+        est_zr = simulate_zero_range(tables, t_burn, t_sample, seeds[0])
         est_ex = exclusion()
     phi = profile.values
-    s = system.phi_alpha + system.phi_beta
+    s = profile.phi_alpha + profile.phi_beta
     z_eta = _z_scores(est_ex, phi, s)
     z_g = _z_scores(est_zr, phi, s)
     se_cross = np.sqrt((s * est_ex.se_counts) ** 2 + est_zr.se_g ** 2)

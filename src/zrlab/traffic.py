@@ -154,12 +154,12 @@ class TrafficSystem:
     diag: np.ndarray
     kernel_row: np.ndarray
     rhs: np.ndarray
-    N: int
     params: ModelParams
     phi_alpha: float
     phi_beta: float
     rates: ReservoirRates
     _toeplitz: dict = field(default_factory=dict, repr=False)
+    N = property(lambda self: self.params.N)
 
     def toeplitz_apply(self, v: np.ndarray) -> np.ndarray:
         """P v in the precision of v (double, or long double)."""
@@ -237,15 +237,16 @@ class TrafficSystem:
 
 @dataclass
 class FugacityProfile:
-    """Solution phi_N of the traffic equation; determines the product NESS."""
+    """Solution phi_N of the traffic equation; determines the product NESS.
+    Its model, N and fugacities are those of the ``system`` it solves."""
 
     values: np.ndarray
-    params: ModelParams
-    phi_alpha: float
-    phi_beta: float
+    system: TrafficSystem = field(repr=False)
     residual_norm: float
     method: str
     cg_history: Optional[np.ndarray] = None
+    phi_alpha = property(lambda self: self.system.phi_alpha)
+    phi_beta = property(lambda self: self.system.phi_beta)
 
     def phi_at(self, x: int) -> float:
         return float(self.values[x - 1])
@@ -274,16 +275,15 @@ def assemble(params: ModelParams, thermo: ThermoTables) -> TrafficSystem:
     rhs = scale * (phi_b * rr.right + phi_a * rr.left)
     kernel_row = np.asarray(jump_prob(kernel, np.arange(0, params.N - 1)))
     return TrafficSystem(diag=diag, kernel_row=kernel_row, rhs=rhs,
-                         N=params.N, params=params,
-                         phi_alpha=phi_a, phi_beta=phi_b, rates=rr)
+                         params=params, phi_alpha=phi_a, phi_beta=phi_b,
+                         rates=rr)
 
 
 def residual(system: TrafficSystem, values: np.ndarray) -> float:
     """Max-norm residual of (D-P) v = R."""
-    v = values.values if isinstance(values, FugacityProfile) else values
-    if len(v) != system.N - 1:
+    if len(values) != system.N - 1:
         raise DomainError("profile length does not match the system")
-    return float(np.max(np.abs(system.matvec(v) - system.rhs)))
+    return float(np.max(np.abs(system.matvec(values) - system.rhs)))
 
 
 def _require_margin(system: TrafficSystem) -> None:
@@ -310,9 +310,7 @@ def solve_direct(system: TrafficSystem) -> FugacityProfile:
 def _profile(system: TrafficSystem, phi: np.ndarray, method: str,
              cg_history: Optional[np.ndarray] = None) -> FugacityProfile:
     phi = _symmetrize(system, phi)
-    return FugacityProfile(values=phi, params=system.params,
-                           phi_alpha=system.phi_alpha,
-                           phi_beta=system.phi_beta,
+    return FugacityProfile(values=phi, system=system,
                            residual_norm=residual(system, phi),
                            method=method, cg_history=cg_history)
 
@@ -403,42 +401,23 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
     return _profile(system, best, "iterative", cg_history=np.array(history))
 
 
-Lattices = list[tuple[TrafficSystem, FugacityProfile]]
-
-
 def solve_lattices(params: ModelParams, N_values: Sequence[int],
-                   thermo: ThermoTables) -> Lattices:
+                   thermo: ThermoTables) -> list[FugacityProfile]:
     """Assemble and solve each lattice size once; the systems differ from
     ``params`` only in N."""
-    solved = []
-    for N in N_values:
-        system = assemble(dataclasses.replace(params, N=int(N)), thermo)
-        solved.append((system, solve_iterative(system)))
-    return solved
-
-
-def lattices_for(params: ModelParams, N_values: Sequence[int],
-                 thermo: ThermoTables, lattices: Optional[Lattices]
-                 ) -> Lattices:
-    """``lattices``, refused unless they are ``params`` solved at each N of
-    ``N_values`` in that order; ``solve_lattices``'s pairs when None."""
-    if lattices is None:
-        return solve_lattices(params, N_values, thermo)
-    if [system.params for system, _ in lattices] != [
-            dataclasses.replace(params, N=int(N)) for N in N_values]:
-        raise DomainError(f"lattices at N = {[s.N for s, _ in lattices]} "
-                          f"are not the model's at N = {list(N_values)}")
-    return lattices
+    return [solve_iterative(assemble(dataclasses.replace(params, N=int(N)),
+                                     thermo))
+            for N in N_values]
 
 
 def write_profile_csv(profile: FugacityProfile, thermo: ThermoTables,
                       path) -> None:
     """Profile dump: x, x/N, phi, m under a parameter and solve header."""
-    header = {**profile.params.as_dict(), "phi_alpha": profile.phi_alpha,
-              "phi_beta": profile.phi_beta,
+    header = {**profile.system.params.as_dict(),
+              "phi_alpha": profile.phi_alpha, "phi_beta": profile.phi_beta,
               "residual": profile.residual_norm, "method": profile.method}
     m = thermo.mean_density_array(profile.values)
-    N = profile.params.N
+    N = profile.system.N
     x = np.arange(1, N)
     write_table(path, header_lines(header), ("x", "x_over_N", "phi", "m"),
                 zip(x.tolist(), (x / N).tolist(), profile.values.tolist(),

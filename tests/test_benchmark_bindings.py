@@ -109,3 +109,33 @@ def test_bench_reads_the_cli_outputs(tmp_path):
         assert result.exit_code == 0, result.error
         assert not result.problems, result.problems
     assert math.isfinite(result.accuracy["weak_residual"])
+
+
+DESK_N = ["--N", "64", "--N", "128", "--N", "256"]
+DESK_RUNS = (
+    ["profile", "--gamma", "1.5", "--theta", "0", *DESK_N],
+    ["current", "--gamma", "1.5", "--theta", "0", *DESK_N],
+    ["ldp", "--gamma", "1.5", "--theta", "0", "--alpha", "0.5", "--beta",
+     "1.5", *DESK_N],
+    ["simulate", "--gamma", "1.2", "--theta", "0", "--N", "16", "--t-burn",
+     "50", "--t-sample", "300", "--seed", "3"],
+)
+
+
+def test_traced_run_fills_the_observed_counters(tmp_path):
+    # the tracer's observers read the profiles, systems and reports the
+    # subcommands pass around; under the tracer each run keeps its exit
+    # code and every counter the benchmark reports is filled
+    def run_all(prefix):
+        return [cli.main(argv + ["--out", str(tmp_path / prefix / argv[0])])
+                for argv in DESK_RUNS]
+
+    untraced = run_all("untraced")
+    tracer = tracing.Tracer()
+    with tracing.tracing(tracer):
+        traced = run_all("traced")
+    assert traced == untraced == [cli.EXIT_OK] * len(DESK_RUNS)
+    for key in ("traffic.cg_iters", "current.bonds_computed",
+                "hydrostatic.grid_points", "mc.events"):
+        assert tracer.counters[key] > 0, key
+    assert 0.0 < tracer.extrema["mc.fraction_ok"] <= 1.0

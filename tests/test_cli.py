@@ -143,7 +143,7 @@ def test_midpoint_identity_on_an_even_grid(tmp_path, points):
 
 @pytest.mark.parametrize("command", ["profile", "current"])
 def test_extrapolated_regime_needs_three_N(tmp_path, monkeypatch, command):
-    solves, _ = _count_work(monkeypatch, tmp_path)
+    solves, _, _ = _count_work(monkeypatch, tmp_path)
     out = tmp_path / "p"
     assert run([command, "--gamma", "1.5", "--theta", "0", "--N", "64",
                 "--out", str(out)]) == cli.EXIT_CONFIG
@@ -151,7 +151,7 @@ def test_extrapolated_regime_needs_three_N(tmp_path, monkeypatch, command):
 
 
 def test_simulate_refuses_several_N(tmp_path, monkeypatch):
-    solves, chains = _count_work(monkeypatch, tmp_path)
+    solves, _, chains = _count_work(monkeypatch, tmp_path)
     out = tmp_path / "s"
     assert run(["simulate", "--gamma", "1.2", "--theta", "0", "--N", "16",
                 "--N", "32", "--t-sample", "400", "--out", str(out)]
@@ -162,7 +162,7 @@ def test_simulate_refuses_several_N(tmp_path, monkeypatch):
 def test_current_refuses_two_N(tmp_path, monkeypatch):
     # one N gives the bond currents and three or more add the Fick sweep;
     # with two, the smaller would be ignored
-    solves, _ = _count_work(monkeypatch, tmp_path)
+    solves, _, _ = _count_work(monkeypatch, tmp_path)
     out = tmp_path / "c"
     assert run(["current", "--gamma", "0.5", "--theta", "-0.5", "--N", "128",
                 "--N", "256", "--out", str(out)]) == cli.EXIT_CONFIG
@@ -227,6 +227,22 @@ def test_ldp_command(tmp_path, gamma, theta):
     assert header == ("label,Lambda_N_over_N_64,Lambda_N_over_N_128,"
                       "Lambda_N_over_N_256,Lambda_limit,rate_value")
     assert sum(1 for l in scan if not l.startswith(("#", "label"))) == 5
+
+
+@pytest.mark.parametrize("boundary", [
+    ["--g", "figure3", "--phi-alpha", "0.2", "--phi-beta", "0.8"],
+    ["--g", "indicator", "--alpha", "0.3", "--beta", "0.6"],
+], ids=["figure3", "indicator"])
+def test_ldp_refuses_a_bounded_rate_before_solving(tmp_path, monkeypatch,
+                                                   boundary):
+    # the large-deviation functionals need phi* = inf: a rate with a finite
+    # radius is refused before any lattice is solved
+    solves, _, _ = _count_work(monkeypatch, tmp_path)
+    out = tmp_path / "l"
+    assert run(["ldp", *boundary, "--gamma", "1.5", "--theta", "0", "--N",
+                "64", "--N", "128", "--N", "256", "--out", str(out)]
+               ) == cli.EXIT_DOMAIN
+    assert not solves and not out.exists()
 
 
 @pytest.mark.parametrize("command", ["profile", "current", "ldp"])
@@ -384,7 +400,7 @@ def test_exit_code_config_error(tmp_path, monkeypatch):
         assert exc.value.code == cli.EXIT_CONFIG, argv
         assert not (tmp_path / "n").exists()
     # an --out that cannot be a directory is refused before the run
-    solves, _ = _count_work(monkeypatch, tmp_path)
+    solves, _, _ = _count_work(monkeypatch, tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
     assert run(["thermo", "--out", str(taken)]) == cli.EXIT_CONFIG
@@ -427,21 +443,30 @@ def test_negative_control_fails_as_designed(tmp_path):
 
 
 def _count_work(monkeypatch, tmp_path):
-    """Count traffic solves per lattice size and Monte Carlo chain runs.
+    """Count traffic solves per lattice size, assemblies per model and
+    Monte Carlo chain runs.
 
-    Returns the solve Counter and a function that reads the chain runs
-    back as a Counter of names.  Chain runs are logged to a file under
-    ``tmp_path``, so that a run in a forked worker process counts too."""
-    solves = Counter()
+    Returns the solve Counter, the assembly Counter (keyed by the model's
+    params) and a function that reads the chain runs back as a Counter of
+    names.  Chain runs are logged to a file under ``tmp_path``, so that a
+    run in a forked worker process counts too."""
+    solves, assembled = Counter(), Counter()
     log = tmp_path / "chain_runs.log"
     log.touch()
-    solve = traffic.solve_iterative
+    solve, assemble = traffic.solve_iterative, traffic.assemble
 
     def counting_solve(system, **kw):
         solves[system.N] += 1
         return solve(system, **kw)
 
+    def counting_assemble(params, thermo):
+        assembled[params] += 1
+        return assemble(params, thermo)
+
     monkeypatch.setattr(traffic, "solve_iterative", counting_solve)
+    # every module that bound the name assembles through it
+    for module in (traffic, cli, mc):
+        monkeypatch.setattr(module, "assemble", counting_assemble)
     for name in ("simulate_zero_range", "simulate_exclusion"):
         def counting_chain(*args, _run=getattr(mc, name), _name=name, **kw):
             with log.open("a") as runs:
@@ -449,26 +474,36 @@ def _count_work(monkeypatch, tmp_path):
             return _run(*args, **kw)
 
         monkeypatch.setattr(mc, name, counting_chain)
-    return solves, lambda: Counter(log.read_text().split())
+    return solves, assembled, lambda: Counter(log.read_text().split())
 
 
 THREE_N = ["--gamma", "1.5", "--theta", "0", "--N", "32", "--N", "64",
            "--N", "128"]
 
 
-@pytest.mark.parametrize("argv,lattices,chains", [
-    (["profile"] + THREE_N, (32, 64, 128), []),
-    (["current"] + THREE_N, (32, 64, 128), []),
-    (["ldp", "--alpha", "0.5", "--beta", "1.5"] + THREE_N, (32, 64, 128), []),
-    (["simulate", "--gamma", "1.2", "--theta", "0", "--N", "24",
-      "--t-burn", "50", "--t-sample", "400", "--seed", "3"], (24,),
-     ["simulate_zero_range", "simulate_exclusion"]),
-], ids=["profile", "current", "ldp", "simulate"])
+SIMULATE = ["simulate", "--gamma", "1.2", "--theta", "0", "--N", "24",
+            "--t-burn", "50", "--t-sample", "400", "--seed", "3"]
+CHAINS = ["simulate_zero_range", "simulate_exclusion"]
+
+
+@pytest.mark.parametrize("argv,lattices,chains,swapped", [
+    (["profile"] + THREE_N, (32, 64, 128), [], 0),
+    (["current"] + THREE_N, (32, 64, 128), [], 0),
+    (["ldp", "--alpha", "0.5", "--beta", "1.5"] + THREE_N, (32, 64, 128), [],
+     0),
+    (SIMULATE, (24,), CHAINS, 0),
+    (SIMULATE + ["--negative-control"], (24,), CHAINS, 1),
+], ids=["profile", "current", "ldp", "simulate", "negative-control"])
 def test_each_lattice_solved_once(tmp_path, monkeypatch, argv, lattices,
-                                  chains):
-    solves, runs = _count_work(monkeypatch, tmp_path)
+                                  chains, swapped):
+    solves, assembled, runs = _count_work(monkeypatch, tmp_path)
     run(argv + ["--out", str(tmp_path / "o")])
     assert solves == {N: 1 for N in lattices}
+    # each lattice is assembled once, and the negative control's swapped
+    # model (its exclusion rates) once more; nothing is assembled twice
+    assert set(assembled.values()) == {1}
+    assert sorted(params.N for params in assembled) == sorted(
+        lattices + (lattices[-1],) * swapped)
     # the two chains run at the same time, so their order is not fixed
     assert runs() == Counter(chains)
 
@@ -526,7 +561,7 @@ FUGACITIES = ["--phi-alpha", "0.2", "--phi-beta", "0.8"]
         "beta-and-fugacities", "figure3-and-g", "figure3-and-alpha"])
 def test_inert_flags_refused(tmp_path, monkeypatch, argv):
     # a flag that cannot act on the run is a config error, not ignored
-    solves, chains = _count_work(monkeypatch, tmp_path)
+    solves, _, chains = _count_work(monkeypatch, tmp_path)
     out = tmp_path / "o"
     assert run(argv + ["--out", str(out)]) == cli.EXIT_CONFIG
     assert not solves and not chains() and not out.exists()

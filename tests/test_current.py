@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from zrlab.errors import DomainError
 from zrlab import current as C
 from zrlab import hydrostatic as H
+from zrlab import traffic
 from zrlab.kernel import KernelParams
 from zrlab.quadrature import integrate_panels
 from zrlab.traffic import assemble, solve_direct, solve_lattices
@@ -123,25 +124,25 @@ def test_bond_currents_match_exact_sum(thermo_identity, gamma, theta, kappa,
 def test_bond_independence_at_16384(thermo_identity):
     # the O(N) per-bond prefix sums spread 1.26e-9 here; the solve's
     # residual is at the rounding floor, so the spread is the evaluator's
-    (system, prof), = solve_lattices(make_params(1.5, 0.0, 2), (16384,),
-                                     thermo_identity)
-    assert C.current_report(prof, system).relative_spread() < 1e-10
+    prof, = solve_lattices(make_params(1.5, 0.0, 2), (16384,),
+                           thermo_identity)
+    assert C.current_report(prof, prof.system).relative_spread() < 1e-10
 
 
 def test_bond_independence_gamma_19_at_4096(thermo_identity):
     # 1.15e-10 while the rows' in-range mass and the reservoir rates came
     # from two tail-sum evaluators, so the rows of D - P leaked mass
-    (system, prof), = solve_lattices(make_params(1.9, 1.0, 2), (4096,),
-                                     thermo_identity)
-    assert C.current_report(prof, system).relative_spread() < 1e-10
+    prof, = solve_lattices(make_params(1.9, 1.0, 2), (4096,),
+                           thermo_identity)
+    assert C.current_report(prof, prof.system).relative_spread() < 1e-10
 
 
 @pytest.mark.parametrize("theta,N", [(1.0, 2048), (0.5, 4096)])
 def test_bond_independence_gamma_19_pinned(thermo_identity, theta, N):
     # 1.29e-10 and 1.08e-10 with the two tail-sum evaluators
-    (system, prof), = solve_lattices(make_params(1.9, theta, 2), (N,),
-                                     thermo_identity)
-    assert C.current_report(prof, system).relative_spread() < 1e-10
+    prof, = solve_lattices(make_params(1.9, theta, 2), (N,),
+                           thermo_identity)
+    assert C.current_report(prof, prof.system).relative_spread() < 1e-10
 
 
 # -- rescalings ---------------------------------------------------------------
@@ -296,6 +297,28 @@ def test_fick_sweep_reports_fallback(thermo_identity, theta, fallback):
 def test_fick_sweep_refuses_unordered_sizes(thermo_identity, Ns):
     with pytest.raises(DomainError, match="strictly increasing"):
         C.fick_sweep(make_params(1.5, 0.0, 2), Ns, thermo_identity)
+
+
+@pytest.mark.parametrize("Ns", ((1024, 512, 256), (256, 512)))
+@pytest.mark.parametrize("limit", ["fick_sweep", "rho_extrapolated"])
+def test_N_list_the_fit_refuses_is_never_solved(thermo_identity, monkeypatch,
+                                                limit, Ns):
+    # the list is checked by the fit's own rule before any lattice is
+    # solved, and refused with the error the fit itself raises
+    solves = []
+    monkeypatch.setattr(traffic, "solve_iterative",
+                        lambda system: solves.append(system.N))
+    base = make_params(1.5, 0.0, 2)
+    with pytest.raises(DomainError) as fit:
+        H._fit_power_limit([0.0] * len(Ns), Ns)
+    with pytest.raises(DomainError) as refused:
+        if limit == "fick_sweep":
+            C.fick_sweep(base, Ns, thermo_identity)
+        else:
+            H.rho_extrapolated(base, H.classify_regime(1.5, 0.0), Ns,
+                               thermo_identity)
+    assert str(refused.value) == str(fit.value)
+    assert solves == []
 
 
 def test_fick_sweep_refuses_lattices_of_another_model_or_N_list(

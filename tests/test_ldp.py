@@ -33,7 +33,7 @@ def test_log_mgf_identity_closed_form(thermo_identity, solved_256):
     _, prof = solved_256
     G = lambda u: np.sin(2.0 * np.asarray(u, dtype=float))
     got = L.log_mgf_scaled(prof, thermo_identity, G)
-    N = prof.params.N
+    N = prof.system.N
     xs = np.arange(1, N, dtype=float) / N
     expected = float(np.sum(prof.values * (np.exp(G(xs)) - 1.0))) / N
     assert abs(got - expected) < 1e-12

@@ -30,7 +30,7 @@ def tables_for(params, thermo):
 def test_zr_configuration_invariants(thermo_identity):
     params = make_params(1.2, 0.0, 8)
     tables = tables_for(params, thermo_identity)
-    est = mc.simulate_zero_range(params, tables, 0.0, 20.0, seed=1,
+    est = mc.simulate_zero_range(tables, 0.0, 20.0, seed=1,
                                  init=np.array([1, 0, 4, 0, 0, 2.0, 0]))
     assert est.event_count > 0
     for init in ([-3, 0, 0, 0, 0, 0, 0],        # negative count
@@ -38,10 +38,10 @@ def test_zr_configuration_invariants(thermo_identity):
                  [1, 0, 0, 0, 0, 0, np.nan],
                  [0] * 12, [0] * 6):            # wrong length for 7 sites
         with pytest.raises(DomainError):
-            mc.simulate_zero_range(params, tables, 0.0, 20.0, seed=1,
+            mc.simulate_zero_range(tables, 0.0, 20.0, seed=1,
                                    init=np.array(init))
     with pytest.raises(DomainError):    # batches would start before t = 0
-        mc.simulate_zero_range(params, tables, -50.0, 20.0, seed=1)
+        mc.simulate_zero_range(tables, -50.0, 20.0, seed=1)
     with pytest.raises(DomainError):    # NaN site rates
         tables_for(make_params(1.2, 0.0, 8, kappa=math.nan), thermo_identity)
     with pytest.raises(DomainError):    # kappa N^(-theta) overflows to inf
@@ -49,11 +49,10 @@ def test_zr_configuration_invariants(thermo_identity):
     for t_burn, t_sample in ((0.0, math.nan), (0.0, math.inf),
                              (math.nan, 20.0), (math.inf, 20.0)):
         with pytest.raises(DomainError):    # the run would never end
-            mc.simulate_zero_range(params, tables, t_burn, t_sample, seed=1)
+            mc.simulate_zero_range(tables, t_burn, t_sample, seed=1)
     # kappa = 0 from an empty lattice: no site can fire, the state holds
     conservative = make_params(1.2, 0.0, 8, kappa=0.0)
-    est = mc.simulate_zero_range(conservative,
-                                 tables_for(conservative, thermo_identity),
+    est = mc.simulate_zero_range(tables_for(conservative, thermo_identity),
                                  0.0, 20.0, seed=1)
     assert est.event_count == 0
     for arr in (est.mean_counts, est.se_counts, est.mean_g, est.se_g):
@@ -63,7 +62,7 @@ def test_zr_configuration_invariants(thermo_identity):
 def test_exclusion_configuration_validation(thermo_identity):
     params = make_params(1.2, 0.0, 8)
     tables = tables_for(params, thermo_identity)
-    est = mc.simulate_exclusion(params, tables, 0.0, 20.0, seed=1,
+    est = mc.simulate_exclusion(tables, 0.0, 20.0, seed=1,
                                 init=np.array([0, 1, 1, 0, 0, 1, 0]))
     assert est.event_count > 0
     for init in ([0, 2, 0, 0, 0, 0, 0],         # not an occupancy
@@ -71,7 +70,7 @@ def test_exclusion_configuration_validation(thermo_identity):
                  [0, 0.5, 0, 0, 0, 0, 0],
                  [0, 1] * 6):                   # wrong length for 7 sites
         with pytest.raises(DomainError):
-            mc.simulate_exclusion(params, tables, 0.0, 20.0, seed=1,
+            mc.simulate_exclusion(tables, 0.0, 20.0, seed=1,
                                   init=np.array(init))
 
 
@@ -139,7 +138,7 @@ def test_event_tables_read_the_generator(gamma, theta, kappa, N, indicator,
     g = np.concatenate([[0.0], rate.values(int(counts.max()) + 1)])[counts]
     expected = (g * (q + scale * (rr.right + rr.left))
                 + scale * (phi_b * rr.right + phi_a * rr.left))
-    chain = mc._zero_range_chain(params, tables, counts, 0, 0.0)
+    chain = mc._zero_range_chain(tables, counts, 0, 0.0)
     got = np.array([chain.site_rate(x) for x in range(N - 1)])
     assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
@@ -164,7 +163,7 @@ def test_event_tables_large_lattice(thermo_identity, monkeypatch):
     build = mc._exclusion_chain
     monkeypatch.setattr(mc, "_exclusion_chain",
                         lambda *args: chains.append(build(*args)) or chains[0])
-    est = mc.simulate_exclusion(params, tables, 0.0, 0.05, seed=1,
+    est = mc.simulate_exclusion(tables, 0.0, 0.05, seed=1,
                                 init=np.arange(N - 1) % 2)
     assert est.event_count > 0
     assert set(chains[0].state) == {0, 1}
@@ -256,12 +255,12 @@ def test_state_space_guard_bounds_the_generator_memory(thermo_identity,
 def test_zr_reproducible(thermo_identity):
     params = make_params(1.2, 0.0, 24)
     tables = tables_for(params, thermo_identity)
-    a = mc.simulate_zero_range(params, tables, 50.0, 400.0, seed=42)
-    b = mc.simulate_zero_range(params, tables, 50.0, 400.0, seed=42)
+    a = mc.simulate_zero_range(tables, 50.0, 400.0, seed=42)
+    b = mc.simulate_zero_range(tables, 50.0, 400.0, seed=42)
     assert a.event_count == b.event_count
     assert np.array_equal(a.mean_counts, b.mean_counts)
     assert np.array_equal(a.se_counts, b.se_counts)
-    c = mc.simulate_zero_range(params, tables, 50.0, 400.0, seed=43)
+    c = mc.simulate_zero_range(tables, 50.0, 400.0, seed=43)
     assert not np.array_equal(a.mean_counts, c.mean_counts)
 
 
@@ -285,11 +284,11 @@ def test_chains_bit_identical_at_fixed_seed(thermo_identity, chain, from_init,
     tables = tables_for(params, thermo_identity)
     if chain == "zr":
         init = np.arange(23) % 4 if from_init else None
-        est = mc.simulate_zero_range(params, tables, 50.0, 400.0, seed=3,
+        est = mc.simulate_zero_range(tables, 50.0, 400.0, seed=3,
                                      init=init)
     else:
         init = np.arange(23) % 2 if from_init else None
-        est = mc.simulate_exclusion(params, tables, 50.0, 400.0, seed=3,
+        est = mc.simulate_exclusion(tables, 50.0, 400.0, seed=3,
                                     init=init)
     h = hashlib.sha256()
     for arr in (est.mean_counts, est.se_counts, est.mean_g, est.se_g):
@@ -302,7 +301,7 @@ def test_chains_bit_identical_at_fixed_seed(thermo_identity, chain, from_init,
 def test_zr_equilibrium_mean_g(thermo_identity):
     params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
     tables = tables_for(params, thermo_identity)
-    est = mc.simulate_zero_range(params, tables, 300.0, 3000.0, seed=7)
+    est = mc.simulate_zero_range(tables, 300.0, 3000.0, seed=7)
     phi_eq = thermo_identity.fugacity(0.8)
     z = np.abs(est.mean_g - phi_eq) / est.se_g
     assert np.all(z < 4.0)
@@ -315,7 +314,7 @@ def test_zr_equilibrium_pmf_bins(thermo_identity):
     # stationary mass is visible at this budget
     params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
     tables = tables_for(params, thermo_identity)
-    hists = [mc.simulate_zero_range(params, tables, 300.0, 3000.0,
+    hists = [mc.simulate_zero_range(tables, 300.0, 3000.0,
                                     seed=100 + s,
                                     track_histogram=12).histogram
              for s in range(8)]
@@ -335,7 +334,7 @@ def test_zr_matches_traffic_solution(thermo_identity):
     tables = tables_for(params, thermo_identity)
     system = assemble(params, thermo_identity)
     prof = solve_direct(system)
-    est = mc.simulate_zero_range(params, tables, 500.0, 6000.0, seed=1)
+    est = mc.simulate_zero_range(tables, 500.0, 6000.0, seed=1)
     z_g = np.abs(est.mean_g - prof.values) / est.se_g
     assert (z_g < 4.0).mean() >= 0.95
     dens = thermo_identity.mean_density_array(prof.values)
@@ -346,7 +345,7 @@ def test_zr_matches_traffic_solution(thermo_identity):
 def test_histogram_rows_normalized(thermo_identity):
     params = make_params(1.2, 0.0, 16)
     tables = tables_for(params, thermo_identity)
-    est = mc.simulate_zero_range(params, tables, 100.0, 1000.0, seed=3,
+    est = mc.simulate_zero_range(tables, 100.0, 1000.0, seed=3,
                                  track_histogram=10)
     assert np.allclose(est.histogram.sum(axis=1), 1.0, atol=1e-12)
 
@@ -357,7 +356,7 @@ def test_histogram_excludes_burn_in(thermo_identity):
     # empty once the burn-in is cut
     params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
     tables = tables_for(params, thermo_identity)
-    est = mc.simulate_zero_range(params, tables, 300.0, 300.0, seed=3,
+    est = mc.simulate_zero_range(tables, 300.0, 300.0, seed=3,
                                  init=np.full(15, 30), track_histogram=12)
     assert np.allclose(est.histogram.sum(axis=1), 1.0, atol=1e-12)
     assert est.histogram[:, -1].max() < 1e-6
@@ -368,7 +367,7 @@ def test_histogram_excludes_burn_in(thermo_identity):
 def test_exclusion_equilibrium_bernoulli(thermo_identity):
     params = make_params(1.0, 0.0, 32, alpha=0.7, beta=0.7)
     tables = tables_for(params, thermo_identity)
-    est = mc.simulate_exclusion(params, tables, 200.0, 3000.0, seed=9)
+    est = mc.simulate_exclusion(tables, 200.0, 3000.0, seed=9)
     system = tables.system
     assert abs(system.phi_alpha / (system.phi_alpha + system.phi_beta)
                - 0.5) < 1e-12
@@ -379,7 +378,7 @@ def test_exclusion_equilibrium_bernoulli(thermo_identity):
 def test_exclusion_occupation_bounds(thermo_identity):
     params = make_params(1.2, 0.0, 24)
     tables = tables_for(params, thermo_identity)
-    est = mc.simulate_exclusion(params, tables, 100.0, 1500.0, seed=4)
+    est = mc.simulate_exclusion(tables, 100.0, 1500.0, seed=4)
     assert np.all(est.mean_counts >= 0.0)
     assert np.all(est.mean_counts <= 1.0)
 
@@ -389,7 +388,7 @@ def test_exclusion_matches_mapped_profile(thermo_identity):
     tables = tables_for(params, thermo_identity)
     system = assemble(params, thermo_identity)
     prof = solve_direct(system)
-    est = mc.simulate_exclusion(params, tables, 500.0, 8000.0, seed=2)
+    est = mc.simulate_exclusion(tables, 500.0, 8000.0, seed=2)
     s = prof.phi_alpha + prof.phi_beta
     z = np.abs(s * est.mean_counts - prof.values) / (s * est.se_counts)
     assert (z < 4.0).mean() >= 0.95
@@ -403,7 +402,7 @@ def test_burn_in_excluded_from_estimates(thermo_identity):
     # a long burn-in must not raise the time-averaged occupancy above 1
     params = make_params(1.0, 0.0, 16, alpha=0.8, beta=0.8)
     tables = tables_for(params, thermo_identity)
-    est = mc.simulate_exclusion(params, tables, 3000.0, 1000.0, seed=7)
+    est = mc.simulate_exclusion(tables, 3000.0, 1000.0, seed=7)
     assert np.all(est.mean_counts <= 1.0)
 
 
@@ -416,7 +415,7 @@ def test_pairing_long_run_matches_hydrostatic_mean(thermo_identity):
     params = make_params(1.5, 1.0, 128)
     tables = tables_for(params, thermo_identity)
     init = np.random.default_rng(0).poisson(1.0, size=127)
-    est = mc.simulate_zero_range(params, tables, 300.0, 3000.0, seed=21,
+    est = mc.simulate_zero_range(tables, 300.0, 3000.0, seed=21,
                                  init=init)
     G = lambda u: np.sin(np.pi * np.asarray(u, dtype=float))
     xs = np.arange(1, 128, dtype=float) / 128.0
@@ -448,6 +447,28 @@ def test_mapping_check_negative_control(thermo_identity):
     assert not report.passed
 
 
+def test_mapping_check_refuses_a_profile_of_another_model(
+        thermo_identity, thermo_figure3, monkeypatch):
+    # the chains read the profile's own system: params of another model,
+    # or tables of another rate, are refused before either chain runs,
+    # not reported as a FAIL
+    def never(*args, **kw):
+        raise AssertionError("a chain ran")
+
+    monkeypatch.setattr(mc, "simulate_zero_range", never)
+    monkeypatch.setattr(mc, "simulate_exclusion", never)
+    other = make_params(1.2, 0.5, 16, alpha=1.2, beta=0.3)
+    prof = solve_direct(assemble(other, thermo_identity))
+    for params in (make_params(1.2, 0.0, 16, alpha=1.2, beta=0.3),
+                   make_params(1.2, 0.5, 32, alpha=1.2, beta=0.3)):
+        with pytest.raises(DomainError, match="another model"):
+            mc.mapping_check(params, prof, seeds=(1, 2), t_burn=50.0,
+                             t_sample=300.0, thermo=thermo_identity)
+    with pytest.raises(DomainError, match="do not match"):
+        mc.mapping_check(other, prof, seeds=(1, 2), t_burn=50.0,
+                         t_sample=300.0, thermo=thermo_figure3)
+
+
 def _assert_same_estimate(a, b):
     for field in dataclasses.fields(mc.SimEstimate):
         x, y = getattr(a, field.name), getattr(b, field.name)
@@ -473,9 +494,9 @@ def test_mapping_check_estimates_are_in_process_calls(thermo_identity,
                               t_sample=400.0, thermo=thermo_identity,
                               tables_ex=tables_ex)
     _assert_same_estimate(report.est_zr, mc.simulate_zero_range(
-        params, tables, 50.0, 400.0, seed=3))
+        tables, 50.0, 400.0, seed=3))
     _assert_same_estimate(report.est_ex, mc.simulate_exclusion(
-        params, tables_ex or tables, 50.0, 400.0, seed=4))
+        tables_ex or tables, 50.0, 400.0, seed=4))
 
 
 def _mapping_check_small(thermo):
@@ -544,7 +565,7 @@ def test_estimate_csv(tmp_path, thermo_identity):
     params = make_params(1.2, 0.0, 16)
     tables = tables_for(params, thermo_identity)
     prof = solve_direct(assemble(params, thermo_identity))
-    est = mc.simulate_zero_range(params, tables, 50.0, 500.0, seed=1)
+    est = mc.simulate_zero_range(tables, 50.0, 500.0, seed=1)
     path = tmp_path / "est.csv"
     mc.write_estimate_csv(est, prof, path)
     lines = path.read_text().splitlines()

@@ -123,7 +123,7 @@ def test_constant_solution_when_boundaries_match(thermo_identity):
 def test_stationarity_witness(solved_256):
     # residual of the assembled system IS E[L_N xi(x)] = 0 reconstructed
     system, prof = solved_256
-    assert residual(system, prof) < 1e-11
+    assert residual(system, prof.values) < 1e-11
 
 
 def test_iterative_matches_direct(thermo_identity):
