@@ -5,12 +5,18 @@ The stationary product measure is characterized by the traffic equation
 system: P_N is the Toeplitz matrix of in-range jump probabilities, D_N
 adds the reservoir coupling kappa N^(-theta)(r^+ + r^-), and R_N carries
 the reservoir fugacities.  Every lattice is solved by conjugate gradients
-with an FFT Toeplitz matvec and a Jacobi-scaled optimal circulant
-preconditioner (T. Chan, SIAM J. Sci. Stat. Comput. 9, 1988), zero-padded
-to a fast FFT length; dense LU is kept as the reference solution.  Where
-kappa N^(-theta) > 1 the reservoirs dominate the edge rows, and a weight
-per site hands the preconditioner over to Jacobi there and scales the
-residual and rounding floor CG stops at; elsewhere the weight is exactly 1.
+with an FFT Toeplitz matvec, under a Jacobi-scaled preconditioner
+zero-padded to a fast FFT length; dense LU is kept as the reference
+solution.  Where gamma > 1 and kappa N^(-theta) <= 1 its core is the
+kernel folded with reflecting ends, which the DCT-II diagonalises (Ng,
+Chan & Tang, SIAM J. Sci. Comput. 21, 1999), applied through one real FFT
+pair (Makhoul, IEEE Trans. ASSP 28, 1980); elsewhere it is T. Chan's
+optimal circulant (SIAM J. Sci. Stat. Comput. 9, 1988), which takes fewer
+steps at gamma <= 1 and at theta < 0.  Where kappa N^(-theta) > 1 the
+reservoirs dominate the edge rows, and a weight per site hands the
+preconditioner over to Jacobi there and scales the residual and rounding
+floor CG stops at; elsewhere the weight is exactly 1 and is skipped.
+Across an N list each lattice starts from the previous one's profile.
 
 ``assemble`` also serves kappa = 0, the conservative limit that the Monte
 Carlo chains read their rates from (rhs = 0); the system is then singular,
@@ -147,6 +153,36 @@ def _padded_circulant(spectrum: np.ndarray,
                                   n=length)[:len(v)]
 
 
+def _padded_reflection(inverse: np.ndarray,
+                       n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> the first n entries of Q^T diag(inverse) Q [v; 0], Q the
+    orthonormal DCT-II of length m = len(inverse), in one real FFT pair.
+
+    Makhoul's DCT (IEEE Trans. ASSP 28, 1980) reads Q x off the FFT V of x
+    reordered evens first, odds reversed, as Re(e^(-i pi k / 2m) V_k); his
+    inverse transforms e^(i pi k / 2m) (Y_k - i Y_(m-k)) back.  Fused,
+    with a_k = inverse_k and b_k = inverse_(m-k) (b_0 = a_0), the spectrum
+    in between is (a + b) / 2 V + (a - b) / 2 e^(i pi k / m) conj(V), which
+    is Hermitian, so one rfft and one irfft do the whole product."""
+    m = len(inverse)
+    h = m // 2 + 1
+    b = np.concatenate((inverse[:1], inverse[:0:-1]))
+    alpha = 0.5 * (inverse + b)[:h]
+    beta = 0.5 * (inverse - b)[:h] * np.exp(1j * np.pi * np.arange(h) / m)
+    pad = np.zeros(m - n)
+    evens = (n + 1) // 2
+
+    def apply(v):
+        V = np.fft.rfft(np.concatenate((v[0::2], pad, v[1::2][::-1])))
+        out = np.fft.irfft(alpha * V + beta * V.conj(), n=m)
+        y = np.empty(n)
+        y[0::2] = out[:evens]
+        y[1::2] = out[::-1][:n // 2]
+        return y
+
+    return apply
+
+
 @dataclass
 class TrafficSystem:
     """Assembled linear system (D - P) phi = R on Lambda_N."""
@@ -215,24 +251,60 @@ class TrafficSystem:
         d = self.diag[mid]
         return d / (d + excess)
 
-    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
-        """v -> M^-1 v = W [(dI - C)^-1]_n W v + diag((1 - f^2) / D) v, with
-        W = diag(f sqrt(d / D)) and f the ``weight``.
+    def reflective_spectrum(self) -> np.ndarray:
+        """Eigenvalues mu_k = lambda_0 + margin_mid - lambda_k of the
+        reflective core (lambda_0 + margin_mid) I - K, k < m.
 
-        v is zero-padded to C's length m and the product cut to its first n
-        entries: a principal block of the SPD (dI - C)^-1.  A diagonal
-        congruence of an SPD block plus a non-negative diagonal is SPD, so M
-        is.  Where f = 1 it is T. Chan's circulant (his own at m = n) under
-        the Jacobi scaling S^-1 = diag(sqrt(d / D)); where the reservoirs
-        dominate the row (theta < 0, D ~ N^-theta u^-gamma at the edges) f
-        falls and it hands over to Jacobi, 1 / D."""
+        K is the kernel row p, zero-padded to m = fast_len(n), folded with
+        reflecting (Neumann) ends: K = T + H, H[i, j] = p(i + j + 1) +
+        p(2m - 1 - i - j), the Toeplitz-plus-Hankel matrix the orthonormal
+        DCT-II Q diagonalises exactly (Ng, Chan & Tang, SIAM J. Sci.
+        Comput. 21, 1999); its eigenvalues lambda_k are the real spectrum
+        of the length-2m even extension of p.  As K >= 0, |lambda_k| <=
+        lambda_0, its row sum, so every mu_k >= margin_mid, the middle
+        site's reservoir margin, > 0."""
         n = self.N - 1
-        circulant = _padded_circulant(1.0 / self.preconditioner_spectrum(),
-                                      fast_len(n))
+        m = fast_len(n)
+        t = np.concatenate((self.kernel_row, np.zeros(m - n)))
+        lam = np.fft.rfft(np.concatenate((t, [0.0], t[:0:-1]))).real[:m]
+        return lam[0] + self.dominance_margin()[n // 2] - lam
+
+    def reservoirs_dominate(self) -> bool:
+        """kappa N^-theta > 1: the reservoirs outweigh the kernel on the
+        edge rows and the ``weight`` falls below 1 there; otherwise it is
+        exactly 1 on every site."""
+        return self.params.boundary_scale() > 1.0
+
+    def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> M^-1 v = W [core^-1]_n W v + diag((1 - f^2) / D) v, with
+        W = diag(f sqrt(d / D)), d the middle diagonal and f the ``weight``.
+
+        v is zero-padded to the core's fast length m and the product cut to
+        its first n entries: a principal block of an SPD inverse.  A
+        diagonal congruence of an SPD block plus a non-negative diagonal is
+        SPD, so M is.  Where gamma > 1 and the reservoirs do not dominate
+        (f = 1), the core is the reflective (lambda_0 + margin_mid) I - K of
+        ``reflective_spectrum``, applied as Q^T diag(1 / mu) Q: the
+        lattice's nearly reflecting ends suit it better than a periodic
+        core.  Elsewhere it is dI - C, T. Chan's optimal circulant (his own
+        at m = n); where the reservoirs dominate the row (D ~ N^-theta
+        u^-gamma at the edges) f falls and M hands over to Jacobi, 1 / D.
+        Where f = 1 both cores sit under the plain Jacobi scaling
+        sqrt(d / D)."""
+        n = self.N - 1
+        s = np.sqrt(self.diag[n // 2] / self.diag)
+        blended = self.reservoirs_dominate()
+        if self.params.gamma > 1.0 and not blended:
+            core = _padded_reflection(1.0 / self.reflective_spectrum(), n)
+        else:
+            core = _padded_circulant(1.0 / self.preconditioner_spectrum(),
+                                     fast_len(n))
+        if not blended:
+            return lambda v: s * core(s * v)
         f = self.weight()
-        w = f * np.sqrt(self.diag[n // 2] / self.diag)
+        w = f * s
         jacobi = (1.0 - f * f) / self.diag
-        return lambda v: w * circulant(w * v) + jacobi * v
+        return lambda v: w * core(w * v) + jacobi * v
 
 
 @dataclass
@@ -328,28 +400,41 @@ def _symmetrize(system: TrafficSystem, phi: np.ndarray) -> np.ndarray:
     return 0.5 * (phi + (system.phi_alpha + system.phi_beta) - phi[::-1])
 
 
-def _initial_guess(system: TrafficSystem) -> np.ndarray:
-    x = np.arange(1, system.N, dtype=float) / system.N
-    return system.phi_alpha + (system.phi_beta - system.phi_alpha) * x
+def _initial_guess(system: TrafficSystem,
+                   coarse: Optional[FugacityProfile] = None) -> np.ndarray:
+    """The straight line from phi_alpha to phi_beta at u = x / N or, given
+    ``coarse``, a profile of the same model at another N, that profile read
+    at u by linear interpolation between its sites and the end points
+    (0, phi_alpha), (1, phi_beta)."""
+    u = np.arange(1, system.N, dtype=float) / system.N
+    if coarse is None:
+        return system.phi_alpha + (system.phi_beta - system.phi_alpha) * u
+    M = coarse.system.N
+    return np.interp(u, np.arange(M + 1) / M,
+                     np.concatenate(([system.phi_alpha], coarse.values,
+                                     [system.phi_beta])))
 
 
-def solve_iterative(system: TrafficSystem) -> FugacityProfile:
+def solve_iterative(system: TrafficSystem,
+                    x0: Optional[np.ndarray] = None) -> FugacityProfile:
     """Preconditioned conjugate gradients on the SPD matrix D - P, run to
-    the rounding floor.
+    the rounding floor from ``x0`` (the straight line between the boundary
+    fugacities if None).
 
     Residuals are measured row by row in the preconditioner's ``weight``
     f, max_x f_x |r_x|.  Where the reservoirs dominate, f_x = d / D_x: each
     row's residual is read against its own diagonal, in units of the bulk
     one.  Unweighted, the floor would be set by the edge rows, whose
     diagonal is ~N^-theta larger, and be that much looser than the bulk
-    rows need.  Each sweep restarts from the true residual and iterates
-    until the recurrence residual is below
+    rows need.  Elsewhere f = 1 and the plain max-norm is taken.  Each
+    sweep restarts from the true residual and iterates until the
+    recurrence residual is below
     eps (max f (2D - margin) ||x|| + max f |R|), the weighted backward
     error of a correctly rounded solution (the unweighted one where f = 1).
-    Sweeps repeat while they halve the true residual; the best iterate is
-    returned, and ``ConvergenceError`` is raised only when
-    ``MAX_CG_ITERATIONS`` are spent.  The recorded history holds the
-    weighted max-norm residual at each sweep start and after each
+    Sweeps repeat while they halve the true residual and it is above that
+    floor; the best iterate is returned, and ``ConvergenceError`` is raised
+    only when ``MAX_CG_ITERATIONS`` are spent.  The recorded history holds
+    the weighted max-norm residual at each sweep start and after each
     iteration (for failure reports).  Every residual CG works with, the
     true one at each sweep start and the recurrence one after each step,
     passes through the ``preconditioner``.
@@ -358,10 +443,16 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
     b = system.rhs
     precondition = system.preconditioner()
     f = system.weight()
+    if system.reservoirs_dominate():
+        def norm(r):
+            return float(np.max(f * np.abs(r)))
+    else:
+        def norm(r):
+            return float(np.max(np.abs(r)))
     a_norm = float(np.max(f * (2.0 * system.diag
                                - system.dominance_margin())))
-    b_norm = float(np.max(f * np.abs(b)))
-    x = _initial_guess(system)
+    b_norm = norm(b)
+    x = _initial_guess(system) if x0 is None else np.array(x0, dtype=float)
     history = []
     iterations = 0
     best, best_res, last = x.copy(), math.inf, math.inf
@@ -370,7 +461,7 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
         # components barely move a double-precision residual, so without it
         # the forward error stalls near cond(A) eps instead of eps
         r = (b - system.matvec(x.astype(np.longdouble))).astype(float)
-        res = float(np.max(f * np.abs(r)))
+        res = norm(r)
         history.append(res)
         if res < best_res:
             best, best_res = x.copy(), res
@@ -378,6 +469,8 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
             break
         last = res
         floor = EPS * (a_norm * float(np.max(np.abs(x))) + b_norm)
+        if res <= floor:
+            break
         z = precondition(r)
         p = z.copy()
         rz = float(r @ z)
@@ -392,7 +485,7 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
             x += a * p
             r -= a * Ap
             iterations += 1
-            res = float(np.max(f * np.abs(r)))
+            res = norm(r)
             history.append(res)
             z = precondition(r)
             rz_new = float(r @ z)
@@ -404,10 +497,15 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
 def solve_lattices(params: ModelParams, N_values: Sequence[int],
                    thermo: ThermoTables) -> list[FugacityProfile]:
     """Assemble and solve each lattice size once; the systems differ from
-    ``params`` only in N."""
-    return [solve_iterative(assemble(dataclasses.replace(params, N=int(N)),
-                                     thermo))
-            for N in N_values]
+    ``params`` only in N.  Each solve starts from the previous lattice's
+    profile, interpolated to the new N (the first from the straight
+    line)."""
+    profiles = []
+    for N in N_values:
+        system = assemble(dataclasses.replace(params, N=int(N)), thermo)
+        x0 = _initial_guess(system, profiles[-1]) if profiles else None
+        profiles.append(solve_iterative(system, x0=x0))
+    return profiles
 
 
 def write_profile_csv(profile: FugacityProfile, thermo: ThermoTables,

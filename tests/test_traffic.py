@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -14,7 +15,8 @@ from zrlab.kernel import riemann_zeta
 from zrlab import traffic
 from zrlab.thermo import RateFunction, ThermoTables
 from zrlab.traffic import (EPS, ModelParams, assemble, fast_len, residual,
-                           solve_direct, solve_iterative, write_profile_csv)
+                           solve_direct, solve_iterative, solve_lattices,
+                           write_profile_csv)
 
 from conftest import make_params
 
@@ -222,7 +224,7 @@ def test_density_profile(thermo_identity, thermo_figure3):
     assert np.all(np.diff(densm) > 0.0)
 
 
-@given(st.floats(min_value=0.3, max_value=1.8),
+@given(st.floats(min_value=0.3, max_value=1.95),
        st.floats(min_value=-1.0, max_value=1.0),
        st.floats(min_value=0.25, max_value=4.0),
        st.integers(min_value=2, max_value=400))
@@ -230,8 +232,9 @@ def test_density_profile(thermo_identity, thermo_figure3):
 def test_bounds_and_symmetry_property(gamma, theta, kappa, N):
     thermo = ThermoTables.create(RateFunction.identity())
     system = assemble(make_params(gamma, theta, N, kappa=kappa), thermo)
-    # the circulant core of the preconditioner is positive definite
+    # both cores of the preconditioner are positive definite
     assert system.preconditioner_spectrum().min() > 0.0
+    assert system.reflective_spectrum().min() > 0.0
     a_norm = float(np.max(2.0 * system.diag - system.dominance_margin()))
     profiles = [solve(system) for solve in (solve_direct, solve_iterative)]
     for prof in profiles:
@@ -254,13 +257,20 @@ def test_bounds_and_symmetry_property(gamma, theta, kappa, N):
     assert np.max(np.abs(iterative.values - direct.values)) < 1e-9
 
 
-@pytest.mark.parametrize("N", (2, 3, 17, 64, 65, 100, 257))
+def _dense_dct(m: int) -> np.ndarray:
+    """The orthonormal DCT-II of length m as a matrix Q."""
+    return scipy.fft.dct(np.eye(m), norm="ortho", axis=0)
+
+
+@pytest.mark.parametrize("N", (2, 3, 16, 17, 45, 64, 65, 100, 126, 257))
 def test_preconditioner_is_spd(N, thermo_identity):
-    # M^-1 = W [(dI - C)^-1]_n W + diag((1 - f^2) / D) is SPD at padded and
-    # unpadded lengths; where n = N - 1 is itself a fast length the block is
-    # T. Chan's length-n inverse, and M^-1 is built here densely.  kappa = 4
-    # at theta = 0 turns the Jacobi blend on (kappa N^-theta > 1), as
-    # theta = -1 does
+    # M^-1 = W [core^-1]_n W + diag((1 - f^2) / D) is SPD at padded and
+    # unpadded lengths, odd and even.  The reflective core (gamma > 1,
+    # kappa N^-theta <= 1) is checked against Q^T diag(1 / mu) Q built
+    # densely at every length, a principal block where m = fast_len(n) > n
+    # (N = 45, 100); the circulant where n = N - 1 is itself a fast length,
+    # T. Chan's length-n inverse.  kappa = 4 at theta = 0 turns the Jacobi
+    # blend on (kappa N^-theta > 1), as theta = -1 does
     n = N - 1
     cases = [(*gt, 1.0) for gt in itertools.product((0.3, 1.8),
                                                     (-1.0, 0.0, 1.0))]
@@ -273,17 +283,59 @@ def test_preconditioner_is_spd(N, thermo_identity):
         scale = float(np.max(np.abs(M_inv)))
         assert np.max(np.abs(M_inv - M_inv.T)) <= 8.0 * EPS * scale
         assert np.linalg.eigvalsh(M_inv).min() > 0.0
-        if scipy.fft.next_fast_len(n, real=True) == n:
+        d = system.diag[n // 2]
+        f = system.weight()
+        w = f * np.sqrt(d / system.diag)
+        if gamma > 1.0 and kappa * N ** -theta <= 1.0:
+            mu = system.reflective_spectrum()
+            assert mu.min() > 0.0
+            Q = _dense_dct(len(mu))
+            core = ((Q.T / mu) @ Q)[:n, :n]
+        elif scipy.fft.next_fast_len(n, real=True) == n:
             t = system.kernel_row
             k = np.arange(n)
             c = ((n - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / n
-            d = system.diag[n // 2]
-            f = system.weight()
-            w = f * np.sqrt(d / system.diag)
             core = np.linalg.inv(d * np.eye(n) - scipy.linalg.circulant(c))
-            M_inv_ref = (w[:, None] * core * w
-                         + np.diag((1.0 - f * f) / system.diag))
-            assert np.max(np.abs(M_inv - M_inv_ref)) <= 1e-13 * scale
+        else:
+            continue
+        M_inv_ref = (w[:, None] * core * w
+                     + np.diag((1.0 - f * f) / system.diag))
+        assert np.max(np.abs(M_inv - M_inv_ref)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 16, 45, 64, 99, 125, 256))
+def test_reflective_spectrum_diagonalises_the_folded_kernel(
+        n, thermo_identity):
+    # mu are the eigenvalues of (lambda_0 + margin_mid) I - K for the
+    # Toeplitz-plus-Hankel K of the zero-padded kernel row, and Q, the
+    # orthonormal DCT-II, holds its eigenvectors
+    system = assemble(make_params(1.5, 0.5, n + 1), thermo_identity)
+    mu = system.reflective_spectrum()
+    m = len(mu)
+    assert m == fast_len(n)
+    t = np.concatenate((system.kernel_row, np.zeros(2 * m)))
+    i = np.arange(m)
+    K = (t[np.abs(i[:, None] - i)] + t[i[:, None] + i + 1]
+         + t[np.abs(2 * m - 1 - i[:, None] - i)])
+    top = K.sum(axis=1)
+    assert np.max(np.abs(top - top[0])) <= 1e-14 * top[0]
+    core = (top[0] + system.dominance_margin()[n // 2]) * np.eye(m) - K
+    Q = _dense_dct(m)
+    assert np.max(np.abs(Q @ core @ Q.T - np.diag(mu))) <= 1e-14 * mu.max()
+
+
+@pytest.mark.parametrize("m", (5, 6, 7, 15, 16, 45, 63, 64))
+def test_fused_reflection_equals_the_dense_dct(m):
+    # one permuted rfft / irfft pair against Q^T diag(s) Q, on the full
+    # length and on principal blocks (the zero-padded lattice)
+    rng = np.random.default_rng(m)
+    s = rng.uniform(0.5, 3.0, m)
+    Q = _dense_dct(m)
+    dense = (Q.T * s) @ Q
+    for n in sorted({m, m - 1, m - 4, (m + 1) // 2}):
+        apply = traffic._padded_reflection(s, n)
+        fused = np.column_stack([apply(e) for e in np.eye(n)])
+        assert np.max(np.abs(fused - dense[:n, :n])) <= 5e-15 * s.max()
 
 
 @pytest.mark.parametrize("gamma", (0.5, 1.5))
@@ -293,22 +345,42 @@ def test_preconditioner_is_spd(N, thermo_identity):
 def test_preconditioner_unblended_where_reservoirs_are_weak(
         gamma, theta, kappa, N, thermo_identity):
     # kappa N^-theta <= 1: the weight is exactly 1 and the preconditioner is
-    # the Jacobi-scaled circulant bit for bit, so these solves do not move.
-    # At (1.5, 0, 4096) D is flat only to an ulp, and min(1, d / D) would
-    # fall below 1 on thousands of sites
+    # the Jacobi-scaled core bit for bit, with no Jacobi term: T. Chan's
+    # circulant at gamma <= 1 and the reflective core, evens-then-odds-
+    # reversed through one FFT pair, at gamma > 1.  At (1.5, 0, 4096) D is
+    # flat only to an ulp, and min(1, d / D) would fall below 1 on
+    # thousands of sites
     system = assemble(make_params(gamma, theta, N, kappa=kappa),
                       thermo_identity)
     assert np.all(system.weight() == 1.0)
     n = N - 1
     L = fast_len(n)
-    spectrum = 1.0 / system.preconditioner_spectrum()
     s_inv = np.sqrt(system.diag[n // 2] / system.diag)
     precondition = system.preconditioner()
+    if gamma > 1.0:
+        inverse = 1.0 / system.reflective_spectrum()
+        h = L // 2 + 1
+        b = np.concatenate((inverse[:1], inverse[:0:-1]))
+        alpha = 0.5 * (inverse + b)[:h]
+        beta = 0.5 * (inverse - b)[:h] * np.exp(1j * np.pi * np.arange(h) / L)
+
+        def core(u):
+            x = np.concatenate((u, np.zeros(L - n)))
+            V = np.fft.rfft(np.concatenate((x[0::2], x[1::2][::-1])))
+            out = np.fft.irfft(alpha * V + beta * V.conj(), n=L)
+            y = np.empty(L)
+            y[0::2] = out[:(L + 1) // 2]
+            y[1::2] = out[::-1][:L // 2]
+            return y[:n]
+    else:
+        spectrum = 1.0 / system.preconditioner_spectrum()
+
+        def core(u):
+            return np.fft.irfft(np.fft.rfft(u, n=L) * spectrum, n=L)[:n]
     rng = np.random.default_rng(N)
     for _ in range(3):
         v = rng.standard_normal(n)
-        circ = np.fft.irfft(np.fft.rfft(s_inv * v, n=L) * spectrum, n=L)[:n]
-        assert np.array_equal(precondition(v), s_inv * circ)
+        assert np.array_equal(precondition(v), s_inv * core(s_inv * v))
 
 
 def test_fast_len_is_scipys():
@@ -343,13 +415,14 @@ def test_circulant_row_sum_below_middle_mass(thermo_identity):
         assert system.preconditioner_spectrum().min() - margin > -4 * EPS * d
 
 
-@pytest.mark.parametrize("rate, theta, recorded", (("identity", 0.5, 50),
+@pytest.mark.parametrize("rate, theta, recorded", (("identity", 0.5, 31),
                                                    ("figure3", -1.0, 44)))
 def test_cg_work_at_prime_length(rate, theta, recorded):
     # N - 1 = 8191 is prime, the length the preconditioner is padded from;
-    # the theta = 0.5 count was recorded with the unpadded length-(N - 1)
-    # circulant (scipy 1.17.1, numpy 2.4.6, x86-64), the theta = -1 count
-    # with the padded circulant blended into Jacobi and the weighted floor
+    # the theta = 0.5 count was recorded with the padded reflective core
+    # and the floor-level restart break (numpy 2.4.6, x86-64; 50 with the
+    # unpadded length-(N - 1) circulant), the theta = -1 count with the
+    # padded circulant blended into Jacobi and the weighted floor
     rate = getattr(RateFunction, rate)()
     thermo = ThermoTables.create(rate)
     params = ModelParams.from_fugacities(1.5, theta, 1.0, 0.2, 0.8, 8192,
@@ -358,16 +431,9 @@ def test_cg_work_at_prime_length(rate, theta, recorded):
     assert len(prof.cg_history) <= 1.05 * recorded
 
 
-@pytest.mark.parametrize("gamma, rate", ((1.5, "figure3"), (1.9, "identity")))
-def test_forward_error_at_negative_theta(gamma, rate):
-    # against dense LU refined with long-double residuals, max_x of
-    # |phi - phi_ref| / phi_ref; the Jacobi-scaled circulant and the
-    # unweighted floor left 4.5e-14 (figure3) and 9.1e-14 (identity)
-    rate = getattr(RateFunction, rate)()
-    thermo = ThermoTables.create(rate)
-    params = ModelParams.from_fugacities(gamma, -1.0, 1.0, 0.2, 0.8, 1024,
-                                         rate, thermo=thermo)
-    system = assemble(params, thermo)
+def _refined_reference(system):
+    """Dense LU refined with long-double residuals: the float-assembled
+    system's solution, in long double."""
     n = system.N - 1
     idx = np.arange(n)
     A = -system.kernel_row[np.abs(idx[:, None] - idx)]
@@ -377,8 +443,84 @@ def test_forward_error_at_negative_theta(gamma, rate):
     for _ in range(3):
         r = system.rhs - A.astype(np.longdouble) @ ref
         ref += scipy.linalg.lu_solve(lu, r.astype(float))
+    return ref
+
+
+def _fugacity_system(gamma, theta, rate, N):
+    rate = getattr(RateFunction, rate)()
+    thermo = ThermoTables.create(rate)
+    return assemble(ModelParams.from_fugacities(gamma, theta, 1.0, 0.2, 0.8,
+                                                N, rate, thermo=thermo),
+                    thermo)
+
+
+@pytest.mark.parametrize("gamma, rate", ((1.5, "figure3"), (1.9, "identity")))
+def test_forward_error_at_negative_theta(gamma, rate):
+    # against dense LU refined with long-double residuals, max_x of
+    # |phi - phi_ref| / phi_ref; the Jacobi-scaled circulant and the
+    # unweighted floor left 4.5e-14 (figure3) and 9.1e-14 (identity)
+    system = _fugacity_system(gamma, -1.0, rate, 1024)
+    ref = _refined_reference(system)
     phi = solve_iterative(system).values
     assert float(np.max(np.abs(phi - ref) / ref)) < 2e-14
+
+
+@pytest.mark.parametrize("gamma, theta", ((1.8, 0.0), (1.5, 0.5)))
+def test_forward_error_at_nonnegative_theta(gamma, theta):
+    # the same measure, against the reference made reflection-symmetric as
+    # the solvers' profiles are: at theta >= 0 the float-assembled system
+    # breaks the identity by ~1e-12 along its near-null direction, which
+    # the unsymmetrized reference carries.  The circulant left 2.1e-14 at
+    # (1.8, 0); the reflective core 1.5e-14 and 1.6e-15
+    system = _fugacity_system(gamma, theta, "identity", 1024)
+    ref = _refined_reference(system)
+    ref = 0.5 * (ref + (np.longdouble(system.phi_alpha) + system.phi_beta)
+                 - ref[::-1])
+    phi = solve_iterative(system).values
+    assert float(np.max(np.abs(phi - ref) / ref)) < 2e-14
+
+
+@pytest.mark.parametrize("gamma, theta, N", (
+    (0.5, -0.5, 1024), (0.5, 0.0, 1024), (1.5, 0.0, 256), (1.9, 0.0, 1024),
+    (1.5, -0.5, 1024)))
+def test_no_restart_repeats_a_residual(gamma, theta, N, thermo_identity):
+    # a sweep whose restart residual is already at the floor takes no CG
+    # step, so the solve stops there instead of recomputing the same
+    # long-double residual at the same iterate
+    system = assemble(make_params(gamma, theta, N), thermo_identity)
+    restarts = []
+    matvec = system.matvec
+
+    def recording(v):
+        if v.dtype == np.longdouble:
+            restarts.append(v.astype(float))
+        return matvec(v)
+
+    system.matvec = recording
+    history = solve_iterative(system).cg_history
+    assert len(restarts) >= 2
+    assert not any(np.array_equal(a, b)
+                   for a, b in zip(restarts, restarts[1:]))
+    assert np.all(np.diff(history) != 0.0)
+
+
+@pytest.mark.parametrize("gamma, theta, Ns", (
+    (1.5, 0.0, (1024, 2048, 4096)), (1.5, 0.5, (512, 1024, 2048)),
+    (0.5, -0.5, (1024, 2048, 4096)), (1.9, 1.0, (2048, 1024, 4096))))
+def test_warm_starts_match_cold_starts(gamma, theta, Ns, thermo_identity):
+    # solve_lattices starts each lattice from the previous one's profile;
+    # the profiles are those of a start from the line to 1e-12, and the
+    # warm starts take fewer CG steps in all
+    base = make_params(gamma, theta, 2)
+    warm = solve_lattices(base, Ns, thermo_identity)
+    cold = [solve_iterative(assemble(dataclasses.replace(base, N=N),
+                                     thermo_identity)) for N in Ns]
+    assert np.array_equal(warm[0].values, cold[0].values)
+    for w, c in zip(warm, cold):
+        assert w.system.N == c.system.N
+        assert float(np.max(np.abs(w.values - c.values) / c.values)) < 1e-12
+    assert (sum(len(w.cg_history) for w in warm)
+            < sum(len(c.cg_history) for c in cold))
 
 
 def test_profile_csv(tmp_path, solved_256, thermo_identity):
