@@ -31,19 +31,18 @@ which builds the truncated generator from the same system and solves for
 its stationary vector.
 
 The static-mapping check (``mapping_check``) runs its two chains at the
-same time in two processes: the exclusion chain in a forked child, the
-zero-range chain in the caller.  Each chain reads its own seed's stream,
-so the estimates are those of two calls in one process, bit for bit; the
-speed-up needs a second CPU.
+same time in two processes: the exclusion chain in a child forked through
+multiprocessing's fork context, the zero-range chain in the caller.  Only
+the child's outcome is pickled, and multiprocessing is imported at the
+first mapping check, not with the package.  Each chain reads its own
+seed's stream, so the estimates are those of two calls in one process,
+bit for bit; the speed-up needs a second CPU.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import pickle
-import signal
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -526,84 +525,60 @@ def _z_scores(est: SimEstimate, phi: np.ndarray, s: float) -> np.ndarray:
     return (s * est.mean_counts - phi) / (s * est.se_counts + 1e-300)
 
 
-def _serve(task: Callable[[], object], read_fd: int, write_fd: int) -> None:
-    """The forked child of ``_forked``: writes the pickled outcome of
-    ``task()`` to ``write_fd`` and exits without returning.  The outcome is
-    (True, result, None) or (False, exception, its formatted traceback)."""
-    code = 1
-    try:
-        os.close(read_fd)
+@contextmanager
+def _forked(task: Callable[[], object]):
+    """Runs ``task()`` in a forked child while the with-block runs, and
+    yields ``result()``: it waits for the child's result and returns it, or
+    raises the child's exception (same type and message, the child's
+    traceback text as its cause), or ChildProcessError if the child ended
+    without sending one.
+
+    fork, not spawn: the child starts with the parent's modules and
+    tables, so nothing but the outcome is pickled and numpy is not imported
+    again.  ``task`` must take no lock that another thread of the parent
+    could hold at the fork (the chains take none).  The result is received
+    before the child is joined, so a result larger than the pipe's buffer
+    cannot block it.  Leaving the block without a result (the caller's own
+    work raised, or was interrupted) kills the child; either way the child
+    is joined before the block is left, so no process outlives it.
+    """
+    import multiprocessing          # not loaded until a mapping check runs
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+
+    def serve() -> None:
         try:
             outcome = (True, task(), None)
         except Exception as exc:
             import traceback            # not loaded on the normal path
             outcome = (False, exc, traceback.format_exc())
-        data = memoryview(pickle.dumps(outcome))
-        while data:
-            data = data[os.write(write_fd, data):]
-        code = 0
-    finally:
-        # the child must never unwind into the caller's frames (it would go
-        # on running the caller's program), nor flush buffers it shares
-        # with the parent
-        os._exit(code)
-
-
-@contextmanager
-def _forked(task: Callable[[], object]):
-    """Runs ``task()`` in a forked child while the with-block runs, and
-    yields ``result()``: it waits for the child's result and returns it, or
-    raises the child's exception (same type and message), or
-    ChildProcessError if the child ended without sending one.
-
-    fork, not spawn: the child starts with the parent's modules and
-    tables, so nothing but the outcome is pickled and numpy is not imported
-    again.  The child only runs ``task`` and exits; ``task`` must take no
-    lock that another thread of the parent could hold at the fork (the
-    chains take none).  The result is read before the child is reaped, so
-    a result larger than the pipe's buffer cannot block it.  Leaving the
-    block without a result (the caller's own work raised, or was
-    interrupted) kills the child; either way the child is reaped before
-    the block is left, so no process outlives it.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        _serve(task, read_fd, write_fd)
-    os.close(write_fd)
-    reaped = False
-
-    def wait() -> int:
-        nonlocal reaped
-        status = os.waitpid(pid, 0)[1]
-        reaped = True
-        return os.waitstatus_to_exitcode(status)
+        send.send(outcome)
 
     def result():
         try:
-            with open(read_fd, "rb", closefd=False) as pipe:
-                ok, value, child_traceback = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(f"worker process ended with exit code "
-                                    f"{wait()} and no result") from None
-        wait()
+            ok, value, child_traceback = receive.recv()
+        except EOFError:
+            worker.join()
+            raise ChildProcessError(
+                f"worker process ended with exit code {worker.exitcode} "
+                f"and no result") from None
+        worker.join()
         if not ok:
             raise value from ChildProcessError(
                 f"in the worker process:\n{child_traceback}")
         return value
 
-    try:
-        yield result
-    finally:
-        os.close(read_fd)
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            wait()
+    with receive:
+        with send:      # the child's copy is the only writer left open
+            worker = context.Process(target=serve)
+            worker.start()
+        try:
+            yield result
+        finally:
+            if worker.exitcode is None:
+                worker.kill()
+                worker.join()
+            worker.close()
 
 
 def mapping_check(params: ModelParams, profile: FugacityProfile,

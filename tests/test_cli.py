@@ -51,8 +51,9 @@ def test_fresh_process_imports_no_scipy(tmp_path):
 
 
 def test_fresh_process_imports_no_multiprocessing(tmp_path):
-    # the mapping check forks its worker with os.fork; multiprocessing
-    # takes about 11 ms to import, which every run's start-up would pay
+    # the mapping check imports multiprocessing for its fork context when
+    # it runs; the import takes about 23 ms, which every run's start-up
+    # would pay
     assert _fresh_thermo_imports(tmp_path, "multiprocessing") == [0, []]
 
 

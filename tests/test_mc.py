@@ -561,6 +561,24 @@ def test_worker_result_larger_than_the_pipe_buffer():
     _assert_no_child_left()
 
 
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.hook = lambda: None
+
+
+def test_worker_outcome_that_cannot_be_pickled():
+    # the child fails while sending: the parent sees a child that ended
+    # without a result, and no child is left
+    def task():
+        raise _Unpicklable()
+
+    with pytest.raises(ChildProcessError, match="exit code 1 and no result"):
+        with mc._forked(task) as result:
+            result()
+    _assert_no_child_left()
+
+
 def test_estimate_csv(tmp_path, thermo_identity):
     params = make_params(1.2, 0.0, 16)
     tables = tables_for(params, thermo_identity)
