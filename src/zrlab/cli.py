@@ -175,7 +175,12 @@ class RunConfig:
         if self.g_spec == "figure3":
             return RateFunction.figure3()
         if self.g_spec.startswith("table:"):
-            return read_rate_table(self.g_spec[len("table:"):])
+            path = self.g_spec[len("table:"):]
+            try:
+                return read_rate_table(path)
+            except OSError as exc:
+                raise ConfigError(f"rate table {path!r}: "
+                                  f"{exc.strerror}") from None
         raise ConfigError(f"unknown rate function spec {self.g_spec!r}")
 
     def model(self, N: int, thermo: ThermoTables) -> ModelParams:
@@ -219,7 +224,10 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
 
 def _load_config_file(path: str) -> dict:
     cp = configparser.ConfigParser()
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path!r} not found")
     out = {}

@@ -95,7 +95,6 @@ class ReservoirRates:
 
     left: np.ndarray
     right: np.ndarray
-    N: int
 
     def in_range_mass(self) -> np.ndarray:
         """sum_{y in Lambda_N} p(y-x) = 2 c T[1] - c T[x] - c T[N-x]: the
@@ -132,7 +131,7 @@ def reservoir_rates(params: KernelParams, N: int) -> ReservoirRates:
     scaled = params.c_gamma * T
     left = scaled.copy()                       # left[x-1]  = c T[x]
     right = scaled[::-1].copy()                # right[x-1] = c T[N-x]
-    return ReservoirRates(left=left, right=right, N=N)
+    return ReservoirRates(left=left, right=right)
 
 
 def continuum_rate(params: KernelParams, u, side: str):

@@ -596,7 +596,9 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
     within 3 sigma on all three comparisons.  The report carries both
     chains' estimates.  The exclusion chain runs in a forked child while
     the zero-range chain runs here; each reads its own seed's stream, so
-    the estimates are those of two calls in this process.
+    the estimates are those of two calls in this process.  multiprocessing
+    lets no daemonic process (a ``Pool`` worker) start a child, so a
+    mapping check cannot run inside one.
     """
     if params != profile.system.params:
         raise DomainError("the profile solves another model than params")

@@ -115,6 +115,14 @@ class RateFunction:
         return float(self.values(PHI_STAR_SCAN).min())
 
 
+def _table_number(kind: type, text: str, line: str):
+    """``kind(text)``, a cell of the rate table line ``line``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"bad rate table line: {line!r}") from None
+
+
 def read_rate_table(path) -> RateFunction:
     """Parse the plain-text rate table format (k value pairs + tail rule)."""
     values = {}
@@ -126,18 +134,21 @@ def read_rate_table(path) -> RateFunction:
             continue
         if line.startswith("tail:"):
             parts = line[len("tail:"):].split()
-            if parts[0] == "identity":
+            if parts == ["identity"]:
                 tail = "identity"
-            elif parts[0] == "constant" and len(parts) == 2:
+            elif len(parts) == 2 and parts[0] == "constant":
                 tail = "constant"
-                tail_value = float(parts[1])
+                tail_value = _table_number(float, parts[1], line)
             else:
                 raise DomainError(f"bad tail rule line: {line!r}")
             continue
         parts = line.split()
         if len(parts) != 2:
             raise DomainError(f"bad rate table line: {line!r}")
-        values[int(parts[0])] = float(parts[1])
+        k = _table_number(int, parts[0], line)
+        if k in values:
+            raise DomainError(f"rate table lists k = {k} twice")
+        values[k] = _table_number(float, parts[1], line)
     if tail is None:
         raise DomainError("rate table missing trailing tail rule")
     if not values:

@@ -402,16 +402,14 @@ def _symmetrize(system: TrafficSystem, phi: np.ndarray) -> np.ndarray:
 
 def _initial_guess(system: TrafficSystem,
                    coarse: Optional[FugacityProfile] = None) -> np.ndarray:
-    """The straight line from phi_alpha to phi_beta at u = x / N or, given
-    ``coarse``, a profile of the same model at another N, that profile read
-    at u by linear interpolation between its sites and the end points
-    (0, phi_alpha), (1, phi_beta)."""
+    """The profile ``coarse`` of the same model at another N, read at
+    u = x / N by linear interpolation between its sites and the end points
+    (0, phi_alpha), (1, phi_beta); without ``coarse``, between the end
+    points alone: the straight line from phi_alpha to phi_beta."""
+    M, sites = (1, []) if coarse is None else (coarse.system.N, coarse.values)
     u = np.arange(1, system.N, dtype=float) / system.N
-    if coarse is None:
-        return system.phi_alpha + (system.phi_beta - system.phi_alpha) * u
-    M = coarse.system.N
     return np.interp(u, np.arange(M + 1) / M,
-                     np.concatenate(([system.phi_alpha], coarse.values,
+                     np.concatenate(([system.phi_alpha], sites,
                                      [system.phi_beta])))
 
 
@@ -473,7 +471,10 @@ def solve_iterative(system: TrafficSystem,
             break
         z = precondition(r)
         p = z.copy()
-        rz = float(r @ z)
+        # inner products by numpy's pairwise sum, not BLAS: a threaded ddot
+        # sums in an order set by the thread count, and CG carries those
+        # last bits into every later iterate and so into the outputs
+        rz = float(np.add.reduce(r * z))
         while res > floor:
             if iterations >= MAX_CG_ITERATIONS:
                 raise ConvergenceError(
@@ -481,14 +482,14 @@ def solve_iterative(system: TrafficSystem,
                     f"iterations at residual {res:g} (floor {floor:g})",
                     history=np.array(history))
             Ap = system.matvec(p)
-            a = rz / float(p @ Ap)
+            a = rz / float(np.add.reduce(p * Ap))
             x += a * p
             r -= a * Ap
             iterations += 1
             res = norm(r)
             history.append(res)
             z = precondition(r)
-            rz_new = float(r @ z)
+            rz_new = float(np.add.reduce(r * z))
             p = z + (rz_new / rz) * p
             rz = rz_new
     return _profile(system, best, "iterative", cg_history=np.array(history))

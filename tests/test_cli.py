@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -75,6 +76,36 @@ def test_byte_identical_reruns(tmp_path):
     assert run(args + ["--out", str(b)]) == 0
     for name in ("report.txt", "zr_estimates.csv", "ex_estimates.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+THREAD_JOBS = (
+    ["profile", "--gamma", "1.5", "--theta", "0.5", "--N", "4096", "--N",
+     "8192", "--N", "16384"],
+    ["current", "--gamma", "1.5", "--theta", "0.5", "--N", "1024", "--N",
+     "2048", "--N", "4096"],
+)
+
+
+def _outputs_at_threads(out: Path, argv: list, threads: int) -> dict:
+    """Every output file of ``argv`` run in a fresh interpreter whose BLAS
+    and OpenMP pools are set to ``threads`` before numpy is imported."""
+    count = str(threads)
+    env = dict(os.environ, OMP_NUM_THREADS=count, OPENBLAS_NUM_THREADS=count,
+               MKL_NUM_THREADS=count,
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "zrlab", *argv, "--out", str(out)],
+                   env=env, capture_output=True, timeout=300, check=True)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("argv", THREAD_JOBS, ids=lambda argv: argv[0])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    # a threaded BLAS reduction sums in an order that depends on the pool
+    # size, and CG carries its last bits into every later iterate
+    one = _outputs_at_threads(tmp_path / "one", argv, 1)
+    two = _outputs_at_threads(tmp_path / "two", argv, 2)
+    assert sorted(one) == sorted(two)
+    assert [name for name in one if one[name] != two[name]] == []
 
 
 FORMAT_JOBS = (
@@ -320,6 +351,42 @@ def test_config_normalization_spellings(tmp_path, spelling):
 def test_missing_config_file(tmp_path):
     assert run(["thermo", "--config", str(tmp_path / "nope.cfg"),
                 "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text", [
+    "gamma = 1.2\n",                          # no section header
+    "[model]\ngamma\n",                      # a key without =
+    "[model]\ngamma = 1.2\ngamma = 1.4\n",  # a key given twice
+], ids=["no_section", "no_equals", "twice"])
+def test_unparsable_config_file(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "x"
+    assert run(["thermo", "--config", str(cfg),
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("table,code,named", [
+    (None, cli.EXIT_CONFIG, "No such file"),
+    ("1 0.5\n2 x\ntail: identity\n", cli.EXIT_DOMAIN, "'2 x'"),
+    ("one 0.5\ntail: identity\n", cli.EXIT_DOMAIN, "'one 0.5'"),
+    ("1 0.5\ntail: constant x\n", cli.EXIT_DOMAIN, "'tail: constant x'"),
+    ("1 0.5\ntail:\n", cli.EXIT_DOMAIN, "bad tail rule line: 'tail:'"),
+    ("1 0.5\n2 1.0\n1 0.7\ntail: identity\n", cli.EXIT_DOMAIN,
+     "k = 1 twice"),
+], ids=["missing", "value", "k", "tail_value", "empty_tail", "k_twice"])
+def test_malformed_rate_table_is_refused(tmp_path, capsys, table, code,
+                                         named):
+    path = tmp_path / "g.txt"
+    if table is not None:
+        path.write_text(table)
+    out = tmp_path / "p"
+    assert run(["thermo", "--g", f"table:{path}",
+                "--out", str(out)]) == code
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_table_rate_spec(tmp_path):
