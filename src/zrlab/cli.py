@@ -225,8 +225,8 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
 def _load_config_file(path: str) -> dict:
     cp = configparser.ConfigParser()
     try:
-        read = cp.read(path)
-    except configparser.Error as exc:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"config file {path!r} not found")
@@ -483,6 +483,10 @@ _LDP_BASIS = (
     ("sin_pi_u", lambda u: np.sin(np.pi * np.asarray(u, dtype=float))),
     ("one_minus_u", lambda u: 1.0 - np.asarray(u, dtype=float)),
 )
+# bound on |I(pi_G) - (<pi_G, G> - Lambda(G))| over the basis: the identity
+# holds to rounding (<= 7e-16 on the extrapolated regimes at N = 512-2048);
+# the level-2 Lambda misses it by 5e-7 to 7e-6 there
+FENCHEL_TOL = 1e-12
 
 
 def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
@@ -494,13 +498,9 @@ def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     solved = solve_lattices(params, cfg.N_list, thermo)
     cont = _continuum(params, regime, solved, thermo, report)
 
-    def tilted(G):
-        """u -> R(e^G(u) Phi(m(u))), the typical density under the tilt G."""
-        return lambda u: thermo.mean_density_array(
-            np.exp(G(u)) * cont.phi_sum * cont.evaluate(u))
-
     rows = []
     monotone_all = True
+    fenchel_gap = 0.0
     for label, G in _LDP_BASIS:
         lam, lam_err = ldp_mod.lambda_limit_with_error(cont, thermo, G)
         per_n = [ldp_mod.log_mgf_scaled(profile, thermo, G)
@@ -508,14 +508,22 @@ def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
         gaps = [abs(v - lam) for v in per_n]
         monotone = all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
         monotone_all = monotone_all and monotone
-        rate_val = ldp_mod.rate_function(tilted(G), cont, thermo)
+        pi = ldp_mod.tilted_density(cont, thermo, G)
+        rate_val = ldp_mod.rate_function(pi, cont, thermo)
+        # I(pi_G) = <pi_G, G> - Lambda(G), on rate_function's quadrature
+        legendre = (ldp_mod.continuum_pairing(pi, cont, G)
+                    - ldp_mod.lambda_limit(cont, thermo, G))
+        fenchel_gap = max(fenchel_gap, abs(rate_val - legendre))
         rows.append((label, *per_n, lam, rate_val))
     write_table(cfg.out / "ldp_scan.csv", cfg.header_lines(),
                 ("label", *(f"Lambda_N_over_N_{N}" for N in cfg.N_list),
                  "Lambda_limit", "rate_value"), rows)
-    zero = ldp_mod.rate_function(tilted(np.zeros_like), cont, thermo)
+    zero = ldp_mod.rate_function(
+        ldp_mod.tilted_density(cont, thermo, np.zeros_like), cont, thermo)
     report.add("rate_at_typical_profile", zero)
     report.check("rate_vanishes_at_typical", abs(zero) < 1e-8, f"{zero:g}")
+    report.check("fenchel_equality", fenchel_gap < FENCHEL_TOL,
+                 f"{fenchel_gap:g}")
     report.check("gap_monotone", monotone_all)
 
 

@@ -128,14 +128,51 @@ def lattices_for(params: ModelParams, N_values: Sequence[int],
     return lattices
 
 
+P_RANGE = (0.2, 2.0)    # the exponents a Richardson fit may take
+
+
+def _exponent_by_newton(ratio: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The p in ``P_RANGE`` with f(p) = expm1(p a) / -expm1(-p b) = ratio,
+    for a 1-D array of ratios that each have one there (f increases in
+    p).  Newton on ln f(p) = ln(ratio) starts from ln(ratio) / ((a + b)/2),
+    the root when a = b, and bisects the bracket where a step leaves it.
+    Each element stops on its own, so a ratio's p does not depend on the
+    other elements of the array."""
+    target = np.log(ratio)
+    p = np.clip(target / (0.5 * (a + b)), *P_RANGE)
+    lo, hi = np.full_like(p, P_RANGE[0]), np.full_like(p, P_RANGE[1])
+    out = np.empty_like(p)
+    active = np.arange(len(p))
+    for _ in range(60):         # a cap only: a few steps reach rounding
+        g = (np.log(np.expm1(p * a)) - np.log(-np.expm1(-p * b))) - target
+        step = g / (a / -np.expm1(-p * a) - b / np.expm1(p * b))
+        lo, hi = np.where(g < 0.0, p, lo), np.where(g > 0.0, p, hi)
+        new = p - step
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+        # after a step this small the next would move p below an ulp
+        done = np.abs(new - p) <= 1e-12 * p
+        out[active[done]] = new[done]
+        active, p, lo, hi, target = (v[~done] for v in (active, new, lo, hi,
+                                                         target))
+        if not len(active):
+            break
+    out[active] = p
+    return out
+
+
 def _fit_power_limit(vals: Sequence, scales: Sequence):
     """Extrapolate v_i = c0 + c1 * s_i^(-p) to s -> inf through the last
     three values, free p clamped, at scales ``_require_fit_scales``
-    accepts.  Each value is a float or an array (one fit per element, one
-    bisection for all).  Returns (c0, err, warn) shaped like the values;
-    warn marks a fallback to the last value.  err is how far c0 moves when
-    the largest scale is dropped, or with three values |c0 - v_last| (the
-    larger last step on a fallback, the last if flat).
+    accepts.  Each value is a float or an array (one fit per element, each
+    the fit of that element alone).  Returns (c0, err, warn) shaped like
+    the values; warn marks a fallback to the last value.  err is how far c0
+    moves when the largest scale is dropped, or with three values
+    |c0 - v_last| (the larger last step on a fallback, the last if flat).
+
+    With a = ln(s2/s1) and b = ln(s3/s2), p solves
+    d1/d2 = f(p) = expm1(p a) / -expm1(-p b) (``_exponent_by_newton``);
+    where f - d1/d2 keeps its sign on ``P_RANGE``, p is the end where
+    |f - d1/d2| is smaller.
     """
     _require_fit_scales(scales)
     v1, v2, v3 = (np.asarray(v, dtype=float) for v in vals[-3:])
@@ -144,23 +181,18 @@ def _fit_power_limit(vals: Sequence, scales: Sequence):
     tiny = 1e-13 * np.maximum(1.0, np.abs(v3))
     flat = (np.abs(d1) < tiny) & (np.abs(d2) < tiny)
     warn = ~flat & ((d1 * d2 <= 0.0) | (np.abs(d2) >= np.abs(d1)))
-
-    def mismatch(p):
-        return (d1 / d2) - (s1 ** -p - s2 ** -p) / (s2 ** -p - s3 ** -p)
+    a, b = math.log(s2 / s1), math.log(s3 / s2)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        lo, hi = np.full(v3.shape, 0.2), np.full(v3.shape, 2.0)  # p range
-        m_lo, m_hi = mismatch(lo), mismatch(hi)
+        ratio = d1 / d2
+        m_lo, m_hi = (ratio - np.expm1(q * a) / -np.expm1(-q * b)
+                      for q in P_RANGE)
         # where the mismatch keeps its sign on the range: the closer end
         no_root = m_lo * m_hi > 0.0
-        closer_end = np.where(np.abs(m_lo) < np.abs(m_hi), 0.2, 2.0)
-        for _ in range(60):
-            p = 0.5 * (lo + hi)
-            m_p = mismatch(p)
-            left = m_lo * m_p <= 0.0
-            lo, hi = np.where(left, lo, p), np.where(left, p, hi)
-            m_lo = np.where(left, m_lo, m_p)    # mismatch(lo), carried
-        p = np.where(no_root, closer_end, 0.5 * (lo + hi))
+        p = np.where(np.abs(m_lo) < np.abs(m_hi), *P_RANGE)
+        solve = np.flatnonzero(~(flat | warn | no_root))
+        p.reshape(-1)[solve] = _exponent_by_newton(ratio.reshape(-1)[solve],
+                                                   a, b)
         c1 = d2 / (s2 ** -p - s3 ** -p)
         c0 = v3 - c1 * s3 ** -p
     value = np.where(flat | warn, v3, c0)
@@ -381,11 +413,11 @@ def _laplacian_pairing(rho_at: Callable, G: Callable, kernel: KernelParams,
     # analytically from the leading u^(1-gamma) growth of L G.
     y_span = math.log(a / 1e-13)
     edges = np.linspace(0.0, y_span, int(math.ceil(y_span / 3.0)) + 1)
-    origin, sign = np.array([[0.0], [1.0]]), np.array([[1.0], [-1.0]])
+    origin, sign = np.array([0.0, 1.0]), np.array([1.0, -1.0])
 
-    def sub(y):
+    def sub(y, row):
         t = a * np.exp(-y)
-        return integrand(origin + sign * t) * t
+        return integrand(origin[row] + sign[row] * t) * t
 
     ends = integrate_panels(sub, np.stack([edges, edges]), n=n_nodes)
     t0 = a * math.exp(-y_span)

@@ -225,32 +225,32 @@ def regional_frac_laplacian(params: KernelParams, G: Callable, u):
         raise DomainError(f"regional Laplacian evaluated at boundary u={u}")
     gam = params.gamma
     gv = vectorized(G)
-    x = u_arr.reshape(-1)
-    us = x[:, None]                  # one quadrature row per point
-    gu = gv(us)
+    x = u_arr.reshape(-1)            # one quadrature row per point
+    gu = gv(x)
 
     m = np.minimum(_WINDOW, np.minimum(x, 1.0 - x))
 
     # stencil at the nearest safely-interior point (shift is O(h) at worst)
     h = 1e-3
-    uc = np.clip(us, 2.0 * h, 1.0 - 2.0 * h)
+    uc = np.clip(x[:, None], 2.0 * h, 1.0 - 2.0 * h)
     gp = gv(uc + h * np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))
     g2 = (-gp[:, 4] + 16.0 * gp[:, 3] - 30.0 * gp[:, 2] + 16.0 * gp[:, 1]
           - gp[:, 0]) / (12.0 * h * h)
 
     cut = np.where(m <= 2.0 * _INNER_CUT, m, _INNER_CUT)
 
-    def folded(t):
-        return (gv(us + t) + gv(us - t) - 2.0 * gu) * t ** (-(1.0 + gam))
+    def folded(t, row):
+        u = x[row]
+        return (gv(u + t) + gv(u - t) - 2.0 * gu[row]) * t ** (-(1.0 + gam))
 
-    # a row with cut = m gets zero-width panels only, which add exactly 0
+    # a row with cut = m has no panel of positive width and integrates to 0
     inner = (g2 * cut ** (2.0 - gam) / (2.0 - gam)
              + integrate_panels(folded, geometric_edges(cut, m)))
 
     def outer_part(b: np.ndarray, sign: float) -> np.ndarray:
-        # one side of u, distances in [m, b]; zero-width where b = m
-        def f(t):
-            return (gv(us + sign * t) - gu) * t ** (-(1.0 + gam))
+        # one side of u, distances in [m, b]; nothing where b = m
+        def f(t, row):
+            return (gv(x[row] + sign * t) - gu[row]) * t ** (-(1.0 + gam))
 
         return integrate_panels(f, geometric_edges(m, b))
 

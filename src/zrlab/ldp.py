@@ -97,6 +97,16 @@ def rate_function(pi: Callable, m_bar: ContinuumProfile,
     return integrate_panels(integrand, _quad_edges(), n=8)
 
 
+def tilted_density(m_bar: ContinuumProfile, thermo: ThermoTables,
+                   G: Callable) -> Callable:
+    """u -> R(e^G(u) Phi(m(u))), the typical density under the tilt G: the
+    profile at which the rate function meets the Legendre transform of
+    ``lambda_limit``, I(pi_G) = <pi_G, G> - Lambda(G)."""
+    gv = vectorized(G)
+    return lambda u: thermo.mean_density_array(
+        np.exp(gv(u)) * m_bar.phi_sum * m_bar.evaluate(u))
+
+
 def continuum_pairing(pi: Callable, m_bar: ContinuumProfile,
                       G: Callable) -> float:
     """<pi, G> = int pi(u) G(u) du on the same quadrature grid as

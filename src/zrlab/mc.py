@@ -541,8 +541,14 @@ def _forked(task: Callable[[], object]):
     cannot block it.  Leaving the block without a result (the caller's own
     work raised, or was interrupted) kills the child; either way the child
     is joined before the block is left, so no process outlives it.
+
+    A daemonic process (a ``Pool`` worker) may start no child: there
+    ``result()`` runs ``task()`` in the caller, and raises what it raises.
     """
     import multiprocessing          # not loaded until a mapping check runs
+    if multiprocessing.current_process().daemon:
+        yield task
+        return
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
 
@@ -596,9 +602,9 @@ def mapping_check(params: ModelParams, profile: FugacityProfile,
     within 3 sigma on all three comparisons.  The report carries both
     chains' estimates.  The exclusion chain runs in a forked child while
     the zero-range chain runs here; each reads its own seed's stream, so
-    the estimates are those of two calls in this process.  multiprocessing
-    lets no daemonic process (a ``Pool`` worker) start a child, so a
-    mapping check cannot run inside one.
+    the estimates are those of two calls in this process.  In a daemonic
+    process (a ``Pool`` worker), which may start no child, the exclusion
+    chain runs here after the zero-range chain, with the same estimates.
     """
     if params != profile.system.params:
         raise DomainError("the profile solves another model than params")

@@ -125,14 +125,21 @@ def _table_number(kind: type, text: str, line: str):
 
 def read_rate_table(path) -> RateFunction:
     """Parse the plain-text rate table format (k value pairs + tail rule)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"rate table is not UTF-8 text: {exc}") from None
     values = {}
     tail = None
     tail_value = None
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("tail:"):
+            if tail is not None:
+                raise DomainError(f"rate table gives a second tail rule: "
+                                  f"{line!r}")
             parts = line[len("tail:"):].split()
             if parts == ["identity"]:
                 tail = "identity"

@@ -253,6 +253,7 @@ def test_ldp_command(tmp_path, gamma, theta):
                 "--out", str(out)]) == 0
     rep = read_report(out)
     assert "check:rate_vanishes_at_typical = PASS" in rep
+    assert "check:fenchel_equality = PASS" in rep
     assert "check:gap_monotone = PASS" in rep
     scan = (out / "ldp_scan.csv").read_text().splitlines()
     header = [l for l in scan if l.startswith("label,")][0]
@@ -357,10 +358,14 @@ def test_missing_config_file(tmp_path):
     "gamma = 1.2\n",                          # no section header
     "[model]\ngamma\n",                      # a key without =
     "[model]\ngamma = 1.2\ngamma = 1.4\n",  # a key given twice
-], ids=["no_section", "no_equals", "twice"])
+    b"\xff\xfe[model]\ngamma = 1.2\n",     # not UTF-8
+], ids=["no_section", "no_equals", "twice", "not_utf8"])
 def test_unparsable_config_file(tmp_path, capsys, text):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
+    if isinstance(text, bytes):
+        cfg.write_bytes(text)
+    else:
+        cfg.write_text(text)
     out = tmp_path / "x"
     assert run(["thermo", "--config", str(cfg),
                 "--out", str(out)]) == cli.EXIT_CONFIG
@@ -376,11 +381,17 @@ def test_unparsable_config_file(tmp_path, capsys, text):
     ("1 0.5\ntail:\n", cli.EXIT_DOMAIN, "bad tail rule line: 'tail:'"),
     ("1 0.5\n2 1.0\n1 0.7\ntail: identity\n", cli.EXIT_DOMAIN,
      "k = 1 twice"),
-], ids=["missing", "value", "k", "tail_value", "empty_tail", "k_twice"])
+    ("1 0.5\ntail: identity\ntail: constant 2\n", cli.EXIT_DOMAIN,
+     "second tail rule: 'tail: constant 2'"),
+    (b"\xff\xfe1 0.5\ntail: identity\n", cli.EXIT_DOMAIN, "not UTF-8"),
+], ids=["missing", "value", "k", "tail_value", "empty_tail", "k_twice",
+        "two_tails", "not_utf8"])
 def test_malformed_rate_table_is_refused(tmp_path, capsys, table, code,
                                          named):
     path = tmp_path / "g.txt"
-    if table is not None:
+    if isinstance(table, bytes):
+        path.write_bytes(table)
+    elif table is not None:
         path.write_text(table)
     out = tmp_path / "p"
     assert run(["thermo", "--g", f"table:{path}",

@@ -97,12 +97,17 @@ def test_rho_explicit_range_and_symmetry(u):
 # -- power-law extrapolation core ------------------------------------------------
 
 def test_fit_power_limit_recovers_exact_law():
-    Ns = (100, 200, 400)
-    for p in (0.5, 1.0, 1.7):
-        vals = [0.37 + 2.1 * n ** -p for n in Ns]
-        c0, err, warn = H._fit_power_limit(vals, Ns)
-        assert not warn
-        assert abs(c0 - 0.37) < 1e-10
+    edge_ps = (0.2, 0.2 + 1e-9, 2.0 - 1e-9, 2.0)
+    for Ns, ps in (((100, 200, 400), (0.5, 1.0, 1.7) + edge_ps),
+                   ((100, 300, 400), (0.5, 1.0, 1.7) + edge_ps),
+                   ((512, 1000, 1500), (0.7, 1.3) + edge_ps),
+                   # d1/d2 > 1 needs p > 1.36 on this list
+                   ((1000, 1500, 4000), (1.4, 1.7) + edge_ps[2:])):
+        for p in ps:
+            vals = [0.37 + 2.1 * n ** -p for n in Ns]
+            c0, err, warn = H._fit_power_limit(vals, Ns)
+            assert not warn
+            assert abs(c0 - 0.37) < 1e-10
 
 
 def test_fit_power_limit_fallbacks():
@@ -128,8 +133,10 @@ def test_fit_power_limit_array_equals_scalar_calls():
 
 
 def _fit_power_limit_reference(vals, scales):
-    """The fit as first written: the bisection recomputes mismatch(lo) at
-    every step instead of carrying it."""
+    """The fit with the exponent found by 60 bisection steps, recomputing
+    mismatch(lo) at every step; returns (c0, err, warn) and the elements
+    whose p it bisected for (neither flat nor a fallback, nor clamped to
+    an end of the range)."""
     v1, v2, v3 = (np.asarray(v, dtype=float) for v in vals[-3:])
     s1, s2, s3 = (np.asarray(s, dtype=float) for s in scales[-3:])
     d1, d2 = v1 - v2, v2 - v3
@@ -147,8 +154,8 @@ def _fit_power_limit_reference(vals, scales):
             p = 0.5 * (lo + hi)
             left = mismatch(lo) * mismatch(p) <= 0.0
             lo, hi = np.where(left, lo, p), np.where(left, p, hi)
-        p = np.where(m_lo * m_hi > 0.0,
-                     np.where(np.abs(m_lo) < np.abs(m_hi), 0.2, 2.0),
+        clamped = m_lo * m_hi > 0.0
+        p = np.where(clamped, np.where(np.abs(m_lo) < np.abs(m_hi), 0.2, 2.0),
                      0.5 * (lo + hi))
         c1 = d2 / (s2 ** -p - s3 ** -p)
         c0 = v3 - c1 * s3 ** -p
@@ -156,23 +163,75 @@ def _fit_power_limit_reference(vals, scales):
     err = np.where(flat, np.abs(d2),
                    np.where(warn, np.maximum(np.abs(d1), np.abs(d2)),
                             np.abs(c0 - v3)))
-    return value, err, warn
+    return value, err, warn, ~(flat | warn | clamped)
 
 
-def test_fit_power_limit_matches_the_recomputing_reference():
-    # carrying mismatch(lo) through the bisection changes no bit
-    rng = np.random.default_rng(7)
+def test_fit_power_limit_newton_agrees_with_the_bisection_reference(
+        monkeypatch):
+    # same fallbacks and clamps, bit for bit; where the reference bisects,
+    # Newton's c0 and err lie within ``bound`` (relative) of it
+    solved = []
+    newton = H._exponent_by_newton
+    monkeypatch.setattr(H, "_exponent_by_newton",
+                        lambda r, a, b: solved.append(r) or newton(r, a, b))
+    for Ns, bound in (((512, 1024, 2048), 1e-13),
+                      ((100, 300, 400), 5e-13),
+                      ((1000, 1500, 4000), 5e-13)):
+        rng = np.random.default_rng(7)
+        n = 4000
+        p = rng.uniform(0.05, 3.0, n)
+        laws = [0.4 + rng.normal(0.0, 1.0, n) * N ** -p for N in Ns]
+        noise = [law + rng.normal(0.0, 1e-3, n) for law in laws]
+        vals = np.concatenate([laws, noise, rng.uniform(0.0, 1.0, (3, n))],
+                              axis=1)
+        vals[:, :50] = 0.3                              # flat columns
+        solved.clear()
+        c0, err, warn = H._fit_power_limit(vals, Ns)
+        ref_c0, ref_err, ref_warn, bisected = _fit_power_limit_reference(
+            vals, Ns)
+        assert warn.tobytes() == ref_warn.tobytes()
+        # Newton solves for exactly the elements the reference bisects for
+        d1, d2 = (vals[i][bisected] - vals[i + 1][bisected] for i in (0, 1))
+        (ratios,) = solved
+        assert ratios.tobytes() == (d1 / d2).tobytes()
+        assert np.count_nonzero(bisected) > 400
+        assert c0[~bisected].tobytes() == ref_c0[~bisected].tobytes()
+        assert err[~bisected].tobytes() == ref_err[~bisected].tobytes()
+        for got, want in ((c0, ref_c0), (err, ref_err)):
+            gap = np.abs(got[bisected] - want[bisected])
+            assert np.all(gap <= bound * np.abs(want[bisected]))
+
+
+def test_fit_power_limit_newton_no_less_accurate_than_the_bisection():
+    # exact laws rounded to floats; the oracle solves the fit through those
+    # floats in 50-digit arithmetic
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(3)
     Ns = (512, 1024, 2048)
-    n = 4000
-    p = rng.uniform(0.05, 3.0, n)
-    laws = [0.4 + rng.normal(0.0, 1.0, n) * N ** -p for N in Ns]
-    noise = [law + rng.normal(0.0, 1e-3, n) for law in laws]
-    vals = np.concatenate([laws, noise, rng.uniform(0.0, 1.0, (3, n))],
-                          axis=1)
-    vals[:, :50] = 0.3                                  # flat columns
-    for got, want in zip(H._fit_power_limit(vals, Ns),
-                         _fit_power_limit_reference(vals, Ns)):
-        assert got.tobytes() == want.tobytes()
+    m = 60
+    ps = np.concatenate([rng.uniform(0.2, 2.0, m - 4),
+                         [0.2 + 1e-6, 0.2 + 1e-3, 1.999, 2.0 - 1e-9]])
+    c0s, c1s = rng.uniform(-1.0, 1.0, m), rng.normal(0.0, 1.0, m)
+    with mp.workdps(50):
+        vals = np.array([[float(mp.mpf(c0s[j]) + mp.mpf(c1s[j])
+                                * mp.mpf(N) ** -mp.mpf(ps[j]))
+                          for j in range(m)] for N in Ns])
+        oracle = []
+        s1, s2, s3 = (mp.mpf(N) for N in Ns)
+        for j in range(m):
+            v1, v2, v3 = (mp.mpf(v) for v in vals[:, j])
+            ratio = (v1 - v2) / (v2 - v3)
+            p = mp.findroot(lambda q: (s1 ** -q - s2 ** -q)
+                            / (s2 ** -q - s3 ** -q) - ratio,
+                            (mp.mpf("0.2"), mp.mpf(2)), solver="anderson")
+            oracle.append(float(v3 - (v2 - v3) / (s2 ** -p - s3 ** -p)
+                                * s3 ** -p))
+    newton, _, warn = H._fit_power_limit(vals, Ns)
+    bisection, _, _, bisected = _fit_power_limit_reference(vals, Ns)
+    assert not warn.any() and bisected.all()
+    newton_gap = np.max(np.abs(newton - oracle))
+    assert newton_gap <= np.max(np.abs(bisection - oracle))
+    assert newton_gap < 1e-15
 
 
 def test_default_grid_contains_exact_midpoint():

@@ -318,7 +318,7 @@ def test_regional_laplacian_array_equals_scalar_calls(gamma):
     for arg in (us, us.reshape(2, 3)):
         got = K.regional_frac_laplacian(kp, G, arg)
         assert got.shape == arg.shape
-        assert np.all(np.abs(got.ravel() - scalar) <= 1e-13 * np.abs(scalar))
+        assert np.array_equal(got.ravel(), scalar)
 
 
 def test_vectorized_flattens_and_reshapes():

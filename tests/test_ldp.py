@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zrlab import cli
 from zrlab.errors import DomainError
 from zrlab import hydrostatic as H
 from zrlab import ldp as L
@@ -131,6 +132,27 @@ def test_fenchel_young(thermo_identity, neumann_profile):
                + L.lambda_limit(neumann_profile, thermo_identity, G))
         rhs = L.continuum_pairing(pi, neumann_profile, G)
         assert lhs >= rhs - 1e-9
+
+
+@pytest.mark.parametrize("gamma,theta", [(1.5, 0.0), (1.5, 0.2), (1.5, 0.5)],
+                         ids=["ReactionDiffusion", "Dirichlet", "Robin"])
+def test_fenchel_equality_at_the_tilted_density(thermo_identity, gamma,
+                                                theta):
+    # I(pi_G) = <pi_G, G> - Lambda(G) at pi_G = tilted_density(G), with
+    # Lambda on rate_function's quadrature (level 1); the level-2 Lambda
+    # misses it for G = u (negative control)
+    params = make_params(gamma, theta, 2048, alpha=0.5, beta=1.5)
+    cont = H.rho_extrapolated(params, H.classify_regime(gamma, theta),
+                              (512, 1024, 2048), thermo_identity)
+    for label, G in cli._LDP_BASIS:
+        pi = L.tilted_density(cont, thermo_identity, G)
+        rate = L.rate_function(pi, cont, thermo_identity)
+        pairing = L.continuum_pairing(pi, cont, G)
+        gap = abs(rate - (pairing - L.lambda_limit(cont, thermo_identity, G)))
+        assert gap < cli.FENCHEL_TOL
+        if label == "u":
+            level2 = L.lambda_limit(cont, thermo_identity, G, level=2)
+            assert abs(rate - (pairing - level2)) > 100 * cli.FENCHEL_TOL
 
 
 def test_gateaux_trivial_cases(thermo_identity, neumann_profile):

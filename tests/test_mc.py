@@ -499,6 +499,27 @@ def test_mapping_check_estimates_are_in_process_calls(thermo_identity,
         tables_ex or tables, 50.0, 400.0, seed=4))
 
 
+def _mapping_estimates_n8():
+    thermo = ThermoTables.create(RateFunction.identity())
+    params = make_params(1.2, 0.0, 8)
+    prof = solve_direct(assemble(params, thermo))
+    report = mc.mapping_check(params, prof, seeds=(5, 6), t_burn=20.0,
+                              t_sample=100.0, thermo=thermo)
+    return report.est_zr, report.est_ex
+
+
+def test_mapping_check_runs_inside_a_pool_worker():
+    # a daemonic Pool worker may start no child: both chains run in it,
+    # with the estimates of a mapping check in this process
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        in_worker = pool.apply_async(_mapping_estimates_n8).get(timeout=60)
+        pool.close()
+        pool.join()
+    for got, want in zip(in_worker, _mapping_estimates_n8()):
+        _assert_same_estimate(got, want)
+    _assert_no_child_left()
+
+
 def _mapping_check_small(thermo):
     params = make_params(1.2, 0.0, 16)
     prof = solve_direct(assemble(params, thermo))

@@ -20,7 +20,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "zrlab"
 # the objects no src/ code calls, and why each stays
 NO_SRC_CALLER = {
     "compact_bump": "acceptance-08's and the benchmark's test function",
-    "continuum_pairing": "acceptance-09 pairs profiles with it",
     "discrete_frac_laplacian": "the tests' reference for the regional "
                                "fractional Laplacian",
     "exact_stationary_distribution": "acceptance-02's brute-force oracle",
