@@ -72,7 +72,6 @@ class Option:
     header: Optional[str] = None    # its key in the output headers
     shared: bool = True             # every subcommand parses it
     repeat: bool = False            # repeatable; comma-separated in a file
-    choices: Optional[tuple] = None
     help: Optional[str] = None
 
     def config_keys(self) -> set:
@@ -97,8 +96,6 @@ OPTIONS = (
            help="lattice size; repeatable"),
     Option("--g", "g_spec", str, SUBCOMMANDS, "g",
            help="identity|indicator|figure3|table:PATH"),
-    Option("--normalization", "normalization", str, MODEL, "normalization",
-           choices=("normalized", "paper-literal")),
     Option("--seed", "seed", int, ("simulate",), "seed"),
     Option("--t-burn", "t_burn", finite_float, ("simulate",), "t_burn",
            shared=False),
@@ -132,7 +129,6 @@ class RunConfig:
     phi_beta: Optional[float] = None
     N_list: tuple = (256,)
     g_spec: str = "identity"
-    normalization: str = "normalized"
     seed: int = 1
     out: Path = Path("out")
     t_burn: Optional[float] = None
@@ -189,11 +185,10 @@ class RunConfig:
         if self.phi_alpha is not None:
             return ModelParams.from_fugacities(
                 self.gamma, self.theta, self.kappa, self.phi_alpha,
-                self.phi_beta, N, rate, self.normalization, thermo=thermo)
+                self.phi_beta, N, rate, thermo=thermo)
         return ModelParams(gamma=self.gamma, theta=self.theta,
                            kappa=self.kappa, alpha=self.alpha, beta=self.beta,
-                           N=N, rate=rate,
-                           normalization_mode=self.normalization)
+                           N=N, rate=rate)
 
     def header_lines(self) -> list[str]:
         header = {"zrlab_version": __version__, "command": self.command}
@@ -216,7 +211,7 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
         if opt.type is bool:
             kwargs["action"] = "store_true"
         else:
-            kwargs.update(type=opt.type, choices=opt.choices)
+            kwargs["type"] = opt.type
             if opt.repeat:
                 kwargs["action"] = "append"
         parser.add_argument(opt.flag, **kwargs)
@@ -238,18 +233,13 @@ def _load_config_file(path: str) -> dict:
 
 
 def _config_value(opt: Option, text: str):
-    """A config-file value, checked as the flag checks it; in a choice,
-    ``_`` may stand for ``-``."""
+    """A config-file value, checked as the flag checks it."""
     try:
         if opt.repeat:
             return tuple(opt.type(v) for v in text.split(","))
-        value = opt.type(text)
+        return opt.type(text)
     except ValueError as exc:
         raise ConfigError(f"config key {opt.field!r}: {exc}") from None
-    if opt.choices is not None and value.replace("_", "-") not in opt.choices:
-        raise ConfigError(f"config key {opt.field!r}: {value!r} is not one "
-                          f"of {', '.join(opt.choices)}")
-    return value
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -270,7 +260,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if cfg.command not in opt.acts_on:
             raise ConfigError(f"{opt.flag} does not act on {cfg.command}")
         setattr(cfg, field, tuple(val) if opt.repeat else val)
-    cfg.normalization = cfg.normalization.replace("-", "_")
     if cfg.figure3:
         if "g_spec" in given:
             raise ConfigError("--figure3 sets g; --g does not act with it")

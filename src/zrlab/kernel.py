@@ -8,12 +8,11 @@ in-range mass are all read off one evaluator of the tail sums T[k] =
 sum_{j>=k} j^(-1-gamma): a row's in-range mass and its reservoir rates
 share their rounding, so the rows of D_N - P_N leak no mass between them.
 
-Normalization: the package default makes p a probability (c_gamma =
-1/(2 zeta(1+gamma)), so the kernel mass is 1).  The alternative
-``paper_literal`` convention fixes c_gamma = 1, under which the half first
-moment equals zeta(gamma) exactly.  Every downstream constant is expressed
-through the KernelParams instance in use, so consistency checks hold in
-either mode.
+Normalization: p is a probability, c_gamma = 1/(2 zeta(1+gamma)), so the
+kernel mass is 1.  Every downstream constant is expressed through the
+KernelParams instance in use, so a kernel built with another c_gamma
+(``KernelParams(gamma, c_gamma=1.0)``, under which the half first moment
+equals zeta(gamma)) stays self-consistent.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ import numpy as np
 
 from .errors import DomainError
 from .quadrature import geometric_edges, integrate_panels
-
-NORMALIZATION_MODES = ("normalized", "paper_literal")
 
 
 def _em_tail(M: float, s: float) -> float:
@@ -53,24 +50,16 @@ class KernelParams:
 
     gamma: float
     c_gamma: float
-    normalization_mode: str = "normalized"
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 2.0:
             raise DomainError(f"gamma must lie in (0,2), got {self.gamma}")
-        if self.normalization_mode not in NORMALIZATION_MODES:
-            raise DomainError(
-                f"unknown normalization mode {self.normalization_mode!r}")
 
     @classmethod
-    def create(cls, gamma: float, mode: str = "normalized") -> "KernelParams":
-        if mode == "normalized":
-            c = 1.0 / (2.0 * riemann_zeta(1.0 + gamma))
-        elif mode == "paper_literal":
-            c = 1.0
-        else:
-            raise DomainError(f"unknown normalization mode {mode!r}")
-        return cls(gamma=gamma, c_gamma=c, normalization_mode=mode)
+    def create(cls, gamma: float) -> "KernelParams":
+        """The probability kernel, c_gamma = 1/(2 zeta(1+gamma))."""
+        return cls(gamma=gamma,
+                   c_gamma=1.0 / (2.0 * riemann_zeta(1.0 + gamma)))
 
 
 def jump_prob(params: KernelParams, z) -> float | np.ndarray:

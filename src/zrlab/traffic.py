@@ -11,8 +11,11 @@ solution.  Where gamma > 1 and kappa N^(-theta) <= 1 its core is the
 kernel folded with reflecting ends, which the DCT-II diagonalises (Ng,
 Chan & Tang, SIAM J. Sci. Comput. 21, 1999), applied through one real FFT
 pair (Makhoul, IEEE Trans. ASSP 28, 1980); elsewhere it is T. Chan's
-optimal circulant (SIAM J. Sci. Stat. Comput. 9, 1988), which takes fewer
-steps at gamma <= 1 and at theta < 0.  Where kappa N^(-theta) > 1 the
+optimal circulant (SIAM J. Sci. Stat. Comput. 9, 1988).  That choice is
+measured, not proven: summed over N = 512-2048 the circulant takes fewer
+CG steps at (gamma, theta) = (0.8, 2), (0.5, 0) and (1.5, -0.5), as many
+at (1.5, -1) with N = 32768, but more at (1.9, -0.2), N = 4096-16384 (132
+against the reflective core's 76).  Where kappa N^(-theta) > 1 the
 reservoirs dominate the edge rows, and a weight per site hands the
 preconditioner over to Jacobi there and scales the residual and rounding
 floor CG stops at; elsewhere the weight is exactly 1 and is skipped.
@@ -57,7 +60,6 @@ class ModelParams:
     beta: float
     N: int
     rate: RateFunction
-    normalization_mode: str = "normalized"
     phi_alpha: Optional[float] = None
     phi_beta: Optional[float] = None
 
@@ -78,17 +80,15 @@ class ModelParams:
 
     @classmethod
     def from_fugacities(cls, gamma, theta, kappa, phi_alpha, phi_beta, N,
-                        rate, normalization_mode="normalized", *,
-                        thermo: ThermoTables):
+                        rate, *, thermo: ThermoTables):
         """Boundary data given as fugacities; densities filled in via R."""
         return cls(gamma=gamma, theta=theta, kappa=kappa,
                    alpha=thermo.mean_density(phi_alpha),
                    beta=thermo.mean_density(phi_beta),
-                   N=N, rate=rate, normalization_mode=normalization_mode,
-                   phi_alpha=phi_alpha, phi_beta=phi_beta)
+                   N=N, rate=rate, phi_alpha=phi_alpha, phi_beta=phi_beta)
 
     def kernel_params(self) -> KernelParams:
-        return KernelParams.create(self.gamma, self.normalization_mode)
+        return KernelParams.create(self.gamma)
 
     def boundary_fugacities(self, thermo: ThermoTables) -> tuple[float, float]:
         """(phi_alpha, phi_beta), checked against the tables of the run's
@@ -125,8 +125,8 @@ class ModelParams:
         return {
             "gamma": self.gamma, "theta": self.theta, "kappa": self.kappa,
             "alpha": self.alpha, "beta": self.beta, "N": self.N,
-            "rate": self.rate.kind, "normalization": self.normalization_mode,
-            "phi_alpha": self.phi_alpha, "phi_beta": self.phi_beta,
+            "rate": self.rate.kind, "phi_alpha": self.phi_alpha,
+            "phi_beta": self.phi_beta,
         }
 
 
@@ -261,8 +261,10 @@ class TrafficSystem:
         DCT-II Q diagonalises exactly (Ng, Chan & Tang, SIAM J. Sci.
         Comput. 21, 1999); its eigenvalues lambda_k are the real spectrum
         of the length-2m even extension of p.  As K >= 0, |lambda_k| <=
-        lambda_0, its row sum, so every mu_k >= margin_mid, the middle
-        site's reservoir margin, > 0."""
+        lambda_0, its row sum, so in exact arithmetic every mu_k >=
+        margin_mid, the middle site's reservoir margin, > 0.  In floating
+        point a margin below half an ulp of lambda_0 is lost in the sum and
+        mu_0 rounds to 0; ``preconditioner`` refuses such a core."""
         n = self.N - 1
         m = fast_len(n)
         t = np.concatenate((self.kernel_row, np.zeros(m - n)))
@@ -290,12 +292,23 @@ class TrafficSystem:
         at m = n); where the reservoirs dominate the row (D ~ N^-theta
         u^-gamma at the edges) f falls and M hands over to Jacobi, 1 / D.
         Where f = 1 both cores sit under the plain Jacobi scaling
-        sqrt(d / D)."""
+        sqrt(d / D).
+
+        Raises ``ConvergenceError`` where a reflective core's spectrum has
+        an entry <= 0: its inverse would fill CG with inf and NaN."""
         n = self.N - 1
         s = np.sqrt(self.diag[n // 2] / self.diag)
         blended = self.reservoirs_dominate()
         if self.params.gamma > 1.0 and not blended:
-            core = _padded_reflection(1.0 / self.reflective_spectrum(), n)
+            mu = self.reflective_spectrum()
+            if not mu.min() > 0.0:
+                raise ConvergenceError(
+                    f"the reservoir margin kappa N^(-theta) = "
+                    f"{self.params.boundary_scale():g} at N = {self.N} is "
+                    f"lost in rounding against the kernel's row mass: the "
+                    f"reflective preconditioner's spectrum reaches "
+                    f"{mu.min():g}")
+            core = _padded_reflection(1.0 / mu, n)
         else:
             core = _padded_circulant(1.0 / self.preconditioner_spectrum(),
                                      fast_len(n))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -324,13 +325,6 @@ def test_malformed_config_value(tmp_path):
     assert run(["profile", "--config", str(cfg),
                 "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
     assert not (tmp_path / "x").exists()
-    # a value outside the flag's choices, also where the key does not act
-    cfg.write_text("[model]\nnormalization = bogus\n")
-    for argv in (["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64"],
-                 ["thermo"]):
-        assert run(argv + ["--config", str(cfg),
-                           "--out", str(tmp_path / "x")]) == cli.EXIT_CONFIG
-        assert not (tmp_path / "x").exists()
     # a non-finite number, as the flag refuses it
     cfg.write_text("[run]\nt_sample = nan\n")
     assert run(["simulate", "--gamma", "1.2", "--theta", "0", "--N", "8",
@@ -339,14 +333,20 @@ def test_malformed_config_value(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("spelling", ["paper_literal", "paper-literal"])
-def test_config_normalization_spellings(tmp_path, spelling):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[model]\nnormalization = {spelling}\n")
+@pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+def test_normalization_refused(tmp_path, capsys, command):
+    # the kernel is always a probability: there is no normalization flag
+    # and no config key to choose another one
     out = tmp_path / "o"
-    assert run(["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
-                "--config", str(cfg), "--out", str(out)]) == 0
-    assert "normalization = paper_literal" in read_report(out)
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--normalization", "normalized", "--out", str(out)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[model]\nnormalization = normalized\n")
+    assert run([command, "--config", str(cfg),
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "unknown config key 'normalization'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):
@@ -587,6 +587,22 @@ def test_each_lattice_solved_once(tmp_path, monkeypatch, argv, lattices,
     assert runs() == Counter(chains)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theta", "8", "--N", "64"],
+    ["--theta", "0", "--kappa", "1e-18", "--N", "512", "--N", "1024",
+     "--N", "2048"],
+], ids=["theta8", "kappa1e-18"])
+def test_margin_lost_in_rounding_is_a_convergence_failure(tmp_path, capsys,
+                                                          argv):
+    # kappa N^-theta too small to register against the kernel's row mass:
+    # exit 4 with nothing written, not the straight line as a profile
+    out = tmp_path / "p"
+    assert run(["profile", "--gamma", "1.5", *argv,
+                "--out", str(out)]) == cli.EXIT_CONVERGENCE
+    assert "kappa N^(-theta)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tol_refused(tmp_path):
     # every solve runs to the rounding floor: a tolerance is not an input
     argv = ["profile", "--gamma", "1.5", "--theta", "-1", "--N", "64",
@@ -627,7 +643,6 @@ FUGACITIES = ["--phi-alpha", "0.2", "--phi-beta", "0.8"]
     ["thermo", "--beta", "1.5"],
     ["thermo"] + FUGACITIES,
     ["thermo", "--N", "64"],
-    ["thermo", "--normalization", "paper-literal"],
     ["profile", "--alpha", "0.9"] + FUGACITIES + CLOSED_FORM,
     ["simulate", "--beta", "1.2", "--t-sample", "50"] + FUGACITIES
     + CLOSED_FORM,
@@ -635,8 +650,7 @@ FUGACITIES = ["--phi-alpha", "0.2", "--phi-beta", "0.8"]
     ["profile", "--figure3", "--alpha", "0.9"] + CLOSED_FORM,
 ], ids=["thermo-seed", "profile-seed", "current-seed", "ldp-seed",
         "thermo-gamma", "thermo-theta", "thermo-kappa", "thermo-alpha",
-        "thermo-beta", "thermo-fugacities", "thermo-N",
-        "thermo-normalization", "alpha-and-fugacities",
+        "thermo-beta", "thermo-fugacities", "thermo-N", "alpha-and-fugacities",
         "beta-and-fugacities", "figure3-and-g", "figure3-and-alpha"])
 def test_inert_flags_refused(tmp_path, monkeypatch, argv):
     # a flag that cannot act on the run is a config error, not ignored
@@ -664,6 +678,12 @@ def test_header_keys_in_order():
     keys = [line[2:].split(" = ")[0] for line in cfg.header_lines()]
     assert keys == ["zrlab_version", "command", "gamma", "theta", "kappa",
                     "alpha", "beta", "phi_alpha", "phi_beta", "N_list", "g",
-                    "normalization", "seed", "t_burn", "t_sample",
-                    "grid_points"]
+                    "seed", "t_burn", "t_sample", "grid_points"]
     assert "# N_list = 64,128" in cfg.header_lines()
+
+
+def test_run_config_fields_are_the_options():
+    # a removed option leaves no dead config field (or header key) behind
+    fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert sorted(fields) == sorted(["command",
+                                     *(opt.field for opt in cli.OPTIONS)])

@@ -46,7 +46,7 @@ def test_zeta_domain():
 
 def _tails(m, s):
     """T[1..m] = sum_{k>=j} k^(-s), j = 1..m: the reservoir rates at c = 1."""
-    kp = K.KernelParams.create(s - 1.0, "paper_literal")
+    kp = K.KernelParams(gamma=s - 1.0, c_gamma=1.0)
     return K.reservoir_rates(kp, m + 1).left
 
 
@@ -77,9 +77,9 @@ def test_tail_sum_large_m_integral_sandwich():
 def test_tail_sum_domain():
     # s = 1 + gamma > 1 and a tail index m >= 1 (a lattice N >= 2)
     with pytest.raises(DomainError):
-        K.KernelParams.create(0.0, "paper_literal")
+        K.KernelParams(gamma=0.0, c_gamma=1.0)
     with pytest.raises(DomainError):
-        K.reservoir_rates(K.KernelParams.create(1.0, "paper_literal"), 1)
+        K.reservoir_rates(K.KernelParams(gamma=1.0, c_gamma=1.0), 1)
 
 
 # -- kernel params / jump probabilities -------------------------------------
@@ -88,13 +88,10 @@ def test_kernel_params_domain():
     for gamma in (0.0, 2.0, -0.5, 2.5):
         with pytest.raises(DomainError):
             K.KernelParams.create(gamma)
-    with pytest.raises(DomainError):
-        K.KernelParams(gamma=1.0, c_gamma=1.0, normalization_mode="bogus")
 
 
-def test_paper_literal_mode():
-    kp = K.KernelParams.create(1.5, "paper_literal")
-    assert kp.c_gamma == 1.0
+def test_row_mass_identity_at_unit_c_gamma():
+    kp = K.KernelParams(gamma=1.5, c_gamma=1.0)
     # in-range mass plus both tails is the whole kernel mass 2 zeta(2.5)
     rr = K.reservoir_rates(kp, 64)
     total = rr.in_range_mass() + rr.left + rr.right
@@ -126,8 +123,8 @@ def test_first_moment_half():
     kp = K.KernelParams.create(1.5)
     assert abs(K.first_moment_half(kp)
                - kp.c_gamma * K.riemann_zeta(1.5)) < 1e-13
-    lit = K.KernelParams.create(1.5, "paper_literal")
-    assert abs(K.first_moment_half(lit) - K.riemann_zeta(1.5)) < 1e-13
+    unit = K.KernelParams(gamma=1.5, c_gamma=1.0)
+    assert abs(K.first_moment_half(unit) - K.riemann_zeta(1.5)) < 1e-13
     with pytest.raises(DomainError):
         K.first_moment_half(K.KernelParams.create(0.9))
 

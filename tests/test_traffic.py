@@ -187,6 +187,22 @@ def test_iterative_nonconvergence_reports_history(thermo_identity,
     assert len(err.value.history) >= 3
 
 
+@pytest.mark.parametrize("theta,N", [(6.0, 512), (8.0, 64)])
+def test_margin_lost_in_rounding_refused(theta, N, thermo_identity,
+                                         monkeypatch):
+    # kappa N^-theta below half an ulp of the kernel's row mass rounds the
+    # reflective spectrum's mu_0 to 0: the solve is refused before any CG
+    # step instead of returning its starting line
+    system = assemble(make_params(1.5, theta, N), thermo_identity)
+    assert system.reflective_spectrum().min() <= 0.0
+    matvecs = []
+    monkeypatch.setattr(system, "matvec", lambda v: matvecs.append(v))
+    for solve in (system.preconditioner, lambda: solve_iterative(system)):
+        with pytest.raises(ConvergenceError, match=r"kappa N\^\(-theta\)"):
+            solve()
+    assert not matvecs
+
+
 def test_residual_cases(thermo_identity):
     params = make_params(1.5, 0.0, 64)
     system = assemble(params, thermo_identity)
