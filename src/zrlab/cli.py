@@ -159,6 +159,9 @@ class RunConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.grid_points < 9:
             raise ConfigError("grid must have at least 9 points")
+        if self.phi_grid_max is not None and not self.phi_grid_max > 0.0:
+            raise ConfigError(f"--phi-grid-max must be positive, got "
+                              f"{self.phi_grid_max}")
         nearest = next(p for p in (self.out, *self.out.parents) if p.exists())
         if not nearest.is_dir():
             raise ConfigError(f"--out: {nearest} is not a directory")
@@ -491,7 +494,7 @@ def cmd_ldp(cfg: RunConfig, thermo: ThermoTables, report: Report) -> None:
     monotone_all = True
     fenchel_gap = 0.0
     for label, G in _LDP_BASIS:
-        lam, lam_err = ldp_mod.lambda_limit_with_error(cont, thermo, G)
+        lam = ldp_mod.lambda_limit(cont, thermo, G, level=2)
         per_n = [ldp_mod.log_mgf_scaled(profile, thermo, G)
                  for profile in solved]
         gaps = [abs(v - lam) for v in per_n]

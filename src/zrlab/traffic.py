@@ -18,8 +18,7 @@ at (1.5, -1) with N = 32768, but more at (1.9, -0.2), N = 4096-16384 (132
 against the reflective core's 76).  Where kappa N^(-theta) > 1 the
 reservoirs dominate the edge rows, and a weight per site hands the
 preconditioner over to Jacobi there and scales the residual and rounding
-floor CG stops at; elsewhere the weight is exactly 1 and is skipped.
-Across an N list each lattice starts from the previous one's profile.
+floor CG stops at.  Each lattice's solve reads its own system only.
 
 ``assemble`` also serves kappa = 0, the conservative limit that the Monte
 Carlo chains read their rates from (rhs = 0); the system is then singular,
@@ -243,7 +242,8 @@ class TrafficSystem:
         e = (kappa N^-theta - 1)(rho - rho_mid), and d + e = D in exact
         arithmetic.  f is built from that excess, not as min(1, d / D),
         whose ulp-level wobble on a flat diagonal would move f off 1: with
-        kappa N^-theta <= 1, e = 0 and f is exactly 1 on every site."""
+        kappa N^-theta <= 1, e = 0 and f is exactly 1 on every site, which
+        leaves the preconditioner and CG's norm unweighted bit for bit."""
         rho = self.rates.left + self.rates.right
         mid = (self.N - 1) // 2
         excess = (max(self.params.boundary_scale() - 1.0, 0.0)
@@ -271,12 +271,6 @@ class TrafficSystem:
         lam = np.fft.rfft(np.concatenate((t, [0.0], t[:0:-1]))).real[:m]
         return lam[0] + self.dominance_margin()[n // 2] - lam
 
-    def reservoirs_dominate(self) -> bool:
-        """kappa N^-theta > 1: the reservoirs outweigh the kernel on the
-        edge rows and the ``weight`` falls below 1 there; otherwise it is
-        exactly 1 on every site."""
-        return self.params.boundary_scale() > 1.0
-
     def preconditioner(self) -> Callable[[np.ndarray], np.ndarray]:
         """v -> M^-1 v = W [core^-1]_n W v + diag((1 - f^2) / D) v, with
         W = diag(f sqrt(d / D)), d the middle diagonal and f the ``weight``.
@@ -284,22 +278,18 @@ class TrafficSystem:
         v is zero-padded to the core's fast length m and the product cut to
         its first n entries: a principal block of an SPD inverse.  A
         diagonal congruence of an SPD block plus a non-negative diagonal is
-        SPD, so M is.  Where gamma > 1 and the reservoirs do not dominate
-        (f = 1), the core is the reflective (lambda_0 + margin_mid) I - K of
+        SPD, so M is.  Where gamma > 1 and kappa N^-theta <= 1 (f = 1), the
+        core is the reflective (lambda_0 + margin_mid) I - K of
         ``reflective_spectrum``, applied as Q^T diag(1 / mu) Q: the
         lattice's nearly reflecting ends suit it better than a periodic
         core.  Elsewhere it is dI - C, T. Chan's optimal circulant (his own
         at m = n); where the reservoirs dominate the row (D ~ N^-theta
         u^-gamma at the edges) f falls and M hands over to Jacobi, 1 / D.
-        Where f = 1 both cores sit under the plain Jacobi scaling
-        sqrt(d / D).
 
         Raises ``ConvergenceError`` where a reflective core's spectrum has
         an entry <= 0: its inverse would fill CG with inf and NaN."""
         n = self.N - 1
-        s = np.sqrt(self.diag[n // 2] / self.diag)
-        blended = self.reservoirs_dominate()
-        if self.params.gamma > 1.0 and not blended:
+        if self.params.gamma > 1.0 and self.params.boundary_scale() <= 1.0:
             mu = self.reflective_spectrum()
             if not mu.min() > 0.0:
                 raise ConvergenceError(
@@ -312,10 +302,8 @@ class TrafficSystem:
         else:
             core = _padded_circulant(1.0 / self.preconditioner_spectrum(),
                                      fast_len(n))
-        if not blended:
-            return lambda v: s * core(s * v)
         f = self.weight()
-        w = f * s
+        w = f * np.sqrt(self.diag[n // 2] / self.diag)
         jacobi = (1.0 - f * f) / self.diag
         return lambda v: w * core(w * v) + jacobi * v
 
@@ -413,35 +401,20 @@ def _symmetrize(system: TrafficSystem, phi: np.ndarray) -> np.ndarray:
     return 0.5 * (phi + (system.phi_alpha + system.phi_beta) - phi[::-1])
 
 
-def _initial_guess(system: TrafficSystem,
-                   coarse: Optional[FugacityProfile] = None) -> np.ndarray:
-    """The profile ``coarse`` of the same model at another N, read at
-    u = x / N by linear interpolation between its sites and the end points
-    (0, phi_alpha), (1, phi_beta); without ``coarse``, between the end
-    points alone: the straight line from phi_alpha to phi_beta."""
-    M, sites = (1, []) if coarse is None else (coarse.system.N, coarse.values)
-    u = np.arange(1, system.N, dtype=float) / system.N
-    return np.interp(u, np.arange(M + 1) / M,
-                     np.concatenate(([system.phi_alpha], sites,
-                                     [system.phi_beta])))
-
-
-def solve_iterative(system: TrafficSystem,
-                    x0: Optional[np.ndarray] = None) -> FugacityProfile:
+def solve_iterative(system: TrafficSystem) -> FugacityProfile:
     """Preconditioned conjugate gradients on the SPD matrix D - P, run to
-    the rounding floor from ``x0`` (the straight line between the boundary
-    fugacities if None).
+    the rounding floor from the straight line between the boundary
+    fugacities.
 
     Residuals are measured row by row in the preconditioner's ``weight``
     f, max_x f_x |r_x|.  Where the reservoirs dominate, f_x = d / D_x: each
     row's residual is read against its own diagonal, in units of the bulk
     one.  Unweighted, the floor would be set by the edge rows, whose
     diagonal is ~N^-theta larger, and be that much looser than the bulk
-    rows need.  Elsewhere f = 1 and the plain max-norm is taken.  Each
-    sweep restarts from the true residual and iterates until the
-    recurrence residual is below
+    rows need.  Each sweep restarts from the true residual and iterates
+    until the recurrence residual is below
     eps (max f (2D - margin) ||x|| + max f |R|), the weighted backward
-    error of a correctly rounded solution (the unweighted one where f = 1).
+    error of a correctly rounded solution.
     Sweeps repeat while they halve the true residual and it is above that
     floor; the best iterate is returned, and ``ConvergenceError`` is raised
     only when ``MAX_CG_ITERATIONS`` are spent.  The recorded history holds
@@ -454,16 +427,15 @@ def solve_iterative(system: TrafficSystem,
     b = system.rhs
     precondition = system.preconditioner()
     f = system.weight()
-    if system.reservoirs_dominate():
-        def norm(r):
-            return float(np.max(f * np.abs(r)))
-    else:
-        def norm(r):
-            return float(np.max(np.abs(r)))
+
+    def norm(r):
+        return float(np.max(f * np.abs(r)))
+
     a_norm = float(np.max(f * (2.0 * system.diag
                                - system.dominance_margin())))
     b_norm = norm(b)
-    x = _initial_guess(system) if x0 is None else np.array(x0, dtype=float)
+    x = np.interp(np.arange(1, system.N, dtype=float) / system.N,
+                  [0.0, 1.0], [system.phi_alpha, system.phi_beta])
     history = []
     iterations = 0
     best, best_res, last = x.copy(), math.inf, math.inf
@@ -511,15 +483,10 @@ def solve_iterative(system: TrafficSystem,
 def solve_lattices(params: ModelParams, N_values: Sequence[int],
                    thermo: ThermoTables) -> list[FugacityProfile]:
     """Assemble and solve each lattice size once; the systems differ from
-    ``params`` only in N.  Each solve starts from the previous lattice's
-    profile, interpolated to the new N (the first from the straight
-    line)."""
-    profiles = []
-    for N in N_values:
-        system = assemble(dataclasses.replace(params, N=int(N)), thermo)
-        x0 = _initial_guess(system, profiles[-1]) if profiles else None
-        profiles.append(solve_iterative(system, x0=x0))
-    return profiles
+    ``params`` only in N, and each solve reads its own system only."""
+    return [solve_iterative(assemble(dataclasses.replace(params, N=int(N)),
+                                     thermo))
+            for N in N_values]
 
 
 def write_profile_csv(profile: FugacityProfile, thermo: ThermoTables,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from zrlab import cli, hydrostatic, mc, traffic
+from zrlab import cli, hydrostatic, ldp, mc, traffic
 from zrlab.thermo import ThermoTables
 
 
@@ -488,6 +488,24 @@ def test_exit_code_config_error(tmp_path, monkeypatch):
     assert not solves and taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_non_positive_phi_grid_max_is_a_config_error(tmp_path, capsys,
+                                                     value):
+    # the phi grid spans [0, max]: a max <= 0 is refused as the flag the
+    # user gave, not met later as a fugacity nobody typed or as a table of
+    # 51 equal rows
+    out = tmp_path / "t"
+    assert run(["thermo", "--phi-grid-max", value,
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "--phi-grid-max" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\nphi_grid_max = {value}\n")
+    assert run(["thermo", "--config", str(cfg),
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "--phi-grid-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_domain_error(tmp_path):
     # phi grid beyond the radius of convergence
     assert run(["thermo", "--g", "figure3", "--phi-grid-max", "1.5",
@@ -585,6 +603,35 @@ def test_each_lattice_solved_once(tmp_path, monkeypatch, argv, lattices,
         lattices + (lattices[-1],) * swapped)
     # the two chains run at the same time, so their order is not fixed
     assert runs() == Counter(chains)
+
+
+def test_ldp_evaluates_lambda_once_per_level_and_tilt(tmp_path, monkeypatch):
+    # level 1 for the Fenchel check, level 2 for ldp_scan.csv; no level is
+    # evaluated twice for the same tilt
+    levels = Counter()
+    lambda_limit = ldp.lambda_limit
+
+    def counting(m_bar, thermo, G, level=1):
+        levels[level] += 1
+        return lambda_limit(m_bar, thermo, G, level)
+
+    monkeypatch.setattr(ldp, "lambda_limit", counting)
+    run(["ldp", "--alpha", "0.5", "--beta", "1.5"] + THREE_N
+        + ["--out", str(tmp_path / "o")])
+    tilts = len(cli._LDP_BASIS)
+    assert levels == {1: tilts, 2: tilts}
+
+
+def test_lattice_files_do_not_depend_on_the_n_list(tmp_path):
+    # each lattice is solved from its own system only, so its profile file
+    # is the same whichever other sizes the run solves
+    model = ["profile", "--gamma", "1.5", "--theta", "-0.5"]
+    assert run(model + ["--N", "2048", "--out", str(tmp_path / "one")]) == 0
+    assert run(model + ["--N", "512", "--N", "1024", "--N", "2048",
+                        "--out", str(tmp_path / "three")]) == 0
+    name = "profile_N2048.csv"
+    assert ((tmp_path / "one" / name).read_bytes()
+            == (tmp_path / "three" / name).read_bytes())
 
 
 @pytest.mark.parametrize("argv", [

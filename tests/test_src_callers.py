@@ -29,19 +29,22 @@ NO_SRC_CALLER = {
                                     "solve tracer read it",
     "FugacityProfile.within_bounds": "acceptance-01's maximum principle",
     "exclusion_bond_currents": "traced by the benchmark; the simulated "
-                               "exclusion currents (ROADMAP item 5) are "
+                               "exclusion currents (ROADMAP item 7) are "
                                "checked against it",
     "gateaux_derivative": "acceptance-09 checks it against finite "
                           "differences",
     "h_weighted_limit": "the tests' reference for fick_limit: the current "
                         "limit as the h_theta-weighted integral of rho",
-    "hydrostatic_average": "the hydrostatic-limit check (ROADMAP item 7) "
+    "hydrostatic_average": "the hydrostatic-limit check (ROADMAP item 9) "
                            "reads it",
+    "lambda_limit_with_error": "traced by the benchmark; ROADMAP items 3 "
+                               "and 17 reshape it into Lambda's stated "
+                               "error",
     "read_continuum_csv": "the reader of continuum_profile.csv; the "
                           "benchmark's weak-form job reads the CLI's file "
                           "with it",
     "weak_form_residual": "acceptance-08 and the benchmark's weak-form job; "
-                          "ROADMAP item 7 makes it a profile check",
+                          "ROADMAP item 9 makes it a profile check",
 }
 
 
