@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .hydrostatic import (ContinuumProfile, _fit_power_limit, lattices_for,
-                          pchip, tilde_densities)
+                          pchip)
 from .kernel import KernelParams, continuum_rate
 from .quadrature import geometric_edges, integrate_panels, panel_nodes
 from .table import write_table
@@ -25,29 +25,29 @@ from .thermo import ThermoTables
 from .traffic import FugacityProfile, ModelParams, TrafficSystem, fast_len
 
 
-def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
+def _bond_currents_generic(d: np.ndarray, a: float, b: float,
                            system: TrafficSystem) -> np.ndarray:
-    """E[W_x] for every bond x = 1..N, given site means ``dens`` and
-    reservoir levels, in O(N log N).
+    """E[W_x] for every bond x = 1..N, given site means ``d`` and
+    reservoir levels ``a``, ``b``, in O(N log N).
 
     W_x = sum_{y<x<=z} p(z-y) (d_y - d_z) over the pairs with at least one
-    end in 1..N-1; a pair with one end in a reservoir (d = bc_left at
-    y <= 0, bc_right at z >= N) has weight kappa N^-theta.  With the
-    kernel tail sums T[k] = sum_{j>=k} p(j), which are the reservoir rates
-    (left[k-1] = T[k], right[y-1] = T[N-y]), the in-range part is
+    end in 1..N-1; a pair with one end in a reservoir (d = a at y <= 0, b
+    at z >= N) has weight kappa N^-theta.  With the kernel tail sums T[k] =
+    sum_{j>=k} p(j), which are the reservoir rates (left[k-1] = T[k],
+    right[y-1] = T[N-y]), the in-range part is
 
         sum_{y<x} d_y (T[x-y] - T[N-y]) - sum_{z>=x} d_z (T[z-x+1] - T[z]):
 
     one convolution and one correlation of d with T by real FFTs, plus
     cumulative sums.  T decays like k^-gamma, so the FFT rounds against
     bounded operands, not against the growing prefix sums of p.  W
-    vanishes on constant data, so the midpoint level is subtracted first.
+    vanishes on constant data, so the callers pass the deviation from the
+    midpoint level, d = psi and levels -+g, g = (phi_b - phi_a) / 2: psi
+    is rounded once, in the solve, and not again in a subtraction here.
     """
     N = system.N
     tails, right = system.rates.left, system.rates.right
     scale = system.params.boundary_scale()
-    level = 0.5 * (bc_left + bc_right)
-    d, a, b = dens - level, bc_left - level, bc_right - level
     L = fast_len(2 * N - 3)  # linear, not circular
     d_f = np.fft.rfft(d, n=L)
     t_f = np.fft.rfft(tails, n=L)
@@ -68,16 +68,16 @@ def _bond_currents_generic(dens: np.ndarray, bc_left: float, bc_right: float,
 def bond_currents(profile: FugacityProfile,
                   system: TrafficSystem) -> np.ndarray:
     """Zero-range expected currents E[W_x], x = 1..N."""
-    return _bond_currents_generic(profile.values, profile.phi_alpha,
-                                  profile.phi_beta, system)
+    g = 0.5 * (profile.phi_beta - profile.phi_alpha)
+    return _bond_currents_generic(profile.deviation, -g, g, system)
 
 
 def exclusion_bond_currents(profile: FugacityProfile,
                             system: TrafficSystem) -> np.ndarray:
-    """Exclusion-side currents from the statically mapped profile."""
-    phi_sum = profile.phi_alpha + profile.phi_beta
-    a_t, b_t = tilde_densities(profile.phi_alpha, profile.phi_beta)
-    return _bond_currents_generic(profile.values / phi_sum, a_t, b_t, system)
+    """Exclusion currents of the mapped profile psi / S, levels -+g / S."""
+    S = profile.phi_alpha + profile.phi_beta
+    g = 0.5 * (profile.phi_beta - profile.phi_alpha) / S
+    return _bond_currents_generic(profile.deviation / S, -g, g, system)
 
 
 @dataclass

@@ -160,8 +160,9 @@ def read_rate_table(path) -> RateFunction:
         raise DomainError("rate table missing trailing tail rule")
     if not values:
         raise DomainError("rate table has no entries")
+    # distinct int keys: 1..K without a list as long as the largest k
     kmax = max(values)
-    if sorted(values) != list(range(1, kmax + 1)):
+    if min(values) != 1 or kmax != len(values):
         raise DomainError("rate table must cover k = 1..K without gaps")
     return RateFunction.from_table([values[k] for k in range(1, kmax + 1)],
                                    tail=tail, tail_value=tail_value)

@@ -3,12 +3,17 @@
 The stationary product measure is characterized by the traffic equation
 (D_N - P_N) phi_N = R_N, a strictly diagonally dominant symmetric linear
 system: P_N is the Toeplitz matrix of in-range jump probabilities, D_N
-adds the reservoir coupling kappa N^(-theta)(r^+ + r^-), and R_N carries
-the reservoir fugacities.  Every lattice is solved by conjugate gradients
-with an FFT Toeplitz matvec, under a Jacobi-scaled preconditioner
-zero-padded to a fast FFT length; dense LU is kept as the reference
-solution.  Where gamma > 1 and kappa N^(-theta) <= 1 its core is the
-kernel folded with reflecting ends, which the DCT-II diagonalises (Ng,
+adds the reservoir coupling c = kappa N^(-theta)(r^+ + r^-), the row sums
+of D_N - P_N, and R_N carries the reservoir fugacities.  The system is
+persymmetric, so phi_N = (phi_a + phi_b) / 2 + psi, psi antisymmetric.
+The solvers find w = psi / (kappa N^(-theta)) from (D_N - P_N) w =
+a(phi_b r^+ + phi_a r^-), a(u) = (u - u[::-1]) / 2: phi_N in double
+carries psi only to a relative error eps |phi_N| / |psi|, and currents
+are sums of differences of psi.  Each lattice is solved by conjugate
+gradients with an FFT Toeplitz matvec, under a Jacobi-scaled
+preconditioner zero-padded to a fast FFT length; dense LU is kept as the
+reference solution.  Where gamma > 1 and kappa N^(-theta) <= 1 its core is
+the kernel folded with reflecting ends, which the DCT-II diagonalises (Ng,
 Chan & Tang, SIAM J. Sci. Comput. 21, 1999), applied through one real FFT
 pair (Makhoul, IEEE Trans. ASSP 28, 1980); elsewhere it is T. Chan's
 optimal circulant (SIAM J. Sci. Stat. Comput. 9, 1988).  That choice is
@@ -69,7 +74,7 @@ class ModelParams:
             raise DomainError(f"theta must be finite, got {self.theta}")
         if self.kappa < 0.0 or math.isinf(self.kappa):
             # kappa = 0 serves only the conservative chains; the stationary
-            # solve refuses it, and NaN, in _require_margin
+            # solve refuses it, and NaN, in _deviation_rhs
             raise DomainError(f"kappa must be finite and >= 0, got "
                               f"{self.kappa}")
         if self.N < 2:
@@ -264,7 +269,7 @@ class TrafficSystem:
         lambda_0, its row sum, so in exact arithmetic every mu_k >=
         margin_mid, the middle site's reservoir margin, > 0.  In floating
         point a margin below half an ulp of lambda_0 is lost in the sum and
-        mu_0 rounds to 0; ``preconditioner`` refuses such a core."""
+        mu_0, the constant mode's eigenvalue, rounds to 0."""
         n = self.N - 1
         m = fast_len(n)
         t = np.concatenate((self.kernel_row, np.zeros(m - n)))
@@ -286,19 +291,13 @@ class TrafficSystem:
         at m = n); where the reservoirs dominate the row (D ~ N^-theta
         u^-gamma at the edges) f falls and M hands over to Jacobi, 1 / D.
 
-        Raises ``ConvergenceError`` where a reflective core's spectrum has
-        an entry <= 0: its inverse would fill CG with inf and NaN."""
+        1 / mu is set to 0 where mu rounds to <= 0: on the antisymmetric
+        vectors the solvers precondition, M stays SPD without that mode."""
         n = self.N - 1
         if self.params.gamma > 1.0 and self.params.boundary_scale() <= 1.0:
             mu = self.reflective_spectrum()
-            if not mu.min() > 0.0:
-                raise ConvergenceError(
-                    f"the reservoir margin kappa N^(-theta) = "
-                    f"{self.params.boundary_scale():g} at N = {self.N} is "
-                    f"lost in rounding against the kernel's row mass: the "
-                    f"reflective preconditioner's spectrum reaches "
-                    f"{mu.min():g}")
-            core = _padded_reflection(1.0 / mu, n)
+            core = _padded_reflection(
+                np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > 0.0), n)
         else:
             core = _padded_circulant(1.0 / self.preconditioner_spectrum(),
                                      fast_len(n))
@@ -313,7 +312,8 @@ class FugacityProfile:
     """Solution phi_N of the traffic equation; determines the product NESS.
     Its model, N and fugacities are those of the ``system`` it solves."""
 
-    values: np.ndarray
+    values: np.ndarray           # phi_N = (phi_a + phi_b) / 2 + psi
+    deviation: np.ndarray        # the antisymmetric psi the currents read
     system: TrafficSystem = field(repr=False)
     residual_norm: float
     method: str
@@ -338,7 +338,7 @@ class FugacityProfile:
 
 def assemble(params: ModelParams, thermo: ThermoTables) -> TrafficSystem:
     """Build diag, kernel row and right-hand side for the given parameters
-    (kappa = 0 included; see ``_require_margin``)."""
+    (kappa = 0 included; see ``_deviation_rhs``)."""
     phi_a, phi_b = params.boundary_fugacities(thermo)
     kernel = params.kernel_params()
     rr = reservoir_rates(kernel, params.N)
@@ -359,52 +359,51 @@ def residual(system: TrafficSystem, values: np.ndarray) -> float:
     return float(np.max(np.abs(system.matvec(values) - system.rhs)))
 
 
-def _require_margin(system: TrafficSystem) -> None:
-    """Refuse a reservoir scale kappa N^(-theta) <= 0, infinite or NaN:
-    without the reservoirs' dominance margin the system is singular (mass
-    is conserved) and has no stationary profile."""
+def _antisymmetric(u: np.ndarray) -> np.ndarray:
+    """a(u) = (u - u[::-1]) / 2, exactly antisymmetric in floating point."""
+    return 0.5 * (u - u[::-1])
+
+
+def _deviation_rhs(system: TrafficSystem) -> np.ndarray:
+    """w's right-hand side a(phi_b r^+ + phi_a r^-), the sum being
+    ``assemble``'s rhs before its scale.  Refuses a reservoir scale kappa
+    N^(-theta) <= 0, infinite or NaN: without the reservoirs' dominance
+    margin the system is singular (mass is conserved) and has no
+    stationary profile."""
     scale = system.params.boundary_scale()
     if not 0.0 < scale < math.inf:
         raise DomainError(f"the stationary solve needs kappa > 0 and a "
                           f"finite kappa N^(-theta), got {scale}")
+    rr = system.rates
+    return _antisymmetric(system.phi_beta * rr.right
+                          + system.phi_alpha * rr.left)
 
 
 def solve_direct(system: TrafficSystem) -> FugacityProfile:
     """Dense LU with partial pivoting, O(N^3): the reference solution that
     tests and the exact-generator check compare against."""
-    _require_margin(system)
+    b = _deviation_rhs(system)
     idx = np.arange(system.N - 1)
     A = -system.kernel_row[np.abs(idx[:, None] - idx)]
     A[idx, idx] += system.diag
-    phi = np.linalg.solve(A, system.rhs)
-    return _profile(system, phi, "direct")
+    w = np.linalg.solve(A, b)
+    return _profile(system, _antisymmetric(w), "direct")
 
 
-def _profile(system: TrafficSystem, phi: np.ndarray, method: str,
+def _profile(system: TrafficSystem, w: np.ndarray, method: str,
              cg_history: Optional[np.ndarray] = None) -> FugacityProfile:
-    phi = _symmetrize(system, phi)
-    return FugacityProfile(values=phi, system=system,
+    psi = system.params.boundary_scale() * w
+    phi = 0.5 * (system.phi_alpha + system.phi_beta) + psi
+    return FugacityProfile(values=phi, deviation=psi, system=system,
                            residual_norm=residual(system, phi),
                            method=method, cg_history=cg_history)
 
 
-def _symmetrize(system: TrafficSystem, phi: np.ndarray) -> np.ndarray:
-    """Restore the exact reflection identity phi(x) + phi(N-x) = phi_a+phi_b.
-
-    The system is persymmetric, so the identity is an exact invariant; the
-    float-assembled system violates it by O(eps/margin) along the near-null
-    direction, which at theta ~ 1 can reach ~1e-10.  The correction lives
-    in that near-null direction and moves the residual by only ~eps.  Both
-    halves of the average stay inside [phi_a, phi_b] because the bounds sum
-    to phi_a + phi_b.
-    """
-    return 0.5 * (phi + (system.phi_alpha + system.phi_beta) - phi[::-1])
-
-
 def solve_iterative(system: TrafficSystem) -> FugacityProfile:
-    """Preconditioned conjugate gradients on the SPD matrix D - P, run to
-    the rounding floor from the straight line between the boundary
-    fugacities.
+    """Preconditioned conjugate gradients on the SPD matrix D - P for w,
+    run to the rounding floor from the straight line's deviation over
+    max(kappa N^(-theta), 1).  a(.) is applied to each restart residual,
+    matvec and preconditioner output: every iterate is antisymmetric.
 
     Residuals are measured row by row in the preconditioner's ``weight``
     f, max_x f_x |r_x|.  Where the reservoirs dominate, f_x = d / D_x: each
@@ -412,19 +411,16 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
     one.  Unweighted, the floor would be set by the edge rows, whose
     diagonal is ~N^-theta larger, and be that much looser than the bulk
     rows need.  Each sweep restarts from the true residual and iterates
-    until the recurrence residual is below
-    eps (max f (2D - margin) ||x|| + max f |R|), the weighted backward
-    error of a correctly rounded solution.
-    Sweeps repeat while they halve the true residual and it is above that
-    floor; the best iterate is returned, and ``ConvergenceError`` is raised
-    only when ``MAX_CG_ITERATIONS`` are spent.  The recorded history holds
-    the weighted max-norm residual at each sweep start and after each
-    iteration (for failure reports).  Every residual CG works with, the
-    true one at each sweep start and the recurrence one after each step,
-    passes through the ``preconditioner``.
+    until the recurrence residual is below eps (max f (2D - margin) ||w||
+    + max f |b|), the weighted backward error of a correctly rounded
+    solution.  Sweeps repeat while they halve the true residual and it is
+    above that floor; the best iterate is returned, and
+    ``ConvergenceError`` is raised only when ``MAX_CG_ITERATIONS`` are
+    spent.  The history holds the weighted residual at each sweep start
+    and after each iteration (for failure reports).  Every residual CG
+    works with passes through the ``preconditioner``.
     """
-    _require_margin(system)
-    b = system.rhs
+    b = _deviation_rhs(system)
     precondition = system.preconditioner()
     f = system.weight()
 
@@ -434,8 +430,9 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
     a_norm = float(np.max(f * (2.0 * system.diag
                                - system.dominance_margin())))
     b_norm = norm(b)
-    x = np.interp(np.arange(1, system.N, dtype=float) / system.N,
-                  [0.0, 1.0], [system.phi_alpha, system.phi_beta])
+    line = np.interp(np.arange(1, system.N, dtype=float) / system.N,
+                     [0.0, 1.0], [system.phi_alpha, system.phi_beta])
+    x = _antisymmetric(line) / max(system.params.boundary_scale(), 1.0)
     history = []
     iterations = 0
     best, best_res, last = x.copy(), math.inf, math.inf
@@ -443,7 +440,8 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
         # the restart residual is accumulated in long double: smooth error
         # components barely move a double-precision residual, so without it
         # the forward error stalls near cond(A) eps instead of eps
-        r = (b - system.matvec(x.astype(np.longdouble))).astype(float)
+        r = _antisymmetric(
+            (b - system.matvec(x.astype(np.longdouble))).astype(float))
         res = norm(r)
         history.append(res)
         if res < best_res:
@@ -454,7 +452,7 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
         floor = EPS * (a_norm * float(np.max(np.abs(x))) + b_norm)
         if res <= floor:
             break
-        z = precondition(r)
+        z = _antisymmetric(precondition(r))
         p = z.copy()
         # inner products by numpy's pairwise sum, not BLAS: a threaded ddot
         # sums in an order set by the thread count, and CG carries those
@@ -466,14 +464,14 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
                     f"preconditioned CG spent {MAX_CG_ITERATIONS} "
                     f"iterations at residual {res:g} (floor {floor:g})",
                     history=np.array(history))
-            Ap = system.matvec(p)
+            Ap = _antisymmetric(system.matvec(p))
             a = rz / float(np.add.reduce(p * Ap))
             x += a * p
             r -= a * Ap
             iterations += 1
             res = norm(r)
             history.append(res)
-            z = precondition(r)
+            z = _antisymmetric(precondition(r))
             rz_new = float(np.add.reduce(r * z))
             p = z + (rz_new / rz) * p
             rz = rz_new

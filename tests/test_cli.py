@@ -639,14 +639,42 @@ def test_lattice_files_do_not_depend_on_the_n_list(tmp_path):
     ["--theta", "0", "--kappa", "1e-18", "--N", "512", "--N", "1024",
      "--N", "2048"],
 ], ids=["theta8", "kappa1e-18"])
-def test_margin_lost_in_rounding_is_a_convergence_failure(tmp_path, capsys,
-                                                          argv):
-    # kappa N^-theta too small to register against the kernel's row mass:
-    # exit 4 with nothing written, not the straight line as a profile
+def test_margin_lost_in_rounding_solves(tmp_path, argv):
+    # kappa N^-theta too small to register against the kernel's row mass
+    # leaves the antisymmetric deviation well posed: both commands answer,
+    # and the currents are bond-independent
     out = tmp_path / "p"
     assert run(["profile", "--gamma", "1.5", *argv,
-                "--out", str(out)]) == cli.EXIT_CONVERGENCE
-    assert "kappa N^(-theta)" in capsys.readouterr().err
+                "--out", str(out)]) == 0
+    Ns = [value for flag, value in zip(argv, argv[1:]) if flag == "--N"]
+    assert sorted(p.name for p in out.glob("profile_N*.csv")) == sorted(
+        f"profile_N{N}.csv" for N in Ns)
+    assert (out / "continuum_profile.csv").is_file()
+    out = tmp_path / "c"
+    assert run(["current", "--gamma", "1.5", *argv, "--out", str(out)]) == 0
+    assert "check:bond_independence = PASS" in read_report(out)
+
+
+@pytest.mark.parametrize("gamma,theta", [("1.5", "2"), ("1.5", "3"),
+                                         ("1.5", "5"), ("0.5", "3"),
+                                         ("0.8", "2")])
+def test_deep_neumann_currents_are_bond_independent(tmp_path, gamma, theta):
+    # psi is of order kappa N^-theta here, and the currents read it
+    # directly, not as phi less its midpoint level
+    out = tmp_path / "c"
+    assert run(["current", "--gamma", gamma, "--theta", theta, "--N", "512",
+                "--N", "1024", "--N", "2048", "--out", str(out)]) == 0
+    assert "check:bond_independence = PASS" in read_report(out)
+
+
+def test_rate_table_with_a_huge_k_is_a_gap(tmp_path, capsys):
+    # the coverage check must not build a list up to the largest k
+    path = tmp_path / "g.txt"
+    path.write_text("1 1.0\n1000000000000 2.0\ntail: identity\n")
+    out = tmp_path / "t"
+    assert run(["thermo", "--g", f"table:{path}",
+                "--out", str(out)]) == cli.EXIT_DOMAIN
+    assert "without gaps" in capsys.readouterr().err
     assert not out.exists()
 
 

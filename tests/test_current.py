@@ -105,17 +105,17 @@ def _exact_bond_currents(dens, bc_left, bc_right, system):
 def test_bond_currents_match_exact_sum(thermo_identity, gamma, theta, kappa,
                                        N):
     # the FFT evaluator against the defining double sum, for the
-    # zero-range profile and for the exclusion image of it
+    # zero-range profile and for the exclusion image of it, on the data the
+    # evaluator reads: the deviation psi and the reservoir levels -+g
     system = assemble(make_params(gamma, theta, N, kappa=kappa),
                       thermo_identity)
     prof = solve_direct(system)
     phi_sum = prof.phi_alpha + prof.phi_beta
-    a_t, b_t = H.tilde_densities(prof.phi_alpha, prof.phi_beta)
+    g = 0.5 * (prof.phi_beta - prof.phi_alpha)
     for got, data in (
-            (C.bond_currents(prof, system),
-             (prof.values, prof.phi_alpha, prof.phi_beta)),
+            (C.bond_currents(prof, system), (prof.deviation, -g, g)),
             (C.exclusion_bond_currents(prof, system),
-             (prof.values / phi_sum, a_t, b_t))):
+             (prof.deviation / phi_sum, -g / phi_sum, g / phi_sum))):
         ref = _exact_bond_currents(*data, system)
         assert got.shape == (N,)
         assert np.max(np.abs(got - ref)) <= 64 * EPS * np.max(np.abs(ref))

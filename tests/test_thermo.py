@@ -177,6 +177,21 @@ def test_rate_table_parse_errors(tmp_path):
         read_rate_table(bad)              # constant tail without value
 
 
+@pytest.mark.parametrize("table", (
+    "1 1.0\n1000000000000 2.0\ntail: identity\n",
+    "0 0.5\n1 1.0\ntail: identity\n",
+    "-1 0.5\n1 1.0\n2 2.0\ntail: identity\n",
+    "2 1.0\n3 2.0\ntail: identity\n"), ids=["huge_k", "k0", "negative_k",
+                                            "no_k1"])
+def test_rate_table_coverage_refusals(tmp_path, table):
+    # keys outside 1..K, or a gap up to a huge k, which must be refused
+    # without a list as long as k
+    path = tmp_path / "rate.txt"
+    path.write_text(table)
+    with pytest.raises(DomainError, match="without gaps"):
+        read_rate_table(path)
+
+
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, 0.0))
 def test_table_rate_refuses_nonfinite_or_nonpositive_values(tmp_path, bad):
     with pytest.raises(DomainError, match=rf"g\(2\) = {bad}"):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.fft
@@ -187,20 +188,85 @@ def test_iterative_nonconvergence_reports_history(thermo_identity,
     assert len(err.value.history) >= 3
 
 
-@pytest.mark.parametrize("theta,N", [(6.0, 512), (8.0, 64)])
-def test_margin_lost_in_rounding_refused(theta, N, thermo_identity,
-                                         monkeypatch):
+@pytest.mark.parametrize("theta,kappa,N", [
+    (6.0, 1.0, 512), (8.0, 1.0, 64), (0.0, 1e-18, 512), (0.0, 1e-18, 1024),
+    (0.0, 1e-18, 2048)])
+def test_margin_lost_in_rounding_solves(theta, kappa, N, thermo_identity):
     # kappa N^-theta below half an ulp of the kernel's row mass rounds the
-    # reflective spectrum's mu_0 to 0: the solve is refused before any CG
-    # step instead of returning its starting line
-    system = assemble(make_params(1.5, theta, N), thermo_identity)
+    # reflective spectrum's mu_0 to 0; the deviation w is antisymmetric and
+    # does not excite that mode, so both solvers answer and the answer
+    # passes the maximum principle, reflection symmetry and bond
+    # independence
+    system = assemble(make_params(1.5, theta, N, kappa=kappa),
+                      thermo_identity)
     assert system.reflective_spectrum().min() <= 0.0
-    matvecs = []
-    monkeypatch.setattr(system, "matvec", lambda v: matvecs.append(v))
-    for solve in (system.preconditioner, lambda: solve_iterative(system)):
-        with pytest.raises(ConvergenceError, match=r"kappa N\^\(-theta\)"):
-            solve()
-    assert not matvecs
+    for solve in (solve_direct, solve_iterative):
+        prof = solve(system)
+        assert prof.within_bounds()
+        assert prof.symmetry_gap() <= 1e-12
+        assert current_report(prof, system).relative_spread() < 1e-10
+
+
+def _mp_deviation(system, dps=30):
+    """w solving (q + c - P) w = g (r^+ - r^-) in ``dps``-digit arithmetic
+    from the float data q (in-range mass), p, r^-+ and kappa N^-theta, with
+    the margin c = kappa N^-theta (r^+ + r^-) kept apart from q; then its
+    antisymmetric part.  The float q = 2 T_1 - T_x - T_(N-x) is
+    persymmetric only to an ulp, and against a small c that ulp lends the
+    exact solution a symmetric part (3.7e-13 of max |w| at (1.2, 3, 64),
+    3.3e-12 at (0.8, 3, 64)) that psi, antisymmetric by construction, does
+    not carry."""
+    n = system.N - 1
+    rr = system.rates
+    with mpmath.workdps(dps):
+        scale = mpmath.mpf(system.params.boundary_scale())
+        g = (mpmath.mpf(system.phi_beta) - mpmath.mpf(system.phi_alpha)) / 2
+        left = [mpmath.mpf(v) for v in rr.left]
+        right = [mpmath.mpf(v) for v in rr.right]
+        q = [mpmath.mpf(v) for v in rr.in_range_mass()]
+        p = [mpmath.mpf(v) for v in system.kernel_row]
+        A = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                A[i, j] = -p[abs(i - j)]
+            A[i, i] += q[i] + scale * (left[i] + right[i])
+        b = mpmath.matrix([g * (right[i] - left[i]) for i in range(n)])
+        w = mpmath.lu_solve(A, b)
+        return np.array([float((w[i] - w[n - 1 - i]) / 2) for i in range(n)])
+
+
+@pytest.mark.parametrize("gamma,theta,kappa", [
+    (1.5, 8.0, 1.0), (1.2, 3.0, 1.0), (1.9, 1.0, 1.0), (0.5, -1.0, 1.0),
+    (1.5, 0.0, 1e-18)])
+def test_deviation_matches_extended_precision(gamma, theta, kappa,
+                                              thermo_identity):
+    # the float-assembled system's w, solved in 30 digits with the margin
+    # kept apart, against both solvers' w = psi / (kappa N^-theta): 3.3e-15
+    # at (1.5, 8) and 9.9e-15 at (1.9, 1) (iterative), numpy 2.4.6, x86-64
+    system = assemble(make_params(gamma, theta, 64, kappa=kappa),
+                      thermo_identity)
+    ref = _mp_deviation(system)
+    scale = system.params.boundary_scale()
+    for solve in (solve_direct, solve_iterative):
+        w = solve(system).deviation / scale
+        assert np.max(np.abs(w - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("gamma", (0.3, 0.8, 1.2, 1.5, 1.9))
+@pytest.mark.parametrize("theta", (-2.0, -1.5, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0,
+                                   3.0, 5.0))
+def test_invariants_over_the_regime_map(gamma, theta, thermo_identity):
+    # every regime, deep into the Neumann side, with reservoirs weak to
+    # strong: the iterative solve converges and keeps the maximum
+    # principle, reflection symmetry and bond independence
+    for kappa, N in itertools.product((1e-3, 1.0, 1e3), (64, 512, 2048)):
+        system = assemble(make_params(gamma, theta, N, kappa=kappa),
+                          thermo_identity)
+        prof = solve_iterative(system)
+        assert prof.within_bounds(), (kappa, N)
+        assert prof.symmetry_gap() <= 1e-12, (kappa, N)
+        assert current_report(prof, system).relative_spread() < 1e-10, (
+            kappa, N)
 
 
 def test_residual_cases(thermo_identity):
