@@ -12,16 +12,11 @@ carries psi only to a relative error eps |phi_N| / |psi|, and currents
 are sums of differences of psi.  Each lattice is solved by conjugate
 gradients with an FFT Toeplitz matvec, under a Jacobi-scaled
 preconditioner zero-padded to a fast FFT length; dense LU is kept as the
-reference solution.  Where gamma > 1 and kappa N^(-theta) <= 1 its core is
-the kernel folded with reflecting ends, which the DCT-II diagonalises (Ng,
-Chan & Tang, SIAM J. Sci. Comput. 21, 1999), applied through one real FFT
-pair (Makhoul, IEEE Trans. ASSP 28, 1980); elsewhere it is T. Chan's
-optimal circulant (SIAM J. Sci. Stat. Comput. 9, 1988).  That choice is
-measured, not proven: summed over N = 512-2048 the circulant takes fewer
-CG steps at (gamma, theta) = (0.8, 2), (0.5, 0) and (1.5, -0.5), as many
-at (1.5, -1) with N = 32768, but more at (1.9, -0.2), N = 4096-16384 (132
-against the reflective core's 76).  Where kappa N^(-theta) > 1 the
-reservoirs dominate the edge rows, and a weight per site hands the
+reference solution.  The preconditioner's core, at every (gamma, theta),
+is the kernel folded with reflecting ends, which the DCT-II diagonalises
+(Ng, Chan & Tang, SIAM J. Sci. Comput. 21, 1999), applied through one real
+FFT pair (Makhoul, IEEE Trans. ASSP 28, 1980).  Where kappa N^(-theta) > 1
+the reservoirs dominate the edge rows, and a weight per site hands the
 preconditioner over to Jacobi there and scales the residual and rounding
 floor CG stops at.  Each lattice's solve reads its own system only.
 
@@ -45,7 +40,11 @@ from .table import header_lines, write_table
 from .thermo import RateFunction, ThermoTables
 
 EPS = float(np.finfo(float).eps)
-MAX_CG_ITERATIONS = 200_000    # CG steps solve_iterative may spend in all
+# CG steps a sweep may go without halving its residual before the solve is
+# given up.  Converging solves went at most 4 such steps on a 450-model grid
+# (gamma 0.3-1.9, theta -2 to 5, kappa 1e-3 to 1e3, N 64-2048) and 6 at
+# (gamma, theta, N) = (1.9, 1, 32768)
+STALL_WINDOW = 50
 
 
 @dataclass(frozen=True)
@@ -149,14 +148,6 @@ def fast_len(n: int) -> int:
     return best
 
 
-def _padded_circulant(spectrum: np.ndarray,
-                      length: int) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> the first len(v) entries of C [v; 0], for the circulant C of
-    size ``length`` with real-FFT eigenvalues ``spectrum``."""
-    return lambda v: np.fft.irfft(np.fft.rfft(v, n=length) * spectrum,
-                                  n=length)[:len(v)]
-
-
 def _padded_reflection(inverse: np.ndarray,
                        n: int) -> Callable[[np.ndarray], np.ndarray]:
     """v -> the first n entries of Q^T diag(inverse) Q [v; 0], Q the
@@ -202,13 +193,16 @@ class TrafficSystem:
     N = property(lambda self: self.params.N)
 
     def toeplitz_apply(self, v: np.ndarray) -> np.ndarray:
-        """P v in the precision of v (double, or long double)."""
+        """P v in the precision of v (double, or long double): the first
+        len(v) entries of C [v; 0], C the circulant of fast length L that
+        embeds P without wrap."""
         if v.dtype not in self._toeplitz:
             t = self.kernel_row.astype(v.dtype)
-            L = fast_len(2 * len(t) - 1)  # no wrap
+            L = fast_len(2 * len(t) - 1)
             col = np.concatenate((t, np.zeros(L + 1 - 2 * len(t)), t[:0:-1]))
-            self._toeplitz[v.dtype] = _padded_circulant(np.fft.rfft(col), L)
-        return self._toeplitz[v.dtype](v)
+            self._toeplitz[v.dtype] = np.fft.rfft(col), L
+        spectrum, L = self._toeplitz[v.dtype]
+        return np.fft.irfft(np.fft.rfft(v, n=L) * spectrum, n=L)[:len(v)]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.diag * v - self.toeplitz_apply(v)
@@ -217,29 +211,10 @@ class TrafficSystem:
         """diag minus off-diagonal row mass: kappa N^-theta (r^+ + r^-) > 0."""
         return self.params.boundary_scale() * (self.rates.left + self.rates.right)
 
-    def preconditioner_spectrum(self) -> np.ndarray:
-        """Eigenvalues d - eig(C) of the circulant core dI - C.
-
-        C is T. Chan's optimal circulant of the kernel row p, zero-padded to
-        the fast real-FFT length m >= n = N - 1; d is the middle diagonal.
-        As C >= 0, its top eigenvalue is its row sum, the average row mass
-        2 sum_{k<n} (1 - k/m) p(k) of the padded Toeplitz matrix.  Bounding
-        k p(k) = c k^-gamma (nonincreasing) by h p(h), h = n // 2, from below
-        for k <= h and from above beyond puts that under the middle site's
-        in-range mass if m (H_2h - H_h) <= n - 1 (H harmonic numbers, H_2h -
-        H_h < ln 2).  Fast lengths meet it: m = n to n = 6, m <= 15n/13 to
-        n = 13, m <= 4n/3 beyond.  The reservoir margin then lifts d above
-        it: every eigenvalue is positive."""
-        n = self.N - 1
-        m = fast_len(n)
-        t = np.concatenate((self.kernel_row, np.zeros(m - n)))
-        k = np.arange(m)
-        c = ((m - k) * t + k * np.concatenate(([0.0], t[:0:-1]))) / m
-        return self.diag[n // 2] - np.fft.rfft(c).real
-
     def weight(self) -> np.ndarray:
         """f = d / (d + e) in (0, 1] per site: the share of the row's
-        diagonal D that the circulant's middle diagonal d accounts for.
+        diagonal D that the middle diagonal d, the level the preconditioner's
+        core is scaled to, accounts for.
 
         D = 2 T_1 + (kappa N^-theta - 1) rho, with 2 T_1 the kernel's whole
         mass and rho = r^+ + r^- smallest at the middle, so where the
@@ -269,7 +244,13 @@ class TrafficSystem:
         lambda_0, its row sum, so in exact arithmetic every mu_k >=
         margin_mid, the middle site's reservoir margin, > 0.  In floating
         point a margin below half an ulp of lambda_0 is lost in the sum and
-        mu_0, the constant mode's eigenvalue, rounds to 0."""
+        mu_0, the constant mode's eigenvalue, rounds to 0.
+
+        One core serves every (gamma, theta).  Summed over 450 models
+        (gamma 0.3-1.9, theta -2 to 5, kappa 1e-3 to 1e3, N 64-2048), CG
+        takes 6,299 history entries with it, 7,690 with T. Chan's optimal
+        circulant (SIAM J. Sci. Stat. Comput. 9, 1988) and 6,325 choosing
+        between the two by gamma and kappa N^-theta."""
         n = self.N - 1
         m = fast_len(n)
         t = np.concatenate((self.kernel_row, np.zeros(m - n)))
@@ -280,27 +261,20 @@ class TrafficSystem:
         """v -> M^-1 v = W [core^-1]_n W v + diag((1 - f^2) / D) v, with
         W = diag(f sqrt(d / D)), d the middle diagonal and f the ``weight``.
 
-        v is zero-padded to the core's fast length m and the product cut to
-        its first n entries: a principal block of an SPD inverse.  A
-        diagonal congruence of an SPD block plus a non-negative diagonal is
-        SPD, so M is.  Where gamma > 1 and kappa N^-theta <= 1 (f = 1), the
-        core is the reflective (lambda_0 + margin_mid) I - K of
-        ``reflective_spectrum``, applied as Q^T diag(1 / mu) Q: the
-        lattice's nearly reflecting ends suit it better than a periodic
-        core.  Elsewhere it is dI - C, T. Chan's optimal circulant (his own
-        at m = n); where the reservoirs dominate the row (D ~ N^-theta
-        u^-gamma at the edges) f falls and M hands over to Jacobi, 1 / D.
+        The core is the reflective (lambda_0 + margin_mid) I - K of
+        ``reflective_spectrum``, applied as Q^T diag(1 / mu) Q to v
+        zero-padded to its fast length m, and cut to the first n entries: a
+        principal block of an SPD inverse.  A diagonal congruence of an SPD
+        block plus a non-negative diagonal is SPD, so M is.  Where the
+        reservoirs dominate the row (D ~ N^-theta u^-gamma at the edges) f
+        falls and M hands over to Jacobi, 1 / D.
 
         1 / mu is set to 0 where mu rounds to <= 0: on the antisymmetric
         vectors the solvers precondition, M stays SPD without that mode."""
         n = self.N - 1
-        if self.params.gamma > 1.0 and self.params.boundary_scale() <= 1.0:
-            mu = self.reflective_spectrum()
-            core = _padded_reflection(
-                np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > 0.0), n)
-        else:
-            core = _padded_circulant(1.0 / self.preconditioner_spectrum(),
-                                     fast_len(n))
+        mu = self.reflective_spectrum()
+        core = _padded_reflection(
+            np.divide(1.0, mu, out=np.zeros_like(mu), where=mu > 0.0), n)
         f = self.weight()
         w = f * np.sqrt(self.diag[n // 2] / self.diag)
         jacobi = (1.0 - f * f) / self.diag
@@ -414,11 +388,13 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
     until the recurrence residual is below eps (max f (2D - margin) ||w||
     + max f |b|), the weighted backward error of a correctly rounded
     solution.  Sweeps repeat while they halve the true residual and it is
-    above that floor; the best iterate is returned, and
-    ``ConvergenceError`` is raised only when ``MAX_CG_ITERATIONS`` are
-    spent.  The history holds the weighted residual at each sweep start
-    and after each iteration (for failure reports).  Every residual CG
-    works with passes through the ``preconditioner``.
+    above that floor; the best iterate is returned.  ``ConvergenceError``
+    is raised once a sweep's residual has gone ``STALL_WINDOW`` steps
+    without halving since its last halving (or the sweep start), so the
+    work is at most that window per halving.  The history holds the
+    weighted residual at each sweep start and after each iteration (for
+    failure reports).  Every residual CG works with passes through the
+    ``preconditioner``.
     """
     b = _deviation_rhs(system)
     precondition = system.preconditioner()
@@ -434,7 +410,6 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
                      [0.0, 1.0], [system.phi_alpha, system.phi_beta])
     x = _antisymmetric(line) / max(system.params.boundary_scale(), 1.0)
     history = []
-    iterations = 0
     best, best_res, last = x.copy(), math.inf, math.inf
     while True:
         # the restart residual is accumulated in long double: smooth error
@@ -458,19 +433,23 @@ def solve_iterative(system: TrafficSystem) -> FugacityProfile:
         # sums in an order set by the thread count, and CG carries those
         # last bits into every later iterate and so into the outputs
         rz = float(np.add.reduce(r * z))
+        mark, stalled = res, 0
         while res > floor:
-            if iterations >= MAX_CG_ITERATIONS:
-                raise ConvergenceError(
-                    f"preconditioned CG spent {MAX_CG_ITERATIONS} "
-                    f"iterations at residual {res:g} (floor {floor:g})",
-                    history=np.array(history))
             Ap = _antisymmetric(system.matvec(p))
             a = rz / float(np.add.reduce(p * Ap))
             x += a * p
             r -= a * Ap
-            iterations += 1
             res = norm(r)
             history.append(res)
+            if res <= 0.5 * mark:
+                mark, stalled = res, 0
+            else:
+                stalled += 1
+                if stalled == STALL_WINDOW:
+                    raise ConvergenceError(
+                        f"preconditioned CG went {STALL_WINDOW} steps "
+                        f"without halving the residual {mark:g} (floor "
+                        f"{floor:g})", history=np.array(history))
             z = _antisymmetric(precondition(r))
             rz_new = float(np.add.reduce(r * z))
             p = z + (rz_new / rz) * p
